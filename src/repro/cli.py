@@ -1102,8 +1102,9 @@ def build_parser() -> argparse.ArgumentParser:
                             "point)")
     serve.add_argument("--conformance-window", type=int, default=64,
                        dest="conformance_window",
-                       help="commits per shard between conformance checks "
-                            "and verified log rollovers")
+                       help="commits per shard between durable snapshots "
+                            "(the conformance gate and the verified log "
+                            "rollover run at every quiescent wave)")
     serve.add_argument("--durable", metavar="DIR", default=None,
                        help="persist committed records to per-shard segment "
                             "stores under DIR; a restart recovers and "

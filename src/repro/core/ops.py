@@ -15,7 +15,6 @@ that :class:`IdGenerator` makes impossible by construction.
 
 from __future__ import annotations
 
-import itertools
 import threading
 from os import getpid
 from dataclasses import dataclass, field
@@ -88,21 +87,23 @@ class IdGenerator:
     """
 
     def __init__(self, start: int = 0):
-        self._counter = itertools.count(start)
+        self._start = start
+        self._next = start
         self._lock = threading.Lock()
-        self._issued: set = set()
 
     def fresh(self) -> int:
         """Return an id never returned before by this generator."""
         with self._lock:
-            new_id = next(self._counter)
-            self._issued.add(new_id)
+            new_id = self._next
+            self._next += 1
             return new_id
 
     def is_issued(self, op_id: int) -> bool:
-        """Whether ``op_id`` came from this generator (for diagnostics)."""
+        """Whether ``op_id`` came from this generator (for diagnostics).
+        Ids are minted consecutively, so the issued set is a range and a
+        long-running generator stores none of them."""
         with self._lock:
-            return op_id in self._issued
+            return self._start <= op_id < self._next
 
 
 def make_op(

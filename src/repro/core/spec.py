@@ -35,7 +35,6 @@ from __future__ import annotations
 import itertools
 from abc import ABC, abstractmethod
 from typing import Any, FrozenSet, Iterable, Optional, Sequence, Tuple
-from weakref import WeakKeyDictionary
 
 from repro.core.errors import SpecError
 from repro.core.ops import Op, OpClass, payload_class_id, payload_of
@@ -90,6 +89,17 @@ class SequentialSpec(ABC):
         """``op1 ▷ op2``: ``op1`` moves to the right of ``op2``, i.e.
         ``op2 ◁ op1``."""
         return self.left_mover(op2, op1)
+
+    # -- pickling --------------------------------------------------------------
+
+    def __getstate__(self) -> dict:
+        # The shared memos (see shared_movers) are keyed on process-local
+        # payload-class ids: they mean nothing in another process, so a
+        # spec pickled to a worker travels without them.
+        state = dict(self.__dict__)
+        state.pop(_MOVERS_ATTR, None)
+        state.pop(_DENOTS_ATTR, None)
+        return state
 
     # -- helpers for checkers ---------------------------------------------------
 
@@ -823,8 +833,12 @@ def denotations_for(
 # Shared per-spec memo registry
 # ---------------------------------------------------------------------------
 
-_SHARED_MOVERS: "WeakKeyDictionary" = WeakKeyDictionary()
-_SHARED_DENOTS: "WeakKeyDictionary" = WeakKeyDictionary()
+#: instance attributes holding a spec's shared memos.  The memos live *on*
+#: the spec rather than in a module-level weak-keyed map: each memo
+#: references its spec, so a weak-keyed map would keep every key alive
+#: forever, whereas a spec ↔ memo cycle is freed with the spec.
+_MOVERS_ATTR = "_shared_movers"
+_DENOTS_ATTR = "_shared_denots"
 
 
 def _adopt_tracer(memo, tracer: Tracer):
@@ -840,11 +854,15 @@ def shared_movers(spec: SequentialSpec, tracer: Tracer = NULL_TRACER) -> Memoize
 
     Mover relations depend only on the spec, so one memo per spec instance
     serves every machine, invariant checker and bounded checker touching
-    it.  Held weakly: the memo dies with its spec.
+    it.  A :class:`RebasedStateSpec` forwards every mover query to its
+    base, so it shares the base's memo: pairs evaluated before a log
+    rollover stay hits after it.
     """
-    memo = _SHARED_MOVERS.get(spec)
+    if isinstance(spec, RebasedStateSpec):
+        spec = spec.base
+    memo = spec.__dict__.get(_MOVERS_ATTR)
     if memo is None:
-        memo = _SHARED_MOVERS[spec] = MemoizedMovers(spec, tracer=tracer)
+        memo = spec.__dict__[_MOVERS_ATTR] = MemoizedMovers(spec, tracer=tracer)
         return memo
     return _adopt_tracer(memo, tracer)
 
@@ -852,9 +870,11 @@ def shared_movers(spec: SequentialSpec, tracer: Tracer = NULL_TRACER) -> Memoize
 def shared_denotations(
     spec: SequentialSpec, tracer: Tracer = NULL_TRACER
 ) -> SpecDenotations:
-    """The per-spec shared denotations cache (see :func:`denotations_for`)."""
-    memo = _SHARED_DENOTS.get(spec)
+    """The per-spec shared denotations cache (see :func:`denotations_for`).
+    Denotations depend on the initial state, so every rebased spec gets
+    its own cache, freed with it."""
+    memo = spec.__dict__.get(_DENOTS_ATTR)
     if memo is None:
-        memo = _SHARED_DENOTS[spec] = denotations_for(spec, tracer)
+        memo = spec.__dict__[_DENOTS_ATTR] = denotations_for(spec, tracer)
         return memo
     return _adopt_tracer(memo, tracer)

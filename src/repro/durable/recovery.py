@@ -15,8 +15,9 @@ Three oracles gate a recovery before the shard is allowed to serve:
 1. **divergence** — each replayed transaction's return values must equal
    the recorded (acknowledged) results byte for byte;
 2. **windowed conformance** — the replay reuses the shard's own
-   ``maybe_checkpoint`` rollover, so long logs are re-verified window by
-   window exactly like live traffic (and memory stays bounded);
+   ``maybe_checkpoint`` rollover after every replayed commit, so the log
+   is re-verified window by window like live traffic (and memory stays
+   bounded);
 3. **the final gate** — after in-doubt resolution the full conformance
    check (serializability / opacity / clean aborts) must pass, and its
    rollover writes a fresh snapshot so the next recovery is cheap.
@@ -141,7 +142,7 @@ def open_durable_shard(
             if coord_dir is not None
             else os.path.join(os.path.dirname(directory.rstrip(os.sep)), "coord"),
         )
-        verdict = state.run_conformance(rollover=True)
+        verdict = state.run_conformance(rollover=True, snapshot=True)
         report.conformance_ok = bool(verdict.get("ok"))
         if not report.conformance_ok or verdict.get("sticky_failures"):
             raise RecoveryError(
@@ -212,8 +213,8 @@ def _replay(state, store: SegmentStore, report: RecoveryReport) -> None:
                         f"replay of commit {txn!r} failed: {reply.get('error')}"
                     )
             report.replayed_commits += 1
-            # windowed re-verification + in-memory rollover: long logs
-            # are gated in the same windows live traffic was
+            # windowed re-verification + in-memory rollover, one replayed
+            # commit per window (the log records no wave boundaries)
             checkpoint = state.maybe_checkpoint()
             if checkpoint is not None and not checkpoint.get("ok"):
                 raise RecoveryError(

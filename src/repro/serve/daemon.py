@@ -79,6 +79,7 @@ class DaemonConfig:
     cross_attempts: int = 25
     wave_retries: int = 64
     max_attempts: int = 25
+    #: commits per shard between durable snapshots (see ShardConfig)
     conformance_window: int = 64
     flight_dir: Optional[str] = None
     #: durability root: per-shard segment stores live in

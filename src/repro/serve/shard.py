@@ -22,11 +22,14 @@ entry points:
   uncommitted global-log entries;
 * :meth:`ShardState.run_conformance` — the existing chaos conformance
   gate (serializability / opacity / clean-aborts / quiescence) over the
-  shard's committed history.  The daemon runs it *windowed*: every
-  ``conformance_window`` commits the gate runs and, when clean, the
-  history rolls over into a :class:`~repro.core.spec.RebasedStateSpec`
-  (the same compaction move as ``Runtime.maybe_compact``, but gated on a
-  verified window rather than blind).  On failure the armed per-shard
+  shard's committed history.  The daemon runs it *windowed*: at every
+  quiescent wave boundary the gate runs over the wave's commits and,
+  when clean, the history rolls over into a
+  :class:`~repro.core.spec.RebasedStateSpec` (the same compaction move as
+  ``Runtime.maybe_compact``, but gated on a verified window rather than
+  blind), so the global log a transaction PULLs from holds about one
+  wave.  A durable shard checkpoints a rollover state once every
+  ``conformance_window`` commits.  On failure the armed per-shard
   :class:`~repro.obs.flight.FlightRecorder` auto-dumps its black box.
 
 The asyncio wrappers at the bottom (:func:`shard_server`,
@@ -93,9 +96,10 @@ class ShardConfig:
     wave_retries: int = 64
     #: total waves a txn may be requeued before a permanent abort reply
     max_attempts: int = 25
-    #: commits between windowed conformance checks (+ history rollover).
-    #: Also the effective bound on committed-log length, which every
-    #: push/pull ``allowed`` check replays — keep it modest.
+    #: commits between durable snapshots of a verified rollover state
+    #: (the conformance gate and the in-memory rollover run at every
+    #: quiescent wave boundary regardless); bounds the WAL tail a
+    #: recovery replays
     conformance_window: int = 64
     flight_dir: Optional[str] = None
     #: segment directory for the durable global log (None = in-memory
@@ -176,6 +180,7 @@ class ShardState:
         self.windows_checked = 0
         self.commits_gated = 0
         self._commits_since_check = 0
+        self._commits_since_snapshot = 0
         self._job_counter = 0
         self._waves = 0
 
@@ -447,18 +452,25 @@ class ShardState:
         )
 
     def maybe_checkpoint(self) -> Optional[Dict[str, Any]]:
-        """Between waves, with no parked 2PC sub-txns: run the windowed
-        conformance gate and, when clean, roll the verified history over
-        into a rebased spec (bounded memory for unbounded uptime)."""
-        if self._commits_since_check < self.config.conformance_window:
+        """At a quiescent wave boundary — something committed since the
+        last rollover, no parked 2PC sub-txn, no live thread — run the
+        windowed conformance gate and, when clean, roll the verified
+        history over into a rebased spec.  Rolling over every such wave
+        keeps the global log about one wave long, so PULLs and the
+        criteria's log replays cost O(wave), not O(uptime)."""
+        if not self._commits_since_check:
             return None
         if self.prepared or self.runtime.active_tids:
             return None
         return self.run_conformance(rollover=True)
 
-    def run_conformance(self, rollover: bool = False) -> Dict[str, Any]:
+    def run_conformance(
+        self, rollover: bool = False, snapshot: bool = False
+    ) -> Dict[str, Any]:
         """Run the chaos conformance gate over the current history window.
-        Returns a JSON-safe verdict; on failure arms the flight dump."""
+        Returns a JSON-safe verdict; on failure arms the flight dump.
+        ``snapshot`` makes a clean rollover checkpoint a durable shard
+        even before ``conformance_window`` commits have accumulated."""
         rt = self.runtime
         failures, opacity_checked = conformance_failures(
             self.algorithm, rt.spec, self._result_shim()
@@ -492,13 +504,17 @@ class ShardState:
                 verdict["flight_dump"] = dump
             return verdict
         if rollover:
-            self._rollover()
+            self._rollover(snapshot)
         return verdict
 
-    def _rollover(self) -> None:
+    def _rollover(self, snapshot: bool = False) -> None:
         """Replay the verified committed log into a rebased spec and
         restart with an empty history — ``Runtime.maybe_compact``'s move,
-        but only ever after a clean gate."""
+        but only ever after a clean gate.  A durable shard also
+        checkpoints the rebased state once ``conformance_window`` commits
+        have accumulated since its last snapshot (or when ``snapshot``
+        asks): one snapshot fsync per window of commits, however many
+        waves it took."""
         rt = self.runtime
         if rt.active_tids or self.prepared:
             return
@@ -522,14 +538,19 @@ class ShardState:
             tracer=self.tracer,
         )
         rt.history = type(rt.history)()
+        self._commits_since_snapshot += self._commits_since_check
         self._commits_since_check = 0
         self._count("serve.conformance.rollovers")
-        if self.durable is not None:
+        if self.durable is not None and (
+            snapshot
+            or self._commits_since_snapshot >= self.config.conformance_window
+        ):
             # The rollover state was just verified by the gate — exactly
             # what a recovery wants to start from.  Checkpoint it and let
             # the store drop the segments it covers.
             from repro.durable.records import encode_state
 
+            self._commits_since_snapshot = 0
             self.durable.write_snapshot(
                 encode_state(state),
                 meta={

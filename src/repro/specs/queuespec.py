@@ -24,13 +24,21 @@ expose ordering differences a pair of operations can create (each operation
 mentions at most one value; a counterexample to Definition 4.1 either
 manifests in the observable return values — which only compare mentioned
 values — or in the resulting contents, where positions of at most two
-unmentioned elements matter).  Property tests validate the bound against
-longer enumerations.
+unmentioned elements matter).
+
+``size() -> n`` is the one result that pins a *length*: a pair with it
+swaps non-vacuously only on contents of length ``n - 1`` to ``n + 1``
+(the other operation changes the length by at most one).  For ``n`` past
+the bound, :func:`mover_contents` adds those lengths: every short content
+padded with a fresh filler on the side no operation reads.  The filler is
+never returned, and a swap involving ``size`` leaves equal contents
+whenever both orders are allowed, so only the enumerated end matters.
+Property tests validate both against longer enumerations.
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Tuple
+from typing import Any, Iterable, List, Tuple
 
 from repro.core.errors import SpecError
 from repro.core.ops import Op
@@ -49,6 +57,38 @@ class _Fresh:
 
 FRESH_A = _Fresh("a")
 FRESH_B = _Fresh("b")
+
+
+def mover_contents(
+    op1: Op, op2: Op, mentioned: Tuple[Any, ...], pad_front: bool
+) -> List[Tuple]:
+    """Contents sufficient to decide movers for a queue or stack pair:
+    every content up to :data:`MOVER_STATE_BOUND` over ``mentioned`` plus
+    two fresh symbols, and, for each ``size -> n`` of the pair, those
+    contents padded to each length in ``n - 1 .. n + 1`` past the bound.
+    ``pad_front`` pads before the contents (a stack reads its end), else
+    after them (a queue reads its front)."""
+    alphabet = tuple(dict.fromkeys(mentioned)) + (FRESH_A, FRESH_B)
+    states: List[Tuple] = [()]
+    frontier: List[Tuple] = [()]
+    for _ in range(MOVER_STATE_BOUND):
+        frontier = [s + (x,) for s in frontier for x in alphabet]
+        states.extend(frontier)
+    lengths = sorted(
+        {
+            length
+            for op in (op1, op2)
+            if op.method == "size" and isinstance(op.ret, int)
+            for length in range(op.ret - 1, op.ret + 2)
+            if length > MOVER_STATE_BOUND
+        }
+    )
+    short = list(states)
+    for length in lengths:
+        for s in short:
+            pad = (FRESH_B,) * (length - len(s))
+            states.append(pad + s if pad_front else s + pad)
+    return states
 
 
 class QueueSpec(StateSpec):
@@ -84,15 +124,10 @@ class QueueSpec(StateSpec):
         return tuple(values)
 
     def mover_states(self, op1: Op, op2: Op) -> Iterable[Tuple]:
-        alphabet = tuple(
-            dict.fromkeys(self._mentioned(op1) + self._mentioned(op2))
-        ) + (FRESH_A, FRESH_B)
-        states = [()]
-        frontier = [()]
-        for _ in range(MOVER_STATE_BOUND):
-            frontier = [s + (x,) for s in frontier for x in alphabet]
-            states.extend(frontier)
-        return states
+        return mover_contents(
+            op1, op2, self._mentioned(op1) + self._mentioned(op2),
+            pad_front=False,
+        )
 
     # -- driver metadata ---------------------------------------------------------
 

@@ -13,7 +13,8 @@ boosting uses for UNPUSH (``pop`` undoes ``push``), which the boosting
 tests exercise.
 
 Mover states follow the same bounded-enumeration argument as the queue
-(contents up to length 3 over mentioned values plus two fresh symbols).
+(contents up to length 3 over mentioned values plus two fresh symbols,
+padded below the top to the lengths a ``size`` result pins).
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from typing import Any, Iterable, Tuple
 from repro.core.errors import SpecError
 from repro.core.ops import Op
 from repro.core.spec import StateSpec
-from repro.specs.queuespec import FRESH_A, FRESH_B, MOVER_STATE_BOUND
+from repro.specs.queuespec import mover_contents
 
 
 class StackSpec(StateSpec):
@@ -59,15 +60,10 @@ class StackSpec(StateSpec):
         return tuple(values)
 
     def mover_states(self, op1: Op, op2: Op) -> Iterable[Tuple]:
-        alphabet = tuple(
-            dict.fromkeys(self._mentioned(op1) + self._mentioned(op2))
-        ) + (FRESH_A, FRESH_B)
-        states = [()]
-        frontier = [()]
-        for _ in range(MOVER_STATE_BOUND):
-            frontier = [s + (x,) for s in frontier for x in alphabet]
-            states.extend(frontier)
-        return states
+        return mover_contents(
+            op1, op2, self._mentioned(op1) + self._mentioned(op2),
+            pad_front=True,
+        )
 
     # -- driver metadata ---------------------------------------------------------
 

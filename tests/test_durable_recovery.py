@@ -6,7 +6,9 @@ seeded durable chaos sweep, and the ``repro log`` inspection command
 """
 
 import json
+import multiprocessing
 import os
+import signal
 
 import pytest
 
@@ -92,6 +94,54 @@ class TestRecoveryEdges:
         assert recovered.last_recovery.replayed_commits == 0
         assert recovered.last_recovery.snapshot_watermark > 0
         assert probe(recovered, "k3") == (4, 3)
+        recovered.durable.close()
+
+    def test_rolls_over_every_wave_but_snapshots_once_per_window(self, tmp_path):
+        cfg = config_for(tmp_path / "s", window=4)
+        state = open_durable_shard(cfg)
+        before = dict(state.registry.counter_values())
+        drive(state, 10)
+        after = dict(state.registry.counter_values())
+
+        def grew(name):
+            return after.get(name, 0) - before.get(name, 0)
+
+        assert grew("serve.conformance.rollovers") == 10
+        assert grew("durable.snapshot.writes") == 2  # at commits 4 and 8
+        assert state.durable.snapshot_doc["watermark"] == 8
+        assert state.stats()["global_log"] == 0
+        state.durable.close()
+
+    def test_sigkill_between_two_snapshots_recovers_clean(self, tmp_path):
+        """A process killed two commits past its last snapshot: recovery
+        starts from that snapshot and replays exactly the two-commit tail
+        through the per-commit gate."""
+        cfg = config_for(tmp_path / "s", window=4)
+        context = multiprocessing.get_context("fork")
+        receiver, sender = context.Pipe(duplex=False)
+
+        def serve_then_hang():
+            state = open_durable_shard(cfg)
+            drive(state, 10)
+            sender.send(state.durable.snapshot_doc["watermark"])
+            signal.pause()
+
+        worker = context.Process(target=serve_then_hang, daemon=True)
+        worker.start()
+        assert receiver.poll(60), "worker never finished its waves"
+        assert receiver.recv() == 8
+        os.kill(worker.pid, signal.SIGKILL)
+        worker.join(timeout=10)
+        assert worker.exitcode == -signal.SIGKILL
+
+        recovered = open_durable_shard(cfg)
+        report = recovered.last_recovery
+        assert report.snapshot_watermark == 8
+        assert report.replayed_commits == 2
+        assert report.conformance_ok
+        assert recovered.conformance_failure_log == []
+        assert probe(recovered, "k9") == (10, 9)
+        assert probe(recovered, "k3") == (10, 3)
         recovered.durable.close()
 
     def test_recovered_shard_continues_committing(self, tmp_path):

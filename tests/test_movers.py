@@ -252,3 +252,38 @@ class TestMemoizedMovers:
             make_op("inc", (), None, op_id=3), make_op("inc", (), None, op_id=4)
         )
         assert len(movers._left) == 1
+
+    def test_rebased_spec_shares_its_base_memo(self):
+        from repro.core.spec import RebasedStateSpec, shared_movers
+
+        spec = KVMapSpec()
+        rebased = RebasedStateSpec(RebasedStateSpec(spec, {"k": 1}), {"k": 2})
+        assert shared_movers(rebased) is shared_movers(spec)
+
+    def test_shared_memos_die_with_their_spec(self):
+        import gc
+        import weakref
+
+        from repro.core.spec import shared_denotations, shared_movers
+
+        spec = KVMapSpec()
+        movers = weakref.ref(shared_movers(spec))
+        denots = weakref.ref(shared_denotations(spec))
+        del spec
+        gc.collect()
+        assert movers() is None and denots() is None
+
+    def test_shared_memos_do_not_travel_with_a_pickled_spec(self):
+        import pickle
+
+        from repro.core.spec import shared_denotations, shared_movers
+
+        spec = KVMapSpec()
+        memo = shared_movers(spec)
+        shared_denotations(spec)
+        memo.left_mover(make_op("put", ("k1", 1), None), make_op("put", ("k2", 2), None))
+        copy = pickle.loads(pickle.dumps(spec))
+        fresh = shared_movers(copy)
+        assert fresh is not memo and fresh._left == {}
+        assert shared_denotations(copy) is not shared_denotations(spec)
+        assert shared_movers(spec) is memo  # the original keeps its memo

@@ -1,7 +1,8 @@
 """Queue/stack mover bound validation.
 
 The queue/stack mover oracles enumerate contents up to
-``MOVER_STATE_BOUND``; these property tests check the bound's adequacy by
+``MOVER_STATE_BOUND`` (plus padded contents at the lengths a ``size``
+result pins); these property tests check the bound's adequacy by
 comparing against a strictly larger enumeration — a verdict that flips
 with more states would falsify the documented sufficiency argument.
 """
@@ -11,7 +12,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core.ops import Op, make_op
 from repro.specs import QueueSpec, StackSpec
-from repro.specs.queuespec import FRESH_A, FRESH_B
+from repro.specs.queuespec import FRESH_A, FRESH_B, MOVER_STATE_BOUND
 
 BOUND_SETTINGS = settings(
     max_examples=40, deadline=None,
@@ -19,6 +20,8 @@ BOUND_SETTINGS = settings(
 )
 
 VALUES = ("a", "b")
+#: ``size`` results drawn reach past the enumeration bound
+SIZES = range(MOVER_STATE_BOUND + 4)
 
 
 def queue_ops():
@@ -26,7 +29,7 @@ def queue_ops():
         st.sampled_from(VALUES).map(lambda v: ("enq", (v,), None)),
         st.sampled_from(list(VALUES) + [None]).map(lambda v: ("deq", (), v)),
         st.sampled_from(list(VALUES) + [None]).map(lambda v: ("peek", (), v)),
-        st.sampled_from([0, 1, 2]).map(lambda n: ("size", (), n)),
+        st.sampled_from(SIZES).map(lambda n: ("size", (), n)),
     )
 
 
@@ -35,6 +38,7 @@ def stack_ops():
         st.sampled_from(VALUES).map(lambda v: ("push", (v,), None)),
         st.sampled_from(list(VALUES) + [None]).map(lambda v: ("pop", (), v)),
         st.sampled_from(list(VALUES) + [None]).map(lambda v: ("top", (), v)),
+        st.sampled_from(SIZES).map(lambda n: ("size", (), n)),
     )
 
 
@@ -65,7 +69,10 @@ def test_bound_plus_two_agrees(spec_cls, strategy, data):
     op1 = make_op(*p1)
     op2 = make_op(*p2)
     at_bound = check_on_states(spec, spec.mover_states(op1, op2), op1, op2)
-    beyond = check_on_states(spec, bigger_states(spec, op1, op2, 5), op1, op2)
+    # every content up to two past the longest length any size pins
+    sizes = [op.ret for op in (op1, op2) if op.method == "size"]
+    bound = max([5] + [n + 2 for n in sizes])
+    beyond = check_on_states(spec, bigger_states(spec, op1, op2, bound), op1, op2)
     assert at_bound == beyond, (op1, op2)
 
 
@@ -102,6 +109,31 @@ class TestKnownQueueVerdicts:
         deq = make_op("deq", (), None)
         enq = make_op("enq", ("a",), None)
         assert not self.spec.left_mover(deq, enq)
+
+
+class TestSizePastTheBound:
+    """``size -> n`` pins a length past the enumeration bound: a swap with
+    a length-changing operation is never vacuous there."""
+
+    def test_queue_size_does_not_commute_with_enq(self):
+        size, enq = make_op("size", (), 5), make_op("enq", (7,), None)
+        assert not QueueSpec().commutes(size, enq)
+        assert not QueueSpec().left_mover(enq, size)
+
+    def test_stack_size_does_not_commute_with_push(self):
+        size, push = make_op("size", (), 5), make_op("push", (7,), None)
+        assert not StackSpec().commutes(size, push)
+        assert not StackSpec().left_mover(push, size)
+
+    def test_deq_is_not_a_left_mover_of_size_one_past_the_bound(self):
+        deq, size = make_op("deq", (), "a"), make_op("size", (), 3)
+        assert not QueueSpec().left_mover(deq, size)
+
+    def test_size_still_commutes_with_observers(self):
+        size = make_op("size", (), 5)
+        assert QueueSpec().commutes(size, make_op("peek", (), "a"))
+        assert StackSpec().commutes(size, make_op("top", (), "a"))
+        assert QueueSpec().commutes(size, make_op("size", (), 5))
 
 
 class TestKnownStackVerdicts:

@@ -2,7 +2,14 @@
 gate with verified rollover, and determinism (``src/repro/serve/shard.py``).
 """
 
-from repro.core.spec import RebasedStateSpec
+import gc
+import random
+import weakref
+
+import pytest
+
+from repro.core.spec import RebasedStateSpec, shared_movers
+from repro.durable.recovery import open_durable_shard
 from repro.serve.shard import (
     ShardConfig,
     ShardState,
@@ -130,6 +137,99 @@ def test_checkpoint_deferred_while_prepared_parked():
     assert state.maybe_checkpoint() is None
     assert state.commit_prepared("x1")["ok"]
     assert state.maybe_checkpoint() is not None
+
+
+def test_quiescent_wave_rolls_over_whatever_the_window():
+    """Gate + rollover run at every quiescent wave boundary, so the log
+    a transaction PULLs from holds about one wave, not a whole window."""
+    state = _state(conformance_window=64)
+    for value in range(3):
+        _wave(state, [["kvmap", "put", "a", value]], [["counter", "inc"]])
+        checkpoint = state.maybe_checkpoint()
+        assert checkpoint is not None and checkpoint["ok"]
+        assert checkpoint["window_commits"] == 2
+        assert len(state.runtime.machine.global_log) == 0
+        assert state.runtime.history.records == ()
+    counters = dict(state.registry.counter_values())
+    assert counters["serve.conformance.windows"] == 3
+    assert counters["serve.conformance.rollovers"] == 3
+    # a wave that committed nothing leaves nothing to gate
+    assert state.maybe_checkpoint() is None
+    (read,) = _wave(state, [["kvmap", "get", "a"], ["counter", "get"]])
+    assert read.results == (2, 3)
+
+
+def test_mover_pairs_evaluated_before_a_rollover_hit_after_it():
+    state = _state()
+    _wave(state, [["counter", "inc"]], [["counter", "inc"]],
+          [["kvmap", "put", "k", 1]], [["kvmap", "get", "k"]])
+    memo = state.runtime.machine.movers
+    left, comm = dict(memo._left), dict(memo._comm)
+    assert left or comm, "the wave consulted no mover pair"
+    assert state.maybe_checkpoint()["ok"]
+    assert isinstance(state.runtime.spec, RebasedStateSpec)
+    # the rebased spec forwards movers to its base, so it shares the memo
+    assert shared_movers(state.runtime.spec) is memo
+    assert state.runtime.machine.movers is memo
+    evaluated = []
+    oracle = memo.spec
+    oracle.left_mover = lambda *ops: evaluated.append(ops)
+    oracle.commutes = lambda *ops: evaluated.append(ops)
+    try:
+        assert all(memo.left_mover_pid(*pair) == got for pair, got in left.items())
+        assert all(memo.commutes_pid(*pair) == got for pair, got in comm.items())
+    finally:
+        del oracle.left_mover, oracle.commutes
+    assert evaluated == []
+
+
+def test_rollovers_free_rebased_specs_and_denotation_caches():
+    """Each rollover replaces the spec and its denotation cache; the old
+    ones must be collectable, or a per-wave rollover leaks one of each
+    per wave.  ``conformance_window=1`` rolls over every wave either way."""
+    state = _state(conformance_window=1)
+    specs, caches = [], []
+    for value in range(30):
+        _wave(state, [["kvmap", "put", "k", value]], [["counter", "inc"]])
+        assert state.maybe_checkpoint()["ok"]
+        specs.append(weakref.ref(state.runtime.spec))
+        caches.append(weakref.ref(state.runtime.machine.denots))
+    gc.collect()
+    assert sum(ref() is not None for ref in specs) <= 2
+    assert sum(ref() is not None for ref in caches) <= 2
+    (read,) = _wave(state, [["kvmap", "get", "k"], ["counter", "get"]])
+    assert read.results == (29, 30)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_concurrent_enq_and_size_waves_serialize_in_commit_order(seed, tmp_path):
+    """Concurrent ``size`` and ``enq`` never commute once the queue is
+    longer than the mover oracle's enumeration bound.  A vacuous verdict
+    there lets a ``size`` commit after an ``enq`` it did not count, so
+    commit order stops being a serialization: a window gated in commit
+    order finds no witness, and a recovery replaying the log in commit
+    order diverges from the acknowledged results."""
+    config = ShardConfig(root_seed=seed, conformance_window=1000,
+                         durable_dir=str(tmp_path / "shard"))
+    state = open_durable_shard(config)
+    rng = random.Random(seed)
+    committed = 0
+    for wave in range(16):
+        txns = [
+            [["queue", "enq", rng.randrange(100)]] if rng.random() < 0.6
+            else [["queue", "size"]]
+            for _ in range(4)
+        ]
+        outcomes = _wave(state, *txns)
+        committed += sum(o.ok for o in outcomes)
+        checkpoint = state.maybe_checkpoint()
+        assert checkpoint is None or checkpoint["ok"], (wave, checkpoint)
+    assert state.conformance_failure_log == []
+    state.durable.crash()
+    recovered = open_durable_shard(config)
+    assert recovered.last_recovery.replayed_commits == committed
+    assert recovered.last_recovery.conformance_ok
+    recovered.durable.close()
 
 
 def test_wave_dispatch_via_shard_request():

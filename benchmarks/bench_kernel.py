@@ -5,12 +5,13 @@ against the pre-refactor baseline committed in ``BENCH_kernel.json``:
 
 * **states/sec** — untraced exhaustive exploration (best of ``--repeat``),
   the number every kernel optimisation is accountable to;
-* **criterion-checks/sec and cache hit rates** — a second, traced pass
-  collects the kernel's ``repro.obs`` counters (``denot.hit/miss``,
-  ``mover.left.hit/miss``, ``mover.commutes.hit/miss``) and derives the
-  denotation/mover cache hit rates.  The run *fails* (exit 1) if those
-  counters are absent — a silent tracing regression would otherwise make
-  the hit rates unfalsifiable;
+* **criterion-checks/sec and cache hit rates** — a traced pass collects
+  the kernel's ``repro.obs`` counters (``denot.hit/miss``,
+  ``mover.left.hit/miss``, ``mover.commutes.hit/miss``) and its
+  ``packed.kernel`` memo gauges, and derives the denotation/mover cache
+  hit rates.  The run *fails* (exit 1) if those counters are absent — a
+  silent tracing regression would otherwise make the hit rates
+  unfalsifiable;
 * **verdict identity** — states, transitions, final states and rule
   counts must equal the baseline's recorded verdict: a kernel that got
   faster by exploring a different state space did not get faster.
@@ -62,13 +63,15 @@ REQUIRED_COUNTERS = (
 )
 
 
-def _explore_scope(name: str, tracer=None, trace_rules: bool = False):
+def _explore_scope(name: str, tracer=None):
+    """One POR-off exploration of ``name``, rule-traced on ``tracer`` when
+    one is given."""
     spec_cls, programs = SCOPES[name]
     # POR off: this benchmark isolates per-state kernel cost, and its
     # committed baselines are full-exploration verdicts (the reduced
     # state space has its own baseline file, BENCH_por.json).
     options = (
-        ExploreOptions(tracer=tracer, trace_rules=trace_rules, por=False)
+        ExploreOptions(tracer=tracer, trace_rules=True, por=False)
         if tracer is not None
         else ExploreOptions(por=False)
     )
@@ -100,10 +103,12 @@ def measure_throughput(name: str, repeat: int) -> dict:
 
 
 def measure_counters(name: str) -> dict:
-    """Traced pass: kernel cache counters, hit rates, criterion-checks/sec.
+    """Traced pass: kernel cache counters, hit rates, criterion-checks/sec
+    and the packed-kernel gauges.
 
-    Tracing re-routes rules through the instrumented path (slower by
-    design), so this never contributes to the throughput figure.
+    Rule tracing walks the same memoized expansion as the untraced run but
+    records every transition, so this never contributes to the
+    throughput figure.
 
     Exploration only consults the denotation and left-mover memos; the
     ``mover.commutes`` memo's consumer is the conflict-graph oracle, so a
@@ -116,7 +121,7 @@ def measure_counters(name: str) -> dict:
     from repro.tm import ALL_ALGORITHMS
 
     tracer = RecordingTracer()
-    _, elapsed = _explore_scope(name, tracer=tracer, trace_rules=True)
+    _, elapsed = _explore_scope(name, tracer=tracer)
 
     config = WorkloadConfig(
         transactions=12, ops_per_tx=3, keys=4, read_ratio=0.5, seed=7
@@ -146,13 +151,8 @@ def measure_counters(name: str) -> dict:
         hit_rates[cache] = round(hits / total, 4) if total else None
     criterion_checks = sum(counts.values())
     # End-of-run packed-kernel gauges (intern tables, memo populations).
-    # Rule tracing disables the key-first packed path by design, so the
-    # memos above read zero there; sample the gauges from a stats-only
-    # traced exploration, where the packed hot path is live.
-    gauge_tracer = RecordingTracer()
-    _explore_scope(name, tracer=gauge_tracer, trace_rules=False)
     packed_gauges = next(
-        (dict(e.args) for e in reversed(gauge_tracer.events)
+        (dict(e.args) for e in reversed(tracer.events)
          if e.name == "packed.kernel"),
         {},
     )

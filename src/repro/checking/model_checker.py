@@ -20,34 +20,36 @@ Checked properties (all optional, see :class:`ExploreOptions`):
   terminated (final — all threads finished — or stuck), the committed
   global log is covered (``≼``) by some atomic-machine execution of the
   set of transactions that committed along the path;
-* the opaque-fragment restriction (§6.1): when ``forbid_uncommitted_pull``
-  is set, PULLs of uncommitted entries are pruned, and the checker
-  verifies every transaction's observed view is consistent
-  (:func:`repro.core.opacity.check_view_consistent`).
+* the opaque-fragment restriction (§6.1): ``pull_policy="committed"``
+  prunes PULLs of uncommitted entries.  The restriction only shapes the
+  explored space; opacity itself is judged only by the terminal-state
+  oracle that ``opacity_checker`` selects.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Container, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.core.atomic import atomic_final_logs, payloads
-from repro.core.errors import (
-    CriterionViolation,
-    MachineError,
-    SerializabilityViolation,
-    SpecError,
-)
+from repro.core.errors import SerializabilityViolation
 from repro.core.invariants import check_all_invariants_cached
-from repro.core.language import Code, Skip, Tx, sorted_choices
+from repro.core.language import Code
 from repro.core.machine import Machine
 from repro.core.ops import IdGenerator, Op
 from repro.core.precongruence import precongruent
 from repro.core.rewind import check_cmtpres_all
 from repro.core.spec import SequentialSpec
 from repro.checking.reduction import Reducer
-from repro.obs.tracer import CAT_MC, CAT_POR, NULL_TRACER, Tracer
+from repro.obs.tracer import (
+    CAT_CRITERION,
+    CAT_MC,
+    CAT_POR,
+    CAT_RULE,
+    NULL_TRACER,
+    Tracer,
+)
 
 
 @dataclass
@@ -57,7 +59,6 @@ class ExploreOptions:
     check_cmtpres: bool = False
     check_atomic_cover: bool = True
     check_every_state_cover: bool = False
-    forbid_uncommitted_pull: bool = False
     #: "all" — PULL any global entry (the full model; state count grows
     #: with the permutations of pull interleavings, so keep scopes tiny);
     #: "committed" — the opaque fragment's PULLs only; "none" — disable
@@ -83,9 +84,10 @@ class ExploreOptions:
     #: every ``trace_stats_every`` visited states and once at the end.
     tracer: Tracer = NULL_TRACER
     trace_stats_every: int = 1000
-    #: additionally trace every machine rule application *inside* the
-    #: exploration (very high volume — one span per attempted transition);
-    #: off by default even when a tracer is given.
+    #: additionally trace every rule instance the exploration expands
+    #: (very high volume — one ``rule`` span and one ``<RULE>.check``
+    #: instant per non-END transition); off by default even when a tracer
+    #: is given.
     trace_rules: bool = False
     #: mover-guided partial-order reduction (see ``checking/reduction.py``):
     #: visited-state keys are quotiented by both-mover trace equivalence
@@ -204,52 +206,44 @@ class _Node:
         return (self.machine.state_key(), self.committed)
 
 
-# ``step(code)`` in the checker's deterministic exploration order — now an
-# attribute memo on the code node itself (one pointer load per revisit, no
-# recursive re-hash of the AST); kept under the old name for callers.
-_sorted_choices = sorted_choices
-
-
 def _successors(
     node: _Node,
     options: ExploreOptions,
-    seen: Optional[Set[Tuple]] = None,
+    seen: Container[Tuple] = frozenset(),
     reducer: Optional[Reducer] = None,
 ) -> List[Tuple[str, Tuple, Optional[_Node]]]:
     """Enabled rule instances as ``(rule, node_key, successor)`` triples,
-    probed through the machine's check-then-construct path: a disabled
-    instance costs a few (cached) criterion queries — no exception
-    allocation, no discarded successor states, no minted operation ids.
+    in :meth:`Machine.successor_plan`'s order, thread by thread.
 
-    When ``seen`` is given (the checker's visited-key set), every rule
-    with a derivable key goes key-first: the successor's canonical key is
-    computed from this state's cached key plus cached log projections
-    (:meth:`Machine.app_key`, ``push_key``, ``pull_key``, ``unapp_key``,
-    ``unpush_key``, ``unpull_key``) and the machine is only constructed
-    (via the matching ``*_state``) when that key is new.  Most transitions
-    in an exhaustive exploration revisit states — backward moves almost
-    always do — so this skips most successor construction outright; an
-    already-seen instance comes back with successor ``None``: it still
-    counts as a transition, there is just no state to push.  ``seen`` is
-    only read here; ``explore`` mutates it strictly after this returns.
+    Keys come first: each instance's canonical key is derived from this
+    state's key by :meth:`Machine.successor_keys` (and quotiented by the
+    reducer, if any), and the successor is only constructed (via the
+    matching ``*_state``) when that key is not in ``seen`` (the checker's
+    visited-key set; empty by default, so direct callers get every
+    successor built).  Most transitions in an exhaustive exploration
+    revisit states — backward moves almost always do — so this skips
+    most successor construction outright; an already-seen instance comes
+    back with successor ``None``: it still counts as a transition, there
+    is just no state to push.  ``seen`` is only read here; ``explore``
+    mutates it strictly after this returns.
+
+    When the machine's tracer is enabled (``trace_rules``), each non-END
+    instance is recorded as one ``rule`` span and one passing
+    ``<RULE>.check`` instant.  The span covers only the ``*_state``
+    construction, so it opens and closes at once for an already-seen key
+    and no key derivation or reducer query nests under it.
     """
     machine = node.machine
     committed = node.committed
     committed_ops = node.committed_ops
-    key_first = seen is not None and not machine.tracer.enabled
+    canon = reducer.canonical if reducer is not None else None
+    tracer = machine.tracer
+    tracing = tracer.enabled
+    pull_active = options.pull_policy != "none"
+    pull_committed_only = options.pull_policy == "committed"
+    pull_budget = options.max_pulled_per_thread
     out: List[Tuple[str, Tuple, Optional[_Node]]] = []
     emit = out.append
-    canon = reducer.canonical if reducer is not None else None
-    if canon is not None:
-
-        def node_key(skey: Tuple, comm: Tuple) -> Tuple:
-            return canon((skey, comm))
-
-    else:
-
-        def node_key(skey: Tuple, comm: Tuple) -> Tuple:
-            return (skey, comm)
-
     threads = machine.threads
     if (
         reducer is not None
@@ -259,12 +253,9 @@ def _successors(
     ):
         ample = reducer.ample_tid(
             machine,
-            pull_allowed=options.pull_policy != "none",
-            pull_committed_only=(
-                options.forbid_uncommitted_pull
-                or options.pull_policy == "committed"
-            ),
-            pull_budget=options.max_pulled_per_thread,
+            pull_allowed=pull_active,
+            pull_committed_only=pull_committed_only,
+            pull_budget=pull_budget,
         )
         if ample is not None:
             threads = tuple(t for t in threads if t.tid == ample)
@@ -273,155 +264,62 @@ def _successors(
         if thread.done:
             # A finished transaction {skip, σ, []} only leaves (MS_END);
             # letting it PULL or re-CMT would manufacture spurious states.
-            if key_first:
-                end_skey = machine.end_key(tid)
-                nkey = node_key(end_skey, committed)
-                if nkey in seen:
-                    emit(("END", nkey, None))
-                else:
-                    emit((
-                        "END",
-                        nkey,
-                        _Node(
-                            machine.end_state(tid, end_skey),
-                            committed,
-                            committed_ops,
-                        ),
-                    ))
-                continue
-            try:
-                successor = _Node(
-                    machine.end_thread(tid), committed, committed_ops
-                )
-                emit(("END", node_key(*successor.key()), successor))
-            except MachineError:  # pragma: no cover
-                pass
+            end_skey = machine.end_key(tid)
+            nkey = (end_skey, committed)
+            if canon is not None:
+                nkey = canon(nkey)
+            emit((
+                "END",
+                nkey,
+                None if nkey in seen else _Node(
+                    machine.end_state(tid, end_skey), committed, committed_ops
+                ),
+            ))
             continue
-        local = thread.local
-        if key_first:
-            # Batched key derivation: one machine call expands every rule
-            # of this thread with the per-state constants hoisted; the
-            # matching ``*_state`` constructor runs only for new keys.
-            for rule, arg, skey in machine.successor_keys(
-                tid,
-                options.include_backward,
-                options.pull_policy != "none",
-                options.forbid_uncommitted_pull
-                or options.pull_policy == "committed",
-                options.max_pulled_per_thread,
-            ):
-                if rule == "CMT":
-                    comm = committed + (tid,)
-                    comm_ops = committed_ops + (local.own_ops(),)
-                else:
-                    comm = committed
-                    comm_ops = committed_ops
-                nkey = (skey, comm)
-                if canon is not None:
-                    nkey = canon(nkey)
-                if nkey in seen:
-                    emit((rule, nkey, None))
-                elif rule == "UNPULL":
-                    emit((
-                        rule,
-                        nkey,
-                        _Node(machine.unpull_state(tid, arg, skey), comm, comm_ops),
-                    ))
-                elif rule == "UNPUSH":
-                    emit((
-                        rule,
-                        nkey,
-                        _Node(machine.unpush_state(tid, arg, skey), comm, comm_ops),
-                    ))
-                elif rule == "PUSH":
-                    emit((
-                        rule,
-                        nkey,
-                        _Node(machine.push_state(tid, arg, skey), comm, comm_ops),
-                    ))
-                elif rule == "APP":
-                    emit((
-                        rule,
-                        nkey,
-                        _Node(machine.app_state(tid, arg, skey), comm, comm_ops),
-                    ))
-                elif rule == "PULL":
-                    emit((
-                        rule,
-                        nkey,
-                        _Node(machine.pull_state(tid, arg, skey), comm, comm_ops),
-                    ))
-                elif rule == "CMT":
-                    emit((
-                        rule,
-                        nkey,
-                        _Node(machine.cmt_state(tid, skey), comm, comm_ops),
-                    ))
-                else:  # UNAPP
-                    emit((
-                        rule,
-                        nkey,
-                        _Node(machine.unapp_state(tid, skey), comm, comm_ops),
-                    ))
-            continue
-        # Construct-first path (traced runs and direct callers).
-        # APP — every step choice.
-        for choice in _sorted_choices(thread.code):
-            successor = machine.try_app(tid, choice)
-            if successor is not None:
-                succ_node = _Node(successor, committed, committed_ops)
-                emit(("APP", node_key(*succ_node.key()), succ_node))
-        # PUSH — every npshd entry.
-        for op in local.not_pushed_ops():
-            successor = machine.try_push(tid, op)
-            if successor is not None:
-                succ_node = _Node(successor, committed, committed_ops)
-                emit(("PUSH", node_key(*succ_node.key()), succ_node))
-        # PULL — every global entry not in L (per policy and pull budget).
-        pull_budget = options.max_pulled_per_thread
-        if options.pull_policy != "none" and (
-            pull_budget is None or len(local.pulled_ops()) < pull_budget
+        for rule, arg, skey in machine.successor_keys(
+            tid,
+            options.include_backward,
+            pull_active,
+            pull_committed_only,
+            pull_budget,
         ):
-            committed_only = (
-                options.forbid_uncommitted_pull
-                or options.pull_policy == "committed"
-            )
-            for g_entry in machine.global_log:
-                if g_entry.op in local:
-                    continue
-                if committed_only and not g_entry.is_committed:
-                    continue
-                successor = machine.try_pull(tid, g_entry.op)
-                if successor is not None:
-                    succ_node = _Node(successor, committed, committed_ops)
-                    emit(("PULL", node_key(*succ_node.key()), succ_node))
-        # CMT.
-        successor = machine.try_cmt(tid)
-        if successor is not None:
-            succ_node = _Node(
-                successor,
-                committed + (tid,),
-                committed_ops + (local.own_ops(),),
-            )
-            emit(("CMT", node_key(*succ_node.key()), succ_node))
-        if options.include_backward:
-            # UNAPP (last entry only, by the rule's shape).
-            successor = machine.try_unapp(tid)
-            if successor is not None:
-                succ_node = _Node(successor, committed, committed_ops)
-                emit(("UNAPP", node_key(*succ_node.key()), succ_node))
-            # UNPUSH — every pshd entry.
-            for op in local.pushed_ops():
-                successor = machine.try_unpush(tid, op)
-                if successor is not None:
-                    succ_node = _Node(successor, committed, committed_ops)
-                    emit(("UNPUSH", node_key(*succ_node.key()), succ_node))
-            # UNPULL — every pld entry.
-            for op in local.pulled_ops():
-                successor = machine.try_unpull(tid, op)
-                if successor is not None:
-                    succ_node = _Node(successor, committed, committed_ops)
-                    emit(("UNPULL", node_key(*succ_node.key()), succ_node))
+            if rule == "CMT":
+                comm = committed + (tid,)
+                comm_ops = committed_ops + (thread.local.own_ops(),)
+            else:
+                comm = committed
+                comm_ops = committed_ops
+            nkey = (skey, comm)
+            if canon is not None:
+                nkey = canon(nkey)
+            if tracing:
+                start = tracer.now()
+            if nkey in seen:
+                state = None
+            elif rule == "UNPULL":
+                state = machine.unpull_state(tid, arg, skey)
+            elif rule == "UNPUSH":
+                state = machine.unpush_state(tid, arg, skey)
+            elif rule == "PUSH":
+                state = machine.push_state(tid, arg, skey)
+            elif rule == "APP":
+                state = machine.app_state(tid, arg, skey)
+            elif rule == "PULL":
+                state = machine.pull_state(tid, arg, skey)
+            elif rule == "CMT":
+                state = machine.cmt_state(tid, skey)
+            else:  # UNAPP
+                state = machine.unapp_state(tid, skey)
+            if tracing:
+                tracer.span(rule, CAT_RULE, start, tid=tid, args={"ok": True})
+                tracer.instant(
+                    f"{rule}.check", CAT_CRITERION, tid=tid, args={"ok": True}
+                )
+            emit((
+                rule,
+                nkey,
+                None if state is None else _Node(state, comm, comm_ops),
+            ))
     return out
 
 

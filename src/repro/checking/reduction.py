@@ -65,6 +65,11 @@ from repro.core.spec import MemoizedMovers, SequentialSpec, shared_movers
 from repro.obs.tracer import CAT_POR, NULL_TRACER, Tracer
 
 
+#: the rules an ample thread may have enabled: they read and write only
+#: the thread's own ``(c, σ, L)`` (see ``Machine.RULE_FOOTPRINT``)
+_AMPLE_RULES = frozenset({"APP", "UNAPP"})
+
+
 def _symmetry_perms(programs: Sequence[Tuple[int, Code]]) -> List[Dict[int, int]]:
     """Non-identity tid permutations respecting program identity.
 
@@ -274,24 +279,33 @@ class Reducer:
         """The tid whose moves form an ample set at this state, or ``None``
         for full expansion.
 
-        Eligibility: the thread is unfinished, has at least one enabled
-        APP instance (strict progress — ample chains terminate), and has
-        *no* enabled global move (PUSH/PULL/CMT/UNPUSH/UNPULL, per the
-        checker's PULL policy).  The lowest eligible tid wins, making the
-        choice a pure function of the state.
+        Eligibility: the thread is unfinished and its
+        :meth:`~repro.core.machine.Machine.successor_plan` (under the
+        checker's PULL policy, backward rules included — the filter only
+        runs when they are explored) has at least one APP instance (strict
+        progress — ample chains terminate) and nothing but APP/UNAPP
+        instances.  UNPULL writes only the local log, but it is not
+        ample-eligible: its successor changes which PULLs are within
+        budget, and an ample set must contain every enabled move of its
+        thread.  The lowest eligible tid wins, making the choice a pure
+        function of the state; the checker's own expansion of that thread
+        then reuses the memoized plan.
         """
         for thread in machine.threads:
             if thread.done:
                 continue
             tid = thread.tid
-            if not machine.app_enabled(tid):
-                continue
-            if machine.nonlocal_move_enabled(
-                tid,
-                pull_allowed=pull_allowed,
-                pull_committed_only=pull_committed_only,
-                pull_budget=pull_budget,
-            ):
+            rules = {
+                instance[0]
+                for instance in machine.successor_plan(
+                    tid,
+                    include_backward=True,
+                    pull_active=pull_allowed,
+                    pull_committed_only=pull_committed_only,
+                    pull_budget=pull_budget,
+                )
+            }
+            if "APP" not in rules or not rules <= _AMPLE_RULES:
                 continue
             self.ample_hits += 1
             self.ample_deferred += sum(

@@ -27,10 +27,13 @@ states can be retained, hashed (model checker) and rewound (§5.4) freely.
 The incremental kernel splits each rule into a *check* (``_check_RULE``,
 returning ``None`` when the criteria hold and a zero-argument exception
 factory otherwise) and a *construction*.  The rule methods run the check
-and build the successor; the enabledness predicates (``push_enabled`` et
-al., and :meth:`enabled_rules`) run only the check, so probing a rule no
-longer executes its body under ``try/except`` nor allocates exceptions,
-successor logs or fresh operation ids.  All ``allowed``/``allows``/
+and build the successor.  Enabledness has one derivation:
+:meth:`Machine.successor_plan` runs the checks once per payload-level
+thread configuration and memoizes every enabled instance, so the model
+checker (:meth:`Machine.successor_keys`), its ample-set probe and
+:meth:`Machine.enabled_rules` never execute a rule body under
+``try/except`` nor allocate exceptions, successor logs or fresh
+operation ids to learn what is enabled.  All ``allowed``/``allows``/
 ``result`` queries go through the spec's shared denotation cache
 (:func:`~repro.core.spec.shared_denotations`) and all mover queries
 through the shared per-spec memo (:func:`~repro.core.spec.shared_movers`).
@@ -232,7 +235,6 @@ class Machine:
         self.denots = denots or shared_denotations(spec, tracer=tracer)
         self._by_tid: Dict[int, int] = {t.tid: i for i, t in enumerate(self.threads)}
         self._skey: Optional[Tuple] = None
-        self._skey_src: Optional[Tuple] = None
         # Successor-recipe memo (see successor_keys): payload-level thread
         # configuration → tid-independent expansion recipe.  Shared by all
         # successors of this machine root (copied by reference in _with),
@@ -245,27 +247,15 @@ class Machine:
 
     # ------------------------------------------------------------------ utils
 
-    def _with(
-        self,
-        threads: Tuple[Thread, ...],
-        global_log: GlobalLog,
-        changed_tid: Optional[int] = None,
-        owner_delta: Optional[Tuple[Any, ...]] = None,
-    ) -> "Machine":
+    def _with(self, threads: Tuple[Thread, ...], global_log: GlobalLog) -> "Machine":
         """Successor-state constructor: shares every per-spec component and,
         when the thread list shape is unchanged (every rule except
         spawn/MS_END), the tid index too — the model checker builds tens of
         thousands of successors per scope, so ``__init__`` revalidation is
-        skipped on this internal path.
-
-        Every single-thread rule passes ``changed_tid`` so the successor's
-        canonical key can be *derived* from this state's (the incremental
-        fingerprint update) instead of rebuilt from the whole state: one
-        thread digest is swapped into the parent key, and the global part
-        is either reused verbatim (``global_log`` identical) or patched
-        through ``owner_delta`` — ``("push", tid, payload_class_id)``
-        appends a global row code and its owner, ``("unpush", position)``
-        drops one, ``("cmt", tid)`` releases the committer's entries.
+        skipped on this internal path.  The model checker's successors get
+        their key from :meth:`successor_keys` (via the ``*_state``
+        constructors); any other successor digests itself on first
+        :meth:`state_key`.
         """
         machine = Machine.__new__(Machine)
         state = machine.__dict__
@@ -273,21 +263,9 @@ class Machine:
         state["threads"] = threads
         state["global_log"] = global_log
         state["_skey"] = None
-        state["_skey_src"] = None
-        if len(threads) == len(self.threads):
-            # _replace_thread preserves positions, so the tid index copied
-            # from the parent carries over.
-            if (
-                changed_tid is not None
-                and self._skey is not None
-                and (global_log is self.global_log or owner_delta is not None)
-            ):
-                state["_skey_src"] = (
-                    self._skey,
-                    self._by_tid[changed_tid],
-                    None if global_log is self.global_log else owner_delta,
-                )
-        else:
+        if len(threads) != len(self.threads):
+            # _replace_thread preserves positions, so otherwise the tid
+            # index copied from the parent carries over.
             state["_by_tid"] = {t.tid: i for i, t in enumerate(threads)}
         return machine
 
@@ -348,7 +326,8 @@ class Machine:
     def end_key(self, tid: int) -> Tuple:
         """The MS_END successor's canonical :meth:`state_key` — the thread
         digest drops out; the global part is shared.  The thread must be
-        ``done`` (the checker guarantees it); see :meth:`unpull_key`."""
+        ``done`` (the checker guarantees it); :meth:`end_state` builds the
+        successor only when this key is new."""
         parent_key = self.state_key()
         index = self._by_tid[tid]
         tkeys = parent_key[0]
@@ -362,7 +341,6 @@ class Machine:
         """Construct the MS_END successor for a ``done`` thread."""
         machine = self.end_thread(tid)
         machine._skey = skey
-        machine._skey_src = None
         return machine
 
     # ------------------------------------------------------------------- APP
@@ -372,12 +350,7 @@ class Machine:
         return step(self.thread(tid).code)
 
     @_traced_rule("APP")
-    def app(
-        self,
-        tid: int,
-        choice: Optional[Tuple[Call, Code]] = None,
-        _checked: bool = False,
-    ) -> "Machine":
+    def app(self, tid: int, choice: Optional[Tuple[Call, Code]] = None) -> "Machine":
         """APP: apply a next reachable method locally.
 
         * criterion (i):  ``(m1, c2) ∈ step(c1)`` — ``choice`` must come
@@ -399,7 +372,7 @@ class Machine:
                     f"APP: thread {tid} has {len(choices)} step choices; pass one"
                 )
             choice = next(iter(choices))
-        if not _checked and choice not in choices:
+        if choice not in choices:
             raise CriterionViolation("APP", "i", f"{choice[0]!r} not in step(c)")
         call_node, continuation = choice
         try:
@@ -407,94 +380,22 @@ class Machine:
         except SpecError as exc:
             raise CriterionViolation("APP", "ii", str(exc))
         op = Op(call_node.method, call_node.args, ret, self.ids.fresh())
-        if not _checked and not self.denots.allows_log(thread.local, op):
+        if not self.denots.allows_log(thread.local, op):
             raise CriterionViolation("APP", "ii", f"local log does not allow {op.pretty()}")
         flag = NotPushed(saved_code=thread.code, saved_stack=thread.stack)
         new_thread = thread.evolve(
             code=continuation, stack=op.ret, local=thread.local.append(op, flag)
         )
-        return self._with(self._replace_thread(new_thread), self.global_log, changed_tid=tid)
-
-    def _check_app(self, thread: Thread, choice: Tuple[Call, Code]) -> bool:
-        """APP enabledness for a ``step(c)`` member, without minting an id
-        or building the successor (criteria depend only on payloads, which
-        are interned to class ids on the way in)."""
-        call_node = choice[0]
-        local = thread.local
-        denots = self.denots
-        try:
-            ret = denots.result_log(local, call_node.method, call_node.args)
-        except SpecError:
-            return False
-        return denots.allows_pid(
-            local, payload_class_of(call_node.method, call_node.args, ret)
-        )
-
-    def app_enabled(self, tid: int, choice: Optional[Tuple[Call, Code]] = None) -> bool:
-        """Whether APP has an enabled instance for ``tid`` (for ``choice``,
-        or for any choice when omitted)."""
-        thread = self.thread(tid)
-        choices = step(thread.code)
-        if choice is not None:
-            return choice in choices and self._check_app(thread, choice)
-        return any(self._check_app(thread, c) for c in choices)
-
-    def try_app(self, tid: int, choice: Tuple[Call, Code]) -> Optional["Machine"]:
-        """APP if enabled, else ``None`` — one criterion pass, no exception
-        on the disabled path.  ``choice`` must come from :meth:`app_choices`.
-
-        Like every ``try_*`` method, the untraced path constructs the
-        successor inline (same construction as the rule body) instead of
-        re-entering the traced rule wrapper."""
-        thread = self.thread(tid)
-        if not self._check_app(thread, choice):
-            return None
-        if self.tracer.enabled:
-            return self.app(tid, choice, True)
-        call_node, continuation = choice
-        ret = self.denots.result_log(thread.local, call_node.method, call_node.args)
-        op = Op(call_node.method, call_node.args, ret, self.ids.fresh())
-        flag = NotPushed(saved_code=thread.code, saved_stack=thread.stack)
-        new_thread = thread.evolve(
-            code=continuation, stack=op.ret, local=thread.local.append(op, flag)
-        )
-        return self._with(self._replace_thread(new_thread), self.global_log, changed_tid=tid)
-
-    def app_key(self, tid: int, choice: Tuple[Call, Code]) -> Optional[Tuple]:
-        """The APP successor's canonical :meth:`state_key`, or ``None`` if
-        the instance is disabled — criteria checked, no id minted, no
-        successor constructed (see :meth:`unpull_key` for the pattern)."""
-        index = self._by_tid[tid]
-        thread = self.threads[index]
-        call_node, continuation = choice
-        local = thread.local
-        denots = self.denots
-        try:
-            ret = denots.result_log(local, call_node.method, call_node.args)
-        except SpecError:
-            return None
-        pid = payload_class_of(call_node.method, call_node.args, ret)
-        if not denots.allows_pid(local, pid):
-            return None
-        parent_key = self.state_key()
-        new_tkey = (
-            pack_tid_cs(tid, code_state_id(continuation, ret))
-            + local.packed()
-            + pack_u32(pid << 2)
-        )
-        tkeys = parent_key[0]
-        return (
-            tkeys[:index] + (new_tkey,) + tkeys[index + 1 :],
-            parent_key[1],
-            parent_key[2],
-        )
+        return self._with(self._replace_thread(new_thread), self.global_log)
 
     def app_state(
         self, tid: int, choice: Tuple[Call, Code], skey: Tuple
     ) -> "Machine":
-        """Construct the APP successor for an instance :meth:`app_key`
-        deemed enabled (the operation id is minted here, so only states the
-        checker actually keeps consume ids)."""
+        """Construct the APP successor for an instance
+        :meth:`successor_keys` emitted (the operation id is minted here, so
+        only states the checker actually keeps consume ids); ``skey``
+        becomes the successor's cached state key.  The rule method does
+        not delegate here: its criterion (ii) needs the minted operation."""
         thread = self.threads[self._by_tid[tid]]
         call_node, continuation = choice
         ret = self.denots.result_log(thread.local, call_node.method, call_node.args)
@@ -505,7 +406,6 @@ class Machine:
         )
         machine = self._with(self._replace_thread(new_thread), self.global_log)
         machine._skey = skey
-        machine._skey_src = None
         return machine
 
     # ----------------------------------------------------------------- UNAPP
@@ -522,45 +422,13 @@ class Machine:
             raise CriterionViolation(
                 "UNAPP", "i", f"last entry {last.op.pretty()} is {last.flag!r}, not npshd"
             )
-        new_thread = thread.evolve(
-            code=last.flag.saved_code,
-            stack=last.flag.saved_stack,
-            local=thread.local.drop_last(),
-        )
-        return self._with(self._replace_thread(new_thread), self.global_log, changed_tid=tid)
+        return self.unapp_state(tid, None)
 
-    def unapp_enabled(self, tid: int) -> bool:
-        local = self.thread(tid).local
-        return len(local) > 0 and local[-1].is_not_pushed
-
-    def unapp_key(self, tid: int) -> Optional[Tuple]:
-        """The UNAPP successor's canonical :meth:`state_key`, or ``None``
-        if disabled — the last flag row drops off and the saved code/stack
-        come back; no successor constructed."""
-        index = self._by_tid[tid]
-        thread = self.threads[index]
-        local = thread.local
-        if len(local) == 0:
-            return None
-        last = local[-1]
-        if not last.is_not_pushed:
-            return None
-        flag = last.flag
-        parent_key = self.state_key()
-        new_tkey = (
-            pack_tid_cs(tid, code_state_id(flag.saved_code, flag.saved_stack))
-            + local.packed()[:-4]
-        )
-        tkeys = parent_key[0]
-        return (
-            tkeys[:index] + (new_tkey,) + tkeys[index + 1 :],
-            parent_key[1],
-            parent_key[2],
-        )
-
-    def unapp_state(self, tid: int, skey: Tuple) -> "Machine":
-        """Construct the UNAPP successor for an instance :meth:`unapp_key`
-        deemed enabled."""
+    def unapp_state(self, tid: int, skey: Optional[Tuple]) -> "Machine":
+        """Construct the UNAPP successor of an enabled instance.  The model
+        checker passes the key :meth:`successor_keys` derived for it, which
+        becomes the successor's cached :meth:`state_key`; the rule method
+        passes ``None`` after checking the criteria itself."""
         thread = self.threads[self._by_tid[tid]]
         last = thread.local[-1]
         new_thread = thread.evolve(
@@ -570,7 +438,6 @@ class Machine:
         )
         machine = self._with(self._replace_thread(new_thread), self.global_log)
         machine._skey = skey
-        machine._skey_src = None
         return machine
 
     # ------------------------------------------------------------------ PUSH
@@ -649,7 +516,7 @@ class Machine:
         return None
 
     @_traced_rule("PUSH")
-    def push(self, tid: int, op: Op, _checked: bool = False) -> "Machine":
+    def push(self, tid: int, op: Op) -> "Machine":
         """PUSH: publish a local ``npshd`` operation to the global log.
 
         Criteria are documented on :meth:`_check_push`.
@@ -658,96 +525,24 @@ class Machine:
         entry = thread.local.entry_for(op)
         if entry is None or not isinstance(entry.flag, NotPushed):
             raise MachineError(f"PUSH: {op.pretty()} is not an npshd entry of thread {tid}")
-        if not _checked:
-            fail = self._check_push(thread, op)
-            if fail is not None:
-                raise fail()
-        new_local = thread.local.set_flag(
-            op, Pushed(saved_code=entry.flag.saved_code, saved_stack=entry.flag.saved_stack)
-        )
-        new_thread = thread.evolve(local=new_local)
-        return self._with(
-            self._replace_thread(new_thread),
-            self.global_log.append(op, UNCOMMITTED),
-            changed_tid=tid,
-            owner_delta=("push", tid, payload_class_id(op)),
-        )
+        fail = self._check_push(thread, op)
+        if fail is not None:
+            raise fail()
+        return self.push_state(tid, op, None)
 
-    def push_enabled(self, tid: int, op: Op) -> bool:
-        thread = self.thread(tid)
-        entry = thread.local.entry_for(op)
-        if entry is None or not entry.is_not_pushed:
-            return False
-        return self._check_push(thread, op) is None
-
-    def try_push(self, tid: int, op: Op) -> Optional["Machine"]:
-        """PUSH if enabled, else ``None`` (one criterion pass)."""
-        thread = self.thread(tid)
-        entry = thread.local.entry_for(op)
-        if entry is None or not entry.is_not_pushed:
-            return None
-        if self._check_push(thread, op) is not None:
-            return None
-        if self.tracer.enabled:
-            return self.push(tid, op, True)
-        new_local = thread.local.set_flag(
-            op, Pushed(saved_code=entry.flag.saved_code, saved_stack=entry.flag.saved_stack)
-        )
-        new_thread = thread.evolve(local=new_local)
-        return self._with(
-            self._replace_thread(new_thread),
-            self.global_log.append(op, UNCOMMITTED),
-            changed_tid=tid,
-            owner_delta=("push", tid, payload_class_id(op)),
-        )
-
-    def push_key(self, tid: int, op: Op) -> Optional[Tuple]:
-        """The PUSH successor's canonical :meth:`state_key`, or ``None`` if
-        disabled — op's flag row flips npshd → pshd, its global row and
-        owner slot append; no successor constructed.  ``op`` must be an
-        ``npshd`` entry of the thread's local log (the checker iterates
-        ``not_pushed_ops()``)."""
-        index = self._by_tid[tid]
-        thread = self.threads[index]
-        if self._check_push(thread, op) is not None:
-            return None
-        parent_key = self.state_key()
-        local = thread.local
-        lidx = local.index_of(op)
-        # The thread digest: op's row flips npshd → pshd in place — an
-        # 8-byte header plus 4 bytes per row, patched at byte offset
-        # ``8 + 4·lidx`` (code and stack are untouched by PUSH, so the
-        # parent's cached bytes are reused around the patch).
-        tkey = _thread_key(thread)
-        offset = 8 + 4 * lidx
-        new_code = (local.codes()[lidx] & ~3) | 1
-        new_tkey = tkey[:offset] + pack_u32(new_code) + tkey[offset + 4 :]
-        tkeys = parent_key[0]
-        return (
-            tkeys[:index] + (new_tkey,) + tkeys[index + 1 :],
-            parent_key[1] + pack_u32(payload_class_id(op) << 1),
-            parent_key[2] + pack_i32(tid),
-        )
-
-    def push_state(self, tid: int, op: Op, skey: Tuple) -> "Machine":
-        """Construct the PUSH successor for an instance :meth:`push_key`
-        deemed enabled."""
+    def push_state(self, tid: int, op: Op, skey: Optional[Tuple]) -> "Machine":
+        """Construct the PUSH successor of an enabled instance (``skey``
+        as for :meth:`unapp_state`)."""
         thread = self.threads[self._by_tid[tid]]
-        entry = thread.local.entry_for(op)
+        flag = thread.local.entry_for(op).flag
         new_local = thread.local.set_flag(
-            op,
-            Pushed(
-                saved_code=entry.flag.saved_code,
-                saved_stack=entry.flag.saved_stack,
-            ),
+            op, Pushed(saved_code=flag.saved_code, saved_stack=flag.saved_stack)
         )
-        new_thread = thread.evolve(local=new_local)
         machine = self._with(
-            self._replace_thread(new_thread),
+            self._replace_thread(thread.evolve(local=new_local)),
             self.global_log.append(op, UNCOMMITTED),
         )
         machine._skey = skey
-        machine._skey_src = None
         return machine
 
     # ---------------------------------------------------------------- UNPUSH
@@ -824,7 +619,7 @@ class Machine:
         return None
 
     @_traced_rule("UNPUSH")
-    def unpush(self, tid: int, op: Op, _checked: bool = False) -> "Machine":
+    def unpush(self, tid: int, op: Op) -> "Machine":
         """UNPUSH: withdraw a pushed, still-uncommitted operation.
 
         Criteria are documented on :meth:`_check_unpush`.
@@ -833,101 +628,24 @@ class Machine:
         entry = thread.local.entry_for(op)
         if entry is None or not isinstance(entry.flag, Pushed):
             raise MachineError(f"UNPUSH: {op.pretty()} is not a pshd entry of thread {tid}")
-        if not _checked:
-            fail = self._check_unpush(thread, op)
-            if fail is not None:
-                raise fail()
-        position = self.global_log.index_of(op)
-        shrunk = self.global_log.remove(op)
-        new_local = thread.local.set_flag(
-            op, NotPushed(saved_code=entry.flag.saved_code, saved_stack=entry.flag.saved_stack)
-        )
-        new_thread = thread.evolve(local=new_local)
-        return self._with(
-            self._replace_thread(new_thread),
-            shrunk,
-            changed_tid=tid,
-            owner_delta=("unpush", position),
-        )
+        fail = self._check_unpush(thread, op)
+        if fail is not None:
+            raise fail()
+        return self.unpush_state(tid, op, None)
 
-    def unpush_enabled(self, tid: int, op: Op) -> bool:
-        thread = self.thread(tid)
-        entry = thread.local.entry_for(op)
-        if entry is None or not entry.is_pushed:
-            return False
-        return self._check_unpush(thread, op) is None
-
-    def try_unpush(self, tid: int, op: Op) -> Optional["Machine"]:
-        """UNPUSH if enabled, else ``None`` (one criterion pass)."""
-        thread = self.thread(tid)
-        entry = thread.local.entry_for(op)
-        if entry is None or not entry.is_pushed:
-            return None
-        if self._check_unpush(thread, op) is not None:
-            return None
-        if self.tracer.enabled:
-            return self.unpush(tid, op, True)
-        position = self.global_log.index_of(op)
-        shrunk = self.global_log.remove(op)
-        new_local = thread.local.set_flag(
-            op, NotPushed(saved_code=entry.flag.saved_code, saved_stack=entry.flag.saved_stack)
-        )
-        new_thread = thread.evolve(local=new_local)
-        return self._with(
-            self._replace_thread(new_thread),
-            shrunk,
-            changed_tid=tid,
-            owner_delta=("unpush", position),
-        )
-
-    def unpush_key(self, tid: int, op: Op) -> Optional[Tuple]:
-        """The UNPUSH successor's canonical :meth:`state_key`, or ``None``
-        if the rule is disabled — one criterion pass plus patched cached
-        rows, no successor construction.  ``op`` must be a ``pshd`` entry
-        of the thread's local log (the checker iterates ``pushed_ops()``;
-        see :meth:`unpull_key`)."""
-        index = self._by_tid[tid]
-        thread = self.threads[index]
-        if self._check_unpush(thread, op) is not None:
-            return None
-        parent_key = self.state_key()
-        # The thread digest: op's flag row flips pshd → npshd in place.
-        local = thread.local
-        lidx = local.index_of(op)
-        tkey = _thread_key(thread)
-        offset = 8 + 4 * lidx
-        new_code = local.codes()[lidx] & ~3
-        new_tkey = tkey[:offset] + pack_u32(new_code) + tkey[offset + 4 :]
-        tkeys = parent_key[0]
-        # The global part: op's row and owner slot drop out.
-        gidx = 4 * self.global_log.index_of(op)
-        rows = parent_key[1]
-        owner_row = parent_key[2]
-        return (
-            tkeys[:index] + (new_tkey,) + tkeys[index + 1 :],
-            rows[:gidx] + rows[gidx + 4 :],
-            owner_row[:gidx] + owner_row[gidx + 4 :],
-        )
-
-    def unpush_state(self, tid: int, op: Op, skey: Tuple) -> "Machine":
-        """Construct the UNPUSH successor for an instance that
-        :meth:`unpush_key` deemed enabled; ``skey`` becomes the successor's
-        cached state key."""
+    def unpush_state(self, tid: int, op: Op, skey: Optional[Tuple]) -> "Machine":
+        """Construct the UNPUSH successor of an enabled instance (``skey``
+        as for :meth:`unapp_state`)."""
         thread = self.threads[self._by_tid[tid]]
-        entry = thread.local.entry_for(op)
+        flag = thread.local.entry_for(op).flag
         new_local = thread.local.set_flag(
-            op,
-            NotPushed(
-                saved_code=entry.flag.saved_code,
-                saved_stack=entry.flag.saved_stack,
-            ),
+            op, NotPushed(saved_code=flag.saved_code, saved_stack=flag.saved_stack)
         )
-        new_thread = thread.evolve(local=new_local)
         machine = self._with(
-            self._replace_thread(new_thread), self.global_log.remove(op),
+            self._replace_thread(thread.evolve(local=new_local)),
+            self.global_log.remove(op),
         )
         machine._skey = skey
-        machine._skey_src = None
         return machine
 
     # ------------------------------------------------------------------ PULL
@@ -965,7 +683,7 @@ class Machine:
         return None
 
     @_traced_rule("PULL")
-    def pull(self, tid: int, op: Op, _checked: bool = False) -> "Machine":
+    def pull(self, tid: int, op: Op) -> "Machine":
         """PULL: import a published operation into the local view.
 
         Criteria are documented on :meth:`_check_pull`.
@@ -973,57 +691,18 @@ class Machine:
         thread = self.thread(tid)
         if op not in self.global_log:
             raise MachineError(f"PULL: {op.pretty()} not in global log")
-        if not _checked:
-            fail = self._check_pull(thread, op)
-            if fail is not None:
-                raise fail()
-        new_thread = thread.evolve(local=thread.local.append(op, Pulled()))
-        return self._with(self._replace_thread(new_thread), self.global_log, changed_tid=tid)
+        fail = self._check_pull(thread, op)
+        if fail is not None:
+            raise fail()
+        return self.pull_state(tid, op, None)
 
-    def pull_enabled(self, tid: int, op: Op) -> bool:
-        thread = self.thread(tid)
-        if op not in self.global_log:
-            return False
-        return self._check_pull(thread, op) is None
-
-    def try_pull(self, tid: int, op: Op) -> Optional["Machine"]:
-        """PULL if enabled, else ``None`` (one criterion pass)."""
-        thread = self.thread(tid)
-        if op not in self.global_log:
-            return None
-        if self._check_pull(thread, op) is not None:
-            return None
-        if self.tracer.enabled:
-            return self.pull(tid, op, True)
-        new_thread = thread.evolve(local=thread.local.append(op, Pulled()))
-        return self._with(self._replace_thread(new_thread), self.global_log, changed_tid=tid)
-
-    def pull_key(self, tid: int, op: Op) -> Optional[Tuple]:
-        """The PULL successor's canonical :meth:`state_key`, or ``None`` if
-        disabled — one pulled flag row appends; the global part is shared.
-        ``op`` must come from this machine's global log (as the checker's
-        iteration guarantees)."""
-        index = self._by_tid[tid]
-        thread = self.threads[index]
-        if self._check_pull(thread, op) is not None:
-            return None
-        parent_key = self.state_key()
-        new_tkey = _thread_key(thread) + pack_u32((payload_class_id(op) << 2) | 2)
-        tkeys = parent_key[0]
-        return (
-            tkeys[:index] + (new_tkey,) + tkeys[index + 1 :],
-            parent_key[1],
-            parent_key[2],
-        )
-
-    def pull_state(self, tid: int, op: Op, skey: Tuple) -> "Machine":
-        """Construct the PULL successor for an instance :meth:`pull_key`
-        deemed enabled."""
+    def pull_state(self, tid: int, op: Op, skey: Optional[Tuple]) -> "Machine":
+        """Construct the PULL successor of an enabled instance (``skey``
+        as for :meth:`unapp_state`)."""
         thread = self.threads[self._by_tid[tid]]
         new_thread = thread.evolve(local=thread.local.append(op, Pulled()))
         machine = self._with(self._replace_thread(new_thread), self.global_log)
         machine._skey = skey
-        machine._skey_src = None
         return machine
 
     # ---------------------------------------------------------------- UNPULL
@@ -1039,7 +718,7 @@ class Machine:
         return None
 
     @_traced_rule("UNPULL")
-    def unpull(self, tid: int, op: Op, _checked: bool = False) -> "Machine":
+    def unpull(self, tid: int, op: Op) -> "Machine":
         """UNPULL: discard a pulled operation.
 
         Criterion is documented on :meth:`_check_unpull`.
@@ -1048,71 +727,18 @@ class Machine:
         entry = thread.local.entry_for(op)
         if entry is None or not isinstance(entry.flag, Pulled):
             raise MachineError(f"UNPULL: {op.pretty()} is not a pld entry of thread {tid}")
-        if not _checked:
-            fail = self._check_unpull(thread, op)
-            if fail is not None:
-                raise fail()
-        new_thread = thread.evolve(local=thread.local.remove(op))
-        return self._with(self._replace_thread(new_thread), self.global_log, changed_tid=tid)
+        fail = self._check_unpull(thread, op)
+        if fail is not None:
+            raise fail()
+        return self.unpull_state(tid, op, None)
 
-    def unpull_enabled(self, tid: int, op: Op) -> bool:
-        thread = self.thread(tid)
-        entry = thread.local.entry_for(op)
-        if entry is None or not entry.is_pulled:
-            return False
-        return self._check_unpull(thread, op) is None
-
-    def try_unpull(self, tid: int, op: Op) -> Optional["Machine"]:
-        """UNPULL if enabled, else ``None`` (one criterion pass)."""
-        thread = self.thread(tid)
-        entry = thread.local.entry_for(op)
-        if entry is None or not entry.is_pulled:
-            return None
-        shrunk = thread.local.remove(op)
-        if not self.denots.allowed_log(shrunk):
-            return None
-        if self.tracer.enabled:
-            return self.unpull(tid, op, True)
-        new_thread = thread.evolve(local=shrunk)
-        return self._with(self._replace_thread(new_thread), self.global_log, changed_tid=tid)
-
-    def unpull_key(self, tid: int, op: Op) -> Optional[Tuple]:
-        """The UNPULL successor's canonical :meth:`state_key`, or ``None``
-        if the rule is disabled — derived from this state's key plus the
-        (memoized) shrunk log, *without constructing the successor*.
-
-        Backward moves mostly land on already-visited states, so the model
-        checker probes this first and only materialises the machine (via
-        :meth:`unpull_state`) when the key is genuinely new.  Requires this
-        machine's own key to be computed (always true for a visited state)
-        and ``op`` to be a ``pld`` entry of the thread's local log (the
-        checker iterates ``pulled_ops()``).
-        """
-        index = self._by_tid[tid]
-        thread = self.threads[index]
-        shrunk = thread.local.remove(op)
-        if not self.denots.allowed_log(shrunk):
-            return None
-        parent_key = self.state_key()
-        new_tkey = _thread_key(thread)[:8] + shrunk.packed()
-        tkeys = parent_key[0]
-        return (
-            tkeys[:index] + (new_tkey,) + tkeys[index + 1 :],
-            parent_key[1],
-            parent_key[2],
-        )
-
-    def unpull_state(self, tid: int, op: Op, skey: Tuple) -> "Machine":
-        """Construct the UNPULL successor for an instance that
-        :meth:`unpull_key` deemed enabled; ``skey`` (its return value)
-        becomes the successor's cached state key."""
+    def unpull_state(self, tid: int, op: Op, skey: Optional[Tuple]) -> "Machine":
+        """Construct the UNPULL successor of an enabled instance (``skey``
+        as for :meth:`unapp_state`)."""
         thread = self.threads[self._by_tid[tid]]
         new_thread = thread.evolve(local=thread.local.remove(op))
-        machine = self._with(
-            self._replace_thread(new_thread), self.global_log, changed_tid=tid
-        )
+        machine = self._with(self._replace_thread(new_thread), self.global_log)
         machine._skey = skey
-        machine._skey_src = None
         return machine
 
     # ------------------------------------------------------------------- CMT
@@ -1162,127 +788,59 @@ class Machine:
         return None
 
     @_traced_rule("CMT")
-    def cmt(self, tid: int, _checked: bool = False) -> "Machine":
+    def cmt(self, tid: int) -> "Machine":
         """CMT: the instantaneous commit.
 
         Criteria are documented on :meth:`_check_cmt`.  The thread finishes
         as ``{skip, σ, []}`` (removable via MS_END).
         """
-        thread = self.thread(tid)
-        if not _checked:
-            fail = self._check_cmt(thread)
-            if fail is not None:
-                raise fail()
-        new_global = self.global_log.commit(thread.local)
-        new_thread = thread.evolve(code=SKIP, local=EMPTY_LOCAL)
-        return self._with(
-            self._replace_thread(new_thread),
-            new_global,
-            changed_tid=tid,
-            owner_delta=("cmt", tid),
-        )
+        fail = self._check_cmt(self.thread(tid))
+        if fail is not None:
+            raise fail()
+        return self.cmt_state(tid, None)
 
-    def cmt_enabled(self, tid: int) -> bool:
-        return self._check_cmt(self.thread(tid)) is None
-
-    def cmt_key(self, tid: int) -> Optional[Tuple]:
-        """The CMT successor's canonical :meth:`state_key`, or ``None`` if
-        disabled — the committer's global rows flip to committed and leave
-        the owner row, its thread digest resets to ``{skip, σ, []}``; no
-        successor constructed (see :meth:`unpull_key`)."""
-        index = self._by_tid[tid]
-        thread = self.threads[index]
-        if self._check_cmt(thread) is not None:
-            return None
-        parent_key = self.state_key()
-        new_tkey = pack_tid_cs(tid, code_state_id(SKIP, thread.stack))
-        tkeys = parent_key[0]
-        owners = unpack_owners(parent_key[2])
-        gcodes = unpack_codes(parent_key[1])
-        for i, o in enumerate(owners):
-            if o == tid:
-                gcodes[i] |= 1
-                owners[i] = -1
-        return (
-            tkeys[:index] + (new_tkey,) + tkeys[index + 1 :],
-            gcodes.tobytes(),
-            owners.tobytes(),
-        )
-
-    def cmt_state(self, tid: int, skey: Tuple) -> "Machine":
-        """Construct the CMT successor for an instance :meth:`cmt_key`
-        deemed enabled."""
+    def cmt_state(self, tid: int, skey: Optional[Tuple]) -> "Machine":
+        """Construct the CMT successor of an enabled instance (``skey``
+        as for :meth:`unapp_state`)."""
         thread = self.threads[self._by_tid[tid]]
         new_global = self.global_log.commit(thread.local)
         new_thread = thread.evolve(code=SKIP, local=EMPTY_LOCAL)
         machine = self._with(self._replace_thread(new_thread), new_global)
         machine._skey = skey
-        machine._skey_src = None
         return machine
-
-    def try_cmt(self, tid: int) -> Optional["Machine"]:
-        """CMT if enabled, else ``None`` (one criterion pass)."""
-        thread = self.thread(tid)
-        if self._check_cmt(thread) is not None:
-            return None
-        if self.tracer.enabled:
-            return self.cmt(tid, True)
-        new_global = self.global_log.commit(thread.local)
-        new_thread = thread.evolve(code=SKIP, local=EMPTY_LOCAL)
-        return self._with(
-            self._replace_thread(new_thread),
-            new_global,
-            changed_tid=tid,
-            owner_delta=("cmt", tid),
-        )
-
-    def try_unapp(self, tid: int) -> Optional["Machine"]:
-        """UNAPP if enabled, else ``None``."""
-        if not self.unapp_enabled(tid):
-            return None
-        return self.unapp(tid)
 
     # -------------------------------------------- batched key-first expansion
 
-    def successor_keys(
+    def successor_plan(
         self,
         tid: int,
         include_backward: bool,
         pull_active: bool,
         pull_committed_only: bool,
         pull_budget: Optional[int],
-    ) -> List[Tuple]:
+    ) -> Tuple[Tuple, ...]:
         """Every enabled rule instance of one (unfinished) thread as a
-        ``(rule, arg, skey)`` triple, in the checker's canonical emission
-        order (APP, PUSH, PULL, CMT, UNAPP, UNPUSH, UNPULL).
+        ``(rule, arg, new_tkey, gop)`` plan step, in the checker's
+        canonical emission order (APP, PUSH, PULL, CMT, UNAPP, UNPUSH,
+        UNPULL) — the kernel's one enumeration of enabled instances.
 
-        Batched, memoized form of the per-instance ``*_key`` methods.
-        Which instances are enabled — and the integer patches their keys
-        need — is a pure function of the thread's payload-level
-        configuration: its interned code-state, its packed local column,
-        the packed global column, and the local→global position map
-        (``lgmap``; the §5.3 criteria read global positions only through
-        it).  That decision vector is computed once per configuration by
-        :meth:`_successor_recipe` (which goes through the same
-        ``_check_*`` predicates as the rule methods — one implementation)
-        and memoized in ``_skmemo``; product states that revisit the
-        configuration — the overwhelmingly common case — skip every
-        criterion scan and denotation lookup and only re-assemble the key
-        bytes around this state's parent key.  ``arg`` is the step choice
-        (APP), the operation (PUSH/PULL/UNPUSH/UNPULL) or ``None``
-        (CMT/UNAPP); it is what the matching ``*_state`` constructor
-        needs when the key turns out to be new.
+        ``arg`` is the step choice (APP), the operation
+        (PUSH/PULL/UNPUSH/UNPULL) or ``None`` (CMT/UNAPP); ``new_tkey`` is
+        the successor's thread digest and ``gop`` its global-column patch
+        (see :meth:`successor_keys`).  The pull parameters are the model
+        checker's PULL policy: whether PULL is explored at all, only of
+        committed entries, and the cap on simultaneously held ``pld``
+        entries (``None`` — uncapped).
+
+        The plan is a pure function of the thread's value (tid, interned
+        code-state, local log), the global log and the policy; the logs
+        hash by value with cached hashes, so product states that revisit
+        a configuration — the overwhelmingly common case — pay one tuple
+        hash for the whole expansion.  Ops handed back through a shared
+        plan may be equal rather than identical objects — sound, because
+        every log keys them by ``op_id``.
         """
-        index = self._by_tid[tid]
-        thread = self.threads[index]
-        # The plan — (rule, arg, successor thread digest, global patch)
-        # per enabled instance — is a pure function of the thread's value
-        # (tid, interned code-state, local log), the global log and the
-        # policy; the logs hash by value with cached hashes, so product
-        # states that revisit a configuration (the overwhelmingly common
-        # case) pay one tuple hash for the whole expansion.  Ops handed
-        # back through a shared plan may be equal rather than identical
-        # objects — sound, because every log keys them by ``op_id``.
+        thread = self.threads[self._by_tid[tid]]
         pkey = (
             tid,
             code_state_id(thread.code, thread.stack),
@@ -1296,13 +854,45 @@ class Machine:
         plans = self._skplans
         plan = plans.get(pkey)
         if plan is None:
-            plan = plans[pkey] = self._successor_plan(
+            plan = plans[pkey] = self._assemble_plan(
                 thread,
                 include_backward,
                 pull_active,
                 pull_committed_only,
                 pull_budget,
             )
+        return plan
+
+    def successor_keys(
+        self,
+        tid: int,
+        include_backward: bool,
+        pull_active: bool,
+        pull_committed_only: bool,
+        pull_budget: Optional[int],
+    ) -> List[Tuple]:
+        """Every enabled rule instance of one (unfinished) thread as a
+        ``(rule, arg, skey)`` triple: :meth:`successor_plan`'s instances,
+        in its order, with each successor's canonical :meth:`state_key`
+        assembled around this state's key — no successor constructed, no
+        operation id minted.  ``arg`` is what the matching ``*_state``
+        constructor needs when the key turns out to be new.
+
+        Which instances are enabled — and the integer patches their keys
+        need — is a pure function of the thread's payload-level
+        configuration: its interned code-state, its packed local column,
+        the packed global column, and the local→global position map
+        (``lgmap``; the §5.3 criteria read global positions only through
+        it).  That decision vector is computed once per configuration by
+        :meth:`_successor_recipe` (PUSH, PULL, CMT, UNPUSH and UNPULL go
+        through the rule methods' own ``_check_*`` predicates) and
+        memoized in ``_skmemo``; only the key bytes are re-assembled per
+        state.
+        """
+        plan = self.successor_plan(
+            tid, include_backward, pull_active, pull_committed_only, pull_budget
+        )
+        index = self._by_tid[tid]
         parent_key = self.state_key()
         tkeys = parent_key[0]
         head = tkeys[:index]
@@ -1338,7 +928,7 @@ class Machine:
                 emit((rule, arg, (tk, gcodes.tobytes(), owners.tobytes())))
         return out
 
-    def _successor_plan(
+    def _assemble_plan(
         self,
         thread: Thread,
         include_backward: bool,
@@ -1553,11 +1143,10 @@ class Machine:
             # UNPULL — every pld entry.
             pld = local.pulled_ops()
             if pld:
-                allowed_log = denots.allowed_log
-                remove = local.remove
+                check_unpull = self._check_unpull
                 index_of = local.index_of
                 for op in pld:
-                    if not allowed_log(remove(op)):
+                    if check_unpull(thread, op) is not None:
                         continue
                     emit(("UNPULL", index_of(op)))
         return tuple(out)
@@ -1573,7 +1162,7 @@ class Machine:
         thread = self.thread(tid)
         for rule, new_code in _structural_code_steps(thread.code):
             new_thread = thread.evolve(code=new_code)
-            yield rule, self._with(self._replace_thread(new_thread), self.global_log, changed_tid=tid)
+            yield rule, self._with(self._replace_thread(new_thread), self.global_log)
 
     # -------------------------------------------------------------- inspection
 
@@ -1596,94 +1185,13 @@ class Machine:
         "END": "structural",  # removes the thread; reads only L
     }
 
-    def nonlocal_move_enabled(
-        self,
-        tid: int,
-        pull_allowed: bool = True,
-        pull_committed_only: bool = False,
-        pull_budget: Optional[int] = None,
-        include_backward: bool = True,
-    ) -> bool:
-        """Whether thread ``tid`` has any enabled rule instance that reads
-        or writes the global log (PUSH/PULL/CMT, and the backward
-        UNPUSH/UNPULL when ``include_backward``).
-
-        This is the ample-set eligibility probe: a thread whose enabled
-        instances are *all* APP/UNAPP touches nothing another thread can
-        observe (see :data:`RULE_FOOTPRINT`), so the checker may explore
-        only that thread's moves at the current state.  UNPULL writes only
-        the local log, but it is grouped with the global moves here: its
-        *successor* changes which PULLs are within budget, and deferring a
-        thread's own non-APP moves is exactly what the reduction must not
-        do (an ample set contains every enabled move of its thread).
-
-        Check-only (shares the rules' ``_check_*`` halves): no successor
-        states, no exceptions, no fresh ids.  The ``pull_*`` parameters
-        mirror the model checker's PULL enumeration policy so eligibility
-        agrees exactly with what :func:`~repro.checking.model_checker.explore`
-        would expand.
-        """
-        thread = self.thread(tid)
-        entries = thread.local.entries
-        # PUSH — any npshd entry whose criteria pass.
-        for entry in entries:
-            if entry.is_not_pushed and self._check_push(thread, entry.op) is None:
-                return True
-        # CMT.
-        if self._check_cmt(thread) is None:
-            return True
-        if include_backward:
-            # UNPUSH / UNPULL.
-            for entry in entries:
-                if entry.is_pushed and self._check_unpush(thread, entry.op) is None:
-                    return True
-                if entry.is_pulled and self._check_unpull(thread, entry.op) is None:
-                    return True
-        # PULL — most expensive probe, checked last.
-        if pull_allowed and (
-            pull_budget is None or len(thread.local.pulled_ops()) < pull_budget
-        ):
-            local = thread.local
-            for g_entry in self.global_log:
-                if g_entry.op in local:
-                    continue
-                if pull_committed_only and not g_entry.is_committed:
-                    continue
-                if self._check_pull(thread, g_entry.op) is None:
-                    return True
-        return False
-
     def enabled_rules(self, tid: int) -> List[str]:
-        """Names of Figure 5 rules with at least one enabled instance for
-        ``tid`` (used by the model checker and by tests).
-
-        Runs only the check half of each rule: no successor states, no
-        exception allocation, no fresh ids."""
-        enabled: List[str] = []
-        thread = self.thread(tid)
-        choices = step(thread.code)
-        if choices and any(self._check_app(thread, c) for c in choices):
-            enabled.append("APP")
-        entries = thread.local.entries
-        if entries and entries[-1].is_not_pushed:
-            enabled.append("UNAPP")
-        if any(
-            e.is_not_pushed and self._check_push(thread, e.op) is None for e in entries
-        ):
-            enabled.append("PUSH")
-        if any(
-            e.is_pushed and self._check_unpush(thread, e.op) is None for e in entries
-        ):
-            enabled.append("UNPUSH")
-        if any(self._check_pull(thread, e.op) is None for e in self.global_log):
-            enabled.append("PULL")
-        if any(
-            e.is_pulled and self._check_unpull(thread, e.op) is None for e in entries
-        ):
-            enabled.append("UNPULL")
-        if self._check_cmt(thread) is None:
-            enabled.append("CMT")
-        return enabled
+        """Names of the Figure 5 rules with at least one enabled instance
+        for ``tid`` in the unrestricted model (every PULL, no pull cap), in
+        :meth:`successor_plan`'s emission order."""
+        return list(dict.fromkeys(
+            instance[0] for instance in self.successor_plan(tid, True, True, False, None)
+        ))
 
     def state_key(self) -> Tuple:
         """A hashable digest of the machine state (payload-level via the
@@ -1693,51 +1201,14 @@ class Machine:
         Packed representation: ``(thread_key_bytes…, global_codes_bytes,
         owner_row_bytes)`` — see :mod:`repro.core.packed` for the layout
         and the decoder back to the PR-2 object-level key.  Computed at
-        most once per (immutable) machine; thread digests are cached on
-        the thread objects, so a successor state only re-digests the one
-        thread a rule changed plus the global-log owner bytes.
+        most once per (immutable) machine, and never for the model
+        checker's successors, which :meth:`successor_keys` hands their key;
+        thread digests are cached on the thread objects, so a successor
+        state only re-digests the one thread a rule changed plus the
+        global-log owner bytes.
         """
         key = self._skey
         if key is not None:
-            return key
-        src = self._skey_src
-        if src is not None:
-            # Incremental path: one thread changed; the global part of the
-            # key is reused (local-only rule) or patched (owner_delta).
-            parent_key, index, odelta = src
-            parent_tkeys = parent_key[0]
-            thread_keys = (
-                parent_tkeys[:index]
-                + (_thread_key(self.threads[index]),)
-                + parent_tkeys[index + 1 :]
-            )
-            if odelta is None:
-                rows, owner_row = parent_key[1], parent_key[2]
-            else:
-                kind = odelta[0]
-                if kind == "push":
-                    # One entry appended to G, owned by the pusher.
-                    rows = parent_key[1] + pack_u32(odelta[2] << 1)
-                    owner_row = parent_key[2] + pack_i32(odelta[1])
-                elif kind == "unpush":
-                    # The entry at global byte position ``4·arg`` withdrawn.
-                    at = 4 * odelta[1]
-                    rows = parent_key[1][:at] + parent_key[1][at + 4 :]
-                    owner_row = parent_key[2][:at] + parent_key[2][at + 4 :]
-                else:  # "cmt"
-                    # The committer's entries flip to committed and stop
-                    # being owned (its local log empties).
-                    arg = odelta[1]
-                    gcodes = unpack_codes(parent_key[1])
-                    owners = unpack_owners(parent_key[2])
-                    for i, o in enumerate(owners):
-                        if o == arg:
-                            gcodes[i] |= 1
-                            owners[i] = -1
-                    rows = gcodes.tobytes()
-                    owner_row = owners.tobytes()
-            key = self._skey = (thread_keys, rows, owner_row)
-            self._skey_src = None
             return key
         owners: Dict[int, int] = {}
         for t in self.threads:
@@ -1764,14 +1235,6 @@ class Machine:
         than recomputed from the full state.
         """
         return hash(self.state_key())
-
-
-def _owner_of(machine: Machine, op: Op) -> int:
-    for t in machine.threads:
-        entry = t.local.entry_for(op)
-        if entry is not None and entry.is_own:
-            return t.tid
-    return -1
 
 
 def _structural_code_steps(code: Code) -> Iterator[Tuple[str, Code]]:

@@ -16,9 +16,9 @@ Layout
   unowned (committed or foreign).
 * **Thread key** (bytes): ``pack("<ii", tid, code_state_id) + local_codes``.
 * **State key**: ``(tuple_of_thread_key_bytes, global_codes, owner_row)`` —
-  the same three-part shape as the PR-2 object-level key, so the
-  incremental ``_skey_src`` patching in :mod:`repro.core.machine` carries
-  over unchanged.
+  the same three-part shape as the PR-2 object-level key;
+  :meth:`repro.core.machine.Machine.successor_keys` derives successor
+  keys by splicing one thread digest and patching the global columns.
 
 Because every code round-trips through the intern tables in
 :mod:`repro.core.ops`, packed keys decode back to the PR-2 object-level

@@ -1,97 +1,113 @@
-"""Canonical-state fingerprints: property tests for the incremental kernel.
+"""Canonical-state fingerprints: property tests for the kernel's one
+successor derivation.
 
-The model checker's key-first successor path derives a successor's
-canonical key (``Machine.app_key`` … ``end_key``) from the parent's
-cached digest *without constructing the successor*.  Everything the
-checker concludes rests on two laws, pinned here:
+The model checker learns every enabled rule instance, and each
+successor's canonical key, from :meth:`Machine.successor_keys` (the
+memoized :meth:`Machine.successor_plan`), and constructs a successor
+(via ``<rule>_state``) only when its key is new.  Everything the checker
+concludes rests on the laws pinned here:
 
 * **soundness** — along every reachable path, a derived key equals the
-  full from-scratch digest of the successor actually constructed
-  (whether via the paired ``*_state`` or the classic ``try_*`` route);
+  from-scratch digest of the successor the ``<rule>_state`` constructor
+  builds, and of the one the Figure 5 rule method builds;
+* **completeness** — the plan emits exactly the instances whose rule
+  method succeeds: nothing enabled is missed, nothing disabled emitted;
 * **canonicality** — states that differ only in operation-id allocation
   collide on ``state_key``/``fingerprint``, while states that differ in
-  push/pull *flags* or in global-log *order* do not.
+  push/pull *flags* or in global-log *order* do not;
+* **traced ≡ untraced** — ``trace_rules`` observes the exploration
+  without changing it: one ``rule`` span and one ``<RULE>.check`` instant
+  per non-END transition.
 """
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.checking.model_checker import _sorted_choices
-from repro.core import Machine, call, tx
+from repro.checking.model_checker import (
+    ExploreOptions,
+    explore,
+    verdict_fingerprint,
+)
+from repro.cli import SCOPES
+from repro.core import Machine, call, choice, tx
+from repro.core.errors import CriterionViolation, MachineError
+from repro.obs import RecordingTracer
+from repro.obs.tracer import CAT_CRITERION, CAT_RULE, PH_COMPLETE
 from repro.specs import CounterSpec, MemorySpec
 
 
 def full_key(machine):
-    """Ground truth: drop the cached/incremental digest and recompute the
-    canonical key from the state's actual contents."""
+    """Ground truth: drop every cached digest (the machine's key and its
+    threads') and recompute the canonical key from the state's contents."""
     machine._skey = None
-    machine._skey_src = None
+    for thread in machine.threads:
+        thread.__dict__.pop("_tkey", None)
     return machine.state_key()
 
 
 def enabled_moves(machine):
-    """Every key-first rule instance enabled in ``machine``, as
-    ``(rule, args, derived_key)`` — mirrors the checker's enumeration."""
+    """Every rule instance the checker would expand in ``machine`` (full
+    model: backward rules, every PULL, no pull cap), as ``(rule, tid,
+    arg, derived_key)``."""
     moves = []
     for thread in machine.threads:
         tid = thread.tid
         if thread.done:
-            moves.append(("END", (tid,), machine.end_key(tid)))
+            moves.append(("END", tid, None, machine.end_key(tid)))
             continue
-        local = thread.local
-        for choice in _sorted_choices(thread.code):
-            skey = machine.app_key(tid, choice)
-            if skey is not None:
-                moves.append(("APP", (tid, choice), skey))
-        for op in local.not_pushed_ops():
-            skey = machine.push_key(tid, op)
-            if skey is not None:
-                moves.append(("PUSH", (tid, op), skey))
-        for entry in machine.global_log:
-            if entry.op in local:
-                continue
-            skey = machine.pull_key(tid, entry.op)
-            if skey is not None:
-                moves.append(("PULL", (tid, entry.op), skey))
-        skey = machine.cmt_key(tid)
-        if skey is not None:
-            moves.append(("CMT", (tid,), skey))
-        skey = machine.unapp_key(tid)
-        if skey is not None:
-            moves.append(("UNAPP", (tid,), skey))
-        for op in local.pushed_ops():
-            skey = machine.unpush_key(tid, op)
-            if skey is not None:
-                moves.append(("UNPUSH", (tid, op), skey))
-        for op in local.pulled_ops():
-            skey = machine.unpull_key(tid, op)
-            if skey is not None:
-                moves.append(("UNPULL", (tid, op), skey))
+        for rule, arg, skey in machine.successor_keys(tid, True, True, False, None):
+            moves.append((rule, tid, arg, skey))
     return moves
 
 
 #: Key-first constructors, by rule.
 STATE = {
-    "APP": lambda m, a, k: m.app_state(a[0], a[1], k),
-    "PUSH": lambda m, a, k: m.push_state(a[0], a[1], k),
-    "PULL": lambda m, a, k: m.pull_state(a[0], a[1], k),
-    "CMT": lambda m, a, k: m.cmt_state(a[0], k),
-    "UNAPP": lambda m, a, k: m.unapp_state(a[0], k),
-    "UNPUSH": lambda m, a, k: m.unpush_state(a[0], a[1], k),
-    "UNPULL": lambda m, a, k: m.unpull_state(a[0], a[1], k),
-    "END": lambda m, a, k: m.end_state(a[0], k),
+    "APP": lambda m, tid, arg, k: m.app_state(tid, arg, k),
+    "PUSH": lambda m, tid, arg, k: m.push_state(tid, arg, k),
+    "PULL": lambda m, tid, arg, k: m.pull_state(tid, arg, k),
+    "CMT": lambda m, tid, arg, k: m.cmt_state(tid, k),
+    "UNAPP": lambda m, tid, arg, k: m.unapp_state(tid, k),
+    "UNPUSH": lambda m, tid, arg, k: m.unpush_state(tid, arg, k),
+    "UNPULL": lambda m, tid, arg, k: m.unpull_state(tid, arg, k),
+    "END": lambda m, tid, arg, k: m.end_state(tid, k),
 }
 
-#: Classic check-then-construct constructors, by rule.
-TRY = {
-    "APP": lambda m, a: m.try_app(a[0], a[1]),
-    "PUSH": lambda m, a: m.try_push(a[0], a[1]),
-    "PULL": lambda m, a: m.try_pull(a[0], a[1]),
-    "CMT": lambda m, a: m.try_cmt(a[0]),
-    "UNAPP": lambda m, a: m.try_unapp(a[0]),
-    "UNPUSH": lambda m, a: m.try_unpush(a[0], a[1]),
-    "UNPULL": lambda m, a: m.try_unpull(a[0], a[1]),
-    "END": lambda m, a: m.end_thread(a[0]),
+#: The reference: Figure 5 rule methods (and MS_END), by rule.
+RULE = {
+    "APP": lambda m, tid, arg: m.app(tid, arg),
+    "PUSH": lambda m, tid, arg: m.push(tid, arg),
+    "PULL": lambda m, tid, arg: m.pull(tid, arg),
+    "CMT": lambda m, tid, arg: m.cmt(tid),
+    "UNAPP": lambda m, tid, arg: m.unapp(tid),
+    "UNPUSH": lambda m, tid, arg: m.unpush(tid, arg),
+    "UNPULL": lambda m, tid, arg: m.unpull(tid, arg),
+    "END": lambda m, tid, arg: m.end_thread(tid),
 }
+
+
+def rule_candidates(machine, tid):
+    """Every instance a Figure 5 rule could be tried on for ``tid``: each
+    step choice, each own and pulled local entry, each global entry not in
+    L, CMT and UNAPP."""
+    thread = machine.thread(tid)
+    local = thread.local
+    yield from (("APP", c) for c in machine.app_choices(tid))
+    yield from (("PUSH", op) for op in local.not_pushed_ops())
+    yield from (("UNPUSH", op) for op in local.pushed_ops())
+    yield from (("UNPULL", op) for op in local.pulled_ops())
+    yield from (
+        ("PULL", e.op) for e in machine.global_log if e.op not in local
+    )
+    yield ("CMT", None)
+    yield ("UNAPP", None)
+
+
+def rule_enabled(machine, tid, rule, arg):
+    try:
+        RULE[rule](machine, tid, arg)
+    except (CriterionViolation, MachineError):
+        return False
+    return True
 
 
 def _memory_call(draw_tuple):
@@ -105,8 +121,14 @@ _calls = st.tuples(
     st.integers(min_value=0, max_value=2),
 ).map(_memory_call)
 
+#: a call, or a binary choice between two calls (several APP instances)
+_parts = st.one_of(
+    _calls,
+    st.tuples(_calls, _calls).map(lambda pair: choice(*pair)),
+)
+
 _programs = st.lists(
-    st.lists(_calls, min_size=1, max_size=3).map(lambda ops: tx(*ops)),
+    st.lists(_parts, min_size=1, max_size=3).map(lambda parts: tx(*parts)),
     min_size=1,
     max_size=2,
 )
@@ -122,23 +144,49 @@ def _spawn_all(programs):
 @settings(max_examples=40, deadline=None)
 @given(programs=_programs, data=st.data())
 def test_derived_keys_match_constructed_successors(programs, data):
-    """Soundness along random walks: every enabled rule instance's derived
-    key equals the from-scratch digest of the successor built both ways."""
+    """Soundness along random walks: every emitted instance's derived key
+    equals the from-scratch digest of the successor its ``<rule>_state``
+    builds and of the one its rule method builds."""
     machine = _spawn_all(programs)
     for _ in range(8):
         moves = enabled_moves(machine)
         if not moves:
             break
-        for rule, rule_args, skey in moves:
-            via_state = STATE[rule](machine, rule_args, skey)
-            assert full_key(via_state) == skey, rule
-            via_try = TRY[rule](machine, rule_args)
-            assert via_try is not None, rule
-            assert full_key(via_try) == skey, rule
-        rule, rule_args, skey = data.draw(
-            st.sampled_from(moves), label="next move"
-        )
-        machine = STATE[rule](machine, rule_args, skey)
+        for rule, tid, arg, skey in moves:
+            assert full_key(STATE[rule](machine, tid, arg, skey)) == skey, rule
+            assert full_key(RULE[rule](machine, tid, arg)) == skey, rule
+        rule, tid, arg, skey = data.draw(st.sampled_from(moves), label="next move")
+        machine = STATE[rule](machine, tid, arg, skey)
+
+
+@settings(max_examples=40, deadline=None)
+@given(programs=_programs, data=st.data())
+def test_plan_emits_exactly_the_enabled_instances(programs, data):
+    """Completeness along random walks: at every state, each unfinished
+    thread's emitted instances (and ``enabled_rules``) are exactly the
+    candidates whose rule method succeeds."""
+    machine = _spawn_all(programs)
+    for _ in range(8):
+        for thread in machine.threads:
+            if thread.done:
+                continue
+            tid = thread.tid
+            emitted = {
+                (rule, arg)
+                for rule, arg, _ in machine.successor_keys(tid, True, True, False, None)
+            }
+            enabled = {
+                (rule, arg)
+                for rule, arg in rule_candidates(machine, tid)
+                if rule_enabled(machine, tid, rule, arg)
+            }
+            assert emitted == enabled
+            assert set(machine.enabled_rules(tid)) == {rule for rule, _ in enabled}
+        moves = enabled_moves(machine)
+        if not moves:
+            break
+        rule, tid, arg, skey = data.draw(st.sampled_from(moves), label="next move")
+        machine = STATE[rule](machine, tid, arg, skey)
 
 
 @settings(max_examples=40, deadline=None)
@@ -150,8 +198,9 @@ def test_id_allocation_is_invisible(programs, burn):
     m1 = _spawn_all(programs)
     m2 = _spawn_all(programs)
     tid = m2.threads[0].tid
+    first = next(iter(m2.app_choices(tid)))
     for _ in range(burn):  # each APP/UNAPP round consumes a fresh op id
-        m2 = m2.app(tid).unapp(tid)
+        m2 = m2.app(tid, first).unapp(tid)
     assert full_key(m1) == full_key(m2)
     assert m1.fingerprint() == m2.fingerprint()
     # The collision persists along an identical walk.  Operands carry
@@ -162,14 +211,12 @@ def test_id_allocation_is_invisible(programs, burn):
         moves1 = enabled_moves(m1)
         if not moves1:
             break
-        rule, args1, skey1 = moves1[0]
-        tid = args1[0]
-        _, args2, skey2 = next(
-            mv for mv in enabled_moves(m2)
-            if mv[0] == rule and mv[1][0] == tid
+        rule, tid, arg1, skey1 = moves1[0]
+        _, _, arg2, skey2 = next(
+            mv for mv in enabled_moves(m2) if mv[0] == rule and mv[1] == tid
         )
-        m1 = STATE[rule](m1, args1, skey1)
-        m2 = STATE[rule](m2, args2, skey2)
+        m1 = STATE[rule](m1, tid, arg1, skey1)
+        m2 = STATE[rule](m2, tid, arg2, skey2)
         assert full_key(m1) == full_key(m2)
         assert m1.fingerprint() == m2.fingerprint()
 
@@ -209,3 +256,29 @@ def test_global_order_distinguishes():
     ba = m.push(tb, op_b).push(ta, op_a)
     assert full_key(ab) != full_key(ba)
     assert ab.fingerprint() != ba.fingerprint()
+
+
+@pytest.mark.parametrize("por", [True, False], ids=["por", "no-por"])
+@pytest.mark.parametrize("scope", ["mem-ww", "counter", "kvmap-branch"])
+def test_traced_exploration_matches_untraced(scope, por):
+    """``trace_rules`` records the exploration without changing it: same
+    counts and verdict, and exactly one rule span plus one passing
+    criterion instant per non-END transition."""
+    spec_cls, programs = SCOPES[scope]
+    plain = explore(spec_cls(), programs, ExploreOptions(por=por))
+    tracer = RecordingTracer()
+    traced = explore(
+        spec_cls(), programs,
+        ExploreOptions(por=por, tracer=tracer, trace_rules=True),
+    )
+    assert (traced.states, traced.transitions, traced.rule_counts) == (
+        plain.states, plain.transitions, plain.rule_counts
+    )
+    assert verdict_fingerprint(traced) == verdict_fingerprint(plain)
+    expanded = traced.transitions - traced.rule_counts.get("END", 0)
+    spans = [e for e in tracer.events if e.cat == CAT_RULE and e.ph == PH_COMPLETE]
+    checks = [e for e in tracer.events if e.cat == CAT_CRITERION]
+    assert len(spans) == len(checks) == expanded
+    assert all(e.name == f"{s.name}.check" and e.args["ok"] for s, e in zip(spans, checks))
+    if scope == "kvmap-branch" and not por:
+        assert expanded == 27_758

@@ -68,10 +68,10 @@ class TestExplore:
         assert none.states <= committed.states <= full.states
         assert full.ok and committed.ok and none.ok
 
-    def test_forbid_uncommitted_pull_flag(self):
+    def test_committed_pull_policy(self):
         programs = [tx(call("write", "x", 1)), tx(call("read", "x"))]
         report = explore(
-            MemorySpec(), programs, ExploreOptions(forbid_uncommitted_pull=True)
+            MemorySpec(), programs, ExploreOptions(pull_policy="committed")
         )
         assert report.ok
 

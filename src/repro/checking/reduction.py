@@ -29,7 +29,8 @@ filter*, both consumed by :func:`repro.checking.model_checker.explore`:
 3. **Ample sets** (:meth:`Reducer.ample_tid`).  A thread whose enabled
    instances are *all* APP/UNAPP — with at least one APP — touches
    nothing any other thread can observe (APP/UNAPP read and write only
-   the thread's own ``(c, σ, L)``; see ``Machine.RULE_FOOTPRINT``), so
+   the thread's own ``(c, σ, L)``, and no rule's criterion inspects
+   another thread's local log), so
    the checker may expand only that thread's moves and defer the rest.
    Requiring an enabled APP gives deterministic progress: every maximal
    ample chain strictly consumes program text and ends in a fully
@@ -66,7 +67,8 @@ from repro.obs.tracer import CAT_POR, NULL_TRACER, Tracer
 
 
 #: the rules an ample thread may have enabled: they read and write only
-#: the thread's own ``(c, σ, L)`` (see ``Machine.RULE_FOOTPRINT``)
+#: the thread's own ``(c, σ, L)``, and no rule's criterion inspects
+#: another thread's local log
 _AMPLE_RULES = frozenset({"APP", "UNAPP"})
 
 

@@ -35,17 +35,16 @@ Commands
     failure, zoo escape or coverage gap.
 
 ``report``
-    Render the zero-dependency single-file HTML dashboard from the
-    committed BENCH baselines, the coverage ratchet and (optionally) a
-    recorded trace's flamegraph (see docs/OBSERVABILITY.md "Dashboards
-    & perf gates").
+    Render the zero-dependency single-file HTML dashboard: one section
+    per perf tier drawn from its committed baseline and gate rows, the
+    coverage ratchet and (optionally) a recorded trace's flamegraph (see
+    docs/OBSERVABILITY.md "Dashboards & perf gates").
 
 ``perf``
-    The perf regression watchdog: re-measure the kernel/POR/faults
-    tiers and gate them against the committed ``BENCH_*.json``
-    baselines.  Exits 0 when green, 2 on a regression, 1 on an
-    operational error — the same protocol the per-bench gate scripts
-    used.
+    Measure every benchmark tier and judge it against its committed
+    ``benchmarks/BENCH_<tier>.json`` through the tier's declared gate
+    rows.  Exits 0 when green, 2 on a regression, 1 on an operational
+    error; ``--refresh-baseline`` is the only writer of the baselines.
 
 ``compare``/``modelcheck`` additionally accept ``--trace PATH`` to record
 the same event stream while doing their normal job (``.json`` paths get
@@ -263,20 +262,16 @@ def _print_scope_report(
 
 
 def _por_baselines() -> dict:
-    """POR-off state counts per scope from a committed ``BENCH_por.json``
+    """POR-off state counts per scope from the committed ``BENCH_por.json``
     (for the reduction-ratio column), or ``{}`` when absent."""
-    import json
-    from pathlib import Path
+    from repro.obs.perf import BaselineError, baseline_path, load_baseline
 
-    path = Path(__file__).resolve().parents[2] / "benchmarks" / "BENCH_por.json"
     try:
-        data = json.loads(path.read_text())
-    except (OSError, ValueError):
+        scopes = load_baseline(baseline_path("por")).get("scopes", {})
+    except BaselineError:
         return {}
     return {
-        name: row["off"]["states"]
-        for name, row in data.get("scopes", {}).items()
-        if "off" in row
+        name: row["off"]["states"] for name, row in scopes.items() if "off" in row
     }
 
 
@@ -577,33 +572,19 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 
 def cmd_perf(args: argparse.Namespace) -> int:
-    """The performance regression watchdog: 0 green, 2 regression, 1
-    operational error (missing/unreadable baseline)."""
+    """Measure and judge the benchmark tiers: 0 green, 2 regression, 1
+    operational error (missing/unreadable baseline, unknown tier)."""
     import json
 
-    from repro.obs.perf import BaselineError, run_perf
+    from repro.obs.perf import BENCH_DIR, TIERS, BaselineError, run_perf
 
-    overrides = {}
-    if args.kernel_baseline:
-        overrides["kernel_path"] = args.kernel_baseline
-    if args.por_baseline:
-        overrides["por_path"] = args.por_baseline
-    if args.faults_baseline:
-        overrides["faults_path"] = args.faults_baseline
-    if args.serve_baseline:
-        overrides["serve_path"] = args.serve_baseline
-    if args.durable_baseline:
-        overrides["durable_path"] = args.durable_baseline
-    if args.opacity_baseline:
-        overrides["opacity_path"] = args.opacity_baseline
     try:
         report = run_perf(
+            tiers=args.tiers or tuple(TIERS),
             tiny=args.tiny,
-            repeat=args.repeat,
-            tolerance=args.tolerance,
-            tiers=args.tiers or list(args.all_tiers),
+            refresh=args.refresh_baseline,
+            baselines=args.baselines or BENCH_DIR,
             seed=args.seed,
-            **overrides,
         )
     except BaselineError as exc:
         print(f"perf: {exc}", file=sys.stderr)
@@ -1034,42 +1015,27 @@ def build_parser() -> argparse.ArgumentParser:
 
     perf = sub.add_parser(
         "perf",
-        help="performance regression watchdog vs the committed BENCH "
-             "baselines (exit 2 on regression)",
+        help="measure every benchmark tier and judge it against its "
+             "committed BENCH baseline (exit 2 on regression)",
     )
     perf.add_argument("--tiny", action="store_true",
-                      help="CI smoke mode: smallest scope per tier")
-    perf.add_argument("--repeat", type=int, default=2,
-                      help="kernel-throughput timing repetitions (best run "
-                           "counts)")
-    perf.add_argument("--tolerance", type=float, default=0.35,
-                      help="throughput floor as a fraction of the committed "
-                           "states/sec (deterministic gates ignore this)")
+                      help="CI mode: measure a subset of each tier's paths")
     perf.add_argument("--tier", action="append", dest="tiers",
-                      choices=["kernel", "por", "faults", "packed", "serve",
-                               "durable", "opacity"],
-                      help="run only this tier (repeatable; default: all)")
+                      help="run only this tier (repeatable; default: all of "
+                           "kernel, por, faults, packed, serve, durable, "
+                           "opacity)")
     perf.add_argument("--seed", type=int, default=0,
-                      help="base seed for the faults tier suite")
-    perf.add_argument("--kernel-baseline", dest="kernel_baseline",
-                      default=None, metavar="PATH")
-    perf.add_argument("--por-baseline", dest="por_baseline",
-                      default=None, metavar="PATH")
-    perf.add_argument("--faults-baseline", dest="faults_baseline",
-                      default=None, metavar="PATH")
-    perf.add_argument("--serve-baseline", dest="serve_baseline",
-                      default=None, metavar="PATH")
-    perf.add_argument("--durable-baseline", dest="durable_baseline",
-                      default=None, metavar="PATH")
-    perf.add_argument("--opacity-baseline", dest="opacity_baseline",
-                      default=None, metavar="PATH")
+                      help="root seed for the seeded tiers")
+    perf.add_argument("--baselines", metavar="DIR", default=None,
+                      help="directory of BENCH_<tier>.json baselines "
+                           "(default: benchmarks/)")
+    perf.add_argument("--refresh-baseline", action="store_true",
+                      dest="refresh_baseline",
+                      help="rewrite each tier's baseline whose absolute-bound "
+                           "rows pass (refuses --tiny)")
     perf.add_argument("--json", metavar="PATH",
                       help="also write the findings as JSON")
-    perf.set_defaults(
-        func=cmd_perf,
-        all_tiers=("kernel", "por", "faults", "packed", "serve", "durable",
-                   "opacity"),
-    )
+    perf.set_defaults(func=cmd_perf)
 
     serve = sub.add_parser(
         "serve",

@@ -767,23 +767,10 @@ class GlobalLog:
             got = proj["G.pk"] = pack_codes(self.codes())
         return got
 
-    def own_bits(self, own: frozenset) -> Tuple[bool, ...]:
-        """Which entries belong to a thread owning the id set ``own``
-        (cached per set)."""
-        proj = self._proj
-        if proj is None:
-            proj = self._proj = {}
-        key = ("ownb", own)
-        got = proj.get(key)
-        if got is None:
-            got = proj[key] = tuple(
-                e.op.op_id in own for e in self._entries
-            )
-        return got
-
     def own_bytes(self, own: frozenset) -> bytes:
-        """:meth:`own_bits` packed as one byte per entry (cached per set)
-        — the ownership row of packed invariant memo keys."""
+        """One byte per entry, 1 where the entry belongs to a thread
+        owning the id set ``own`` (cached per set) — the ownership row of
+        packed invariant memo keys."""
         proj = self._proj
         if proj is None:
             proj = self._proj = {}

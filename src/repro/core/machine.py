@@ -1166,25 +1166,6 @@ class Machine:
 
     # -------------------------------------------------------------- inspection
 
-    #: Figure 5 rule footprints — which components a rule instance reads
-    #: and writes.  ``local`` rules touch only the acting thread's
-    #: ``(c, σ, L)`` and are read by no other rule (no criterion of any
-    #: rule inspects another thread's local log): they are independent of
-    #: every rule instance on every other thread, which is what the model
-    #: checker's ample-set reduction leans on.  ``global`` rules read or
-    #: write ``G`` (their enabledness can change under other threads'
-    #: moves).
-    RULE_FOOTPRINT = {
-        "APP": "local",
-        "UNAPP": "local",
-        "PUSH": "global",
-        "UNPUSH": "global",
-        "PULL": "global",
-        "UNPULL": "local",  # writes only L; enabledness reads only L
-        "CMT": "global",
-        "END": "structural",  # removes the thread; reads only L
-    }
-
     def enabled_rules(self, tid: int) -> List[str]:
         """Names of the Figure 5 rules with at least one enabled instance
         for ``tid`` in the unrestricted model (every PULL, no pull cap), in

@@ -85,16 +85,6 @@ def unpack_owners(data: bytes) -> "array[int]":
     return array("i", data)
 
 
-def local_row_code(method: str, args: Tuple[Any, ...], ret: Any, kind: int) -> int:
-    """The packed code of one local-log row."""
-    return (payload_class_of(method, args, ret) << 2) | kind
-
-
-def global_row_code(method: str, args: Tuple[Any, ...], ret: Any, committed: bool) -> int:
-    """The packed code of one global-log row."""
-    return (payload_class_of(method, args, ret) << 1) | (1 if committed else 0)
-
-
 # ---------------------------------------------------------------------------
 # Decoding packed keys back to PR-2 object-level keys
 # ---------------------------------------------------------------------------

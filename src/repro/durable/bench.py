@@ -1,10 +1,5 @@
-"""Shared measurement core for the durable benchmark and perf tier.
-
-``benchmarks/bench_durable.py`` (writes the committed
-``benchmarks/BENCH_durable.json``) and ``repro perf --tier durable``
-(judges against it) measure through these functions, so the ratchet and
-the watchdog can never drift apart — the same discipline
-:mod:`repro.serve.bench` established for the daemon tier.
+"""Measurement core of the durable perf tier (``repro perf --tier
+durable``, committed as ``benchmarks/BENCH_durable.json``).
 
 Three measurements:
 
@@ -33,6 +28,11 @@ from repro.durable.store import SegmentStore
 
 #: group-commit batch sizes for the append sweep
 BATCHES = (1, 8, 64)
+APPEND_RECORDS = 2000
+RECOVERY_SIZES = (60, 240)
+#: every committed row is the median-time run of this many: one run of
+#: a few milliseconds is at the mercy of one scheduler hiccup
+RUNS = 5
 
 
 def measure_append(
@@ -131,20 +131,37 @@ def measure_recovery(
     }
 
 
-def measure_durable(tiny: bool = False, seed: int = 0) -> Dict[str, Any]:
-    """The full document ``bench_durable.py`` commits and ``repro perf``
-    re-measures: the append sweep plus one recovery row per log length."""
-    append_records = 400 if tiny else 2000
-    recovery_sizes = (40,) if tiny else (60, 240)
-    sweep: List[Dict[str, Any]] = [
-        measure_append(append_records, batch) for batch in BATCHES
-    ]
-    recovery = [
-        measure_recovery(size, seed=seed) for size in recovery_sizes
-    ]
+def median_run(runs: List[Dict[str, Any]], rate: str) -> Dict[str, Any]:
+    """The median-time run's ``seconds`` and ``rate``; every other field
+    holds its value when all runs agree, else the list of what each run
+    saw (so an identity gate on a fact that wobbles fails)."""
+    runs = sorted(runs, key=lambda run: run["seconds"])
+    row = {}
+    for key in runs[0]:
+        values = [run[key] for run in runs]
+        row[key] = values[0] if values.count(values[0]) == len(values) else values
+    middle = runs[len(runs) // 2]
+    row["seconds"], row[rate] = middle["seconds"], middle[rate]
+    return row
+
+
+def measure_durable(seed: int = 0) -> Dict[str, Any]:
+    """The append sweep plus one recovery row per log length, each row
+    the median of :data:`RUNS` runs."""
     return {
-        "mode": "tiny" if tiny else "full",
         "seed": seed,
-        "append": sweep,
-        "recovery": recovery,
+        "append": [
+            median_run(
+                [measure_append(APPEND_RECORDS, batch) for _ in range(RUNS)],
+                "records_per_sec",
+            )
+            for batch in BATCHES
+        ],
+        "recovery": [
+            median_run(
+                [measure_recovery(size, seed=seed) for _ in range(RUNS)],
+                "commits_per_sec",
+            )
+            for size in RECOVERY_SIZES
+        ],
     }

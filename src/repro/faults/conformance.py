@@ -369,7 +369,7 @@ def chaos_setup(
     return algorithm, get_spec(spec_name), make_workload(workload, config)
 
 
-# -- suite runner (shared by `repro chaos` and bench_faults) -------------------
+# -- suite runner (shared by `repro chaos` and the faults perf tier) ----------
 
 
 @dataclass

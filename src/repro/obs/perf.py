@@ -1,776 +1,753 @@
-"""``repro perf`` — the tolerance-gated performance regression watchdog.
+"""``repro perf`` — measure, judge and refresh every benchmark tier.
 
-One command re-measures the three CI benchmark tiers against their
-*committed* baselines and answers with a classic watchdog exit-code
-protocol: ``0`` all green, ``2`` at least one regression, ``1``
-operational error (a baseline file is missing or unreadable).  It
-consolidates what used to take three separate gate-script invocations
-(``bench_kernel.py`` / ``bench_por.py`` / ``bench_faults.py``) into a
-single pass that *never rewrites* the baseline files — measuring and
-refreshing stay the bench scripts' job; judging is this module's.
+A tier (:data:`TIERS`) is *how to measure* plus *what is gated*:
+``measure(tiny, seed)`` returns a document in the shape of the tier's
+committed ``benchmarks/BENCH_<tier>.json``, and :class:`Gate` rows
+``(path pattern, kind, tolerance or bound, unit, minimum usable cores)``
+declare the gates over its paths.  One :func:`judge` applies every row,
+so no tier has comparison code of its own, and ``repro report`` draws
+every tier from the same rows (docs/OBSERVABILITY.md "Dashboards & perf
+gates").
 
-The three tiers and their gates:
+A pattern's ``*`` matches one key (a scope, a strategy, a list index)
+and a matched node gates every leaf beneath it.  A row whose minimum
+core count exceeds the host's is ``skip`` with that reason: a wall-clock
+parallel speedup on fewer cores is a physical impossibility, not a
+regression.  ``--tiny`` measures a subset of the full document's paths,
+each exactly as the full run measures it, so the judge has no mode
+logic: a row none of whose paths this run measured is ``skip``.
 
-* **kernel** (``BENCH_kernel.json``) — untraced exhaustive exploration
-  of the tier scope.  The verdict (states, transitions, final states,
-  rule counts) must equal the committed baseline's **exactly** — a
-  deterministic identity, no tolerance.  Throughput is gated with slack:
-  measured states/sec must reach ``tolerance ×`` the committed rate
-  (default 0.35 — CI containers are noisy and share cores; a true
-  regression from an accidental algorithmic change is far larger).
-* **por** (``benchmarks/BENCH_por.json``) — POR on/off per scope.  All
-  recorded fields are deterministic (state and transition counts, ample
-  hits, full expansions, verdicts), so the gate is exact identity.
-* **faults** (``BENCH_faults.json``) — the seeded nemesis suite.  Hard
-  gates: zero conformance failures and at least one injected fault per
-  strategy.  When the committed baseline was recorded in the same mode
-  (tiny/full), the deterministic per-strategy aggregates (plans,
-  commits, aborts, injections, permanent aborts) must match exactly.
-* **packed** (no baseline file) — the packed kernel's representation
-  contract: seeded random rule walks over the scopes during which every
-  visited state's packed key must decode to exactly the object-level
-  reference key (``repro.checking.packedcheck``), plus non-empty intern
-  tables after the sweep.  Exact identity, no tolerance.
-* **serve** (``benchmarks/BENCH_serve.json``) — the sharded daemon's
-  committed gate rows (recorded *inline-mode* by
-  ``benchmarks/bench_serve.py``, deliberately separate from its
-  process-mode matrix: the two modes are not comparable).  Per gate row:
-  measured req/s must reach ``tolerance ×`` the committed rate, measured
-  p99 must stay under the committed p99 ``÷ tolerance`` ceiling, and the
-  run's per-shard committed histories must pass the conformance gate
-  (hard, no tolerance).
-* **opacity** (``benchmarks/BENCH_opacity.json``) — the opacity
-  decision-procedure gate: bounded-vs-TMS2 agreement on every registered
-  model-checker scope, per-strategy opacity-frontier identity against
-  the committed ladder (``repro.checking.frontier``), and the
-  reduction's soundness direction (anything the bounded checker rejects,
-  TMS2 rejects).  All deterministic, no tolerance.
-* **durable** (``benchmarks/BENCH_durable.json``) — the segment store's
-  append/group-commit sweep plus the recover-replay-verify round trip.
-  Throughput rows (append records/sec, recovery commits/sec) get the
-  tolerance floor; the recovery row's deterministic facts are hard
-  gates: conformance must pass, the torn tail must have been truncated
-  (``torn_tail_dropped > 0`` — every recovery measurement damages the
-  log first), and when baseline and run share a mode the replayed
-  commit count must match exactly.
-
-Every baseline path is a parameter, so tests can point a tier at a
-perturbed fixture and watch the exit code flip to 2.
+Exit protocol: ``0`` all green, ``2`` regression, ``1`` operational
+error (missing or unreadable baseline, unknown tier).
+``--refresh-baseline`` is the only writer of committed baselines: it
+refuses ``--tiny`` and writes a tier's document, stamped with ``env``
+(commit, usable cores, Python), when every absolute-bound row passes —
+the relative rows are what it ratchets.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import platform
+import re
+import subprocess
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 #: src/repro/obs/perf.py -> repo root
 REPO_ROOT = Path(__file__).resolve().parents[3]
-KERNEL_BASELINE = REPO_ROOT / "BENCH_kernel.json"
-POR_BASELINE = REPO_ROOT / "benchmarks" / "BENCH_por.json"
-FAULTS_BASELINE = REPO_ROOT / "BENCH_faults.json"
-SERVE_BASELINE = REPO_ROOT / "benchmarks" / "BENCH_serve.json"
-DURABLE_BASELINE = REPO_ROOT / "benchmarks" / "BENCH_durable.json"
-OPACITY_BASELINE = REPO_ROOT / "benchmarks" / "BENCH_opacity.json"
+#: the one directory holding every committed ``BENCH_<tier>.json``
+BENCH_DIR = REPO_ROOT / "benchmarks"
 
-TIERS = ("kernel", "por", "faults", "packed", "serve", "durable", "opacity")
+KINDS = ("identity", "floor", "ceiling")
+#: throughput slack for wall-clock rows: CI containers are noisy and
+#: share cores; an accidental algorithmic change costs far more
+TOLERANCE = 0.35
+#: kernel timing repetitions; the best run counts
+KERNEL_REPEAT = 3
+#: the scopes ``--tiny`` runs where a tier sweeps model-checker scopes
+TINY_SCOPES = ("mem-ww", "counter")
+SERVE_REQUESTS = 400
+FAULT_PLANS = 20
+POR_JOBS = 4
+#: wall-clock parallelism rows need this many usable cores
+MIN_PARALLEL_CORES = 4
 
-#: default throughput slack: measured must reach this fraction of the
-#: committed states/sec (see module docstring for why it is generous)
-DEFAULT_TOLERANCE = 0.35
+_MISSING = object()
 
-KERNEL_FULL_SCOPE = "kvmap-branch"
-KERNEL_TINY_SCOPE = "mem-ww"
-POR_TINY_SCOPES = ("mem-ww", "counter")
-FAULTS_FULL_PLANS = 20
-FAULTS_TINY_PLANS = 2
+
+def usable_cores() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # non-Linux
+        return os.cpu_count() or 1
+
+
+def environment() -> Dict[str, Any]:
+    """Provenance stamped on every measured document."""
+    try:
+        commit = subprocess.run(
+            ["git", "rev-parse", "--short=12", "HEAD"],
+            cwd=REPO_ROOT, capture_output=True, text=True, timeout=10,
+        ).stdout.strip() or "unknown"
+    except (OSError, subprocess.SubprocessError):
+        commit = "unknown"
+    return {
+        "commit": commit,
+        "usable_cores": usable_cores(),
+        "python": platform.python_version(),
+    }
+
+
+def flatten(document: Any, prefix: str = "") -> Dict[str, Any]:
+    """Dotted leaf paths of a JSON document; list items are keyed by
+    index and an empty container is itself a leaf."""
+    if isinstance(document, dict) and document:
+        items: Any = document.items()
+    elif isinstance(document, list) and document:
+        items = enumerate(document)
+    else:
+        return {prefix: document}
+    flat: Dict[str, Any] = {}
+    for key, value in items:
+        flat.update(flatten(value, f"{prefix}.{key}" if prefix else str(key)))
+    return flat
+
+
+def is_number(value: Any) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+@dataclass(frozen=True)
+class Gate:
+    """One declared gate row (see the module docstring)."""
+
+    path: str
+    kind: str
+    tolerance: Optional[float] = None
+    bound: Any = None
+    unit: str = ""
+    min_cores: int = 0
+
+    def __post_init__(self) -> None:
+        if self.kind not in KINDS:
+            raise ValueError(f"gate kind must be one of {KINDS}: {self.kind!r}")
+        if self.kind != "identity" and (self.tolerance is None) == self.relative:
+            raise ValueError(
+                f"{self.path}: a {self.kind} row takes a tolerance or a bound"
+            )
+
+    @property
+    def relative(self) -> bool:
+        """Judged against the committed value (else against ``bound``)."""
+        return self.bound is None
+
+    @property
+    def pattern(self) -> "re.Pattern[str]":
+        body = r"[^.]+".join(re.escape(part) for part in self.path.split("*"))
+        return re.compile(rf"({body})(?:\..+)?")
+
+    def describe(self) -> str:
+        sign = {"identity": "=", "floor": "≥", "ceiling": "≤"}[self.kind]
+        if not self.relative:
+            rule = f"{sign} {self.bound!r}"
+        elif self.kind == "identity" or self.tolerance == 1:
+            rule = f"{sign} committed"
+        else:
+            scale = "×" if self.kind == "floor" else "÷"
+            rule = f"{sign} committed {scale} {self.tolerance:g}"
+        return f"{self.kind} {rule} {self.unit}".rstrip()
+
+    def check(self, measured: Any, committed: Any) -> Tuple[bool, str]:
+        """``(ok, note)`` for one concrete path; the note says why it
+        failed, or for a numeric row what it was held to."""
+        if measured is _MISSING:
+            return False, "not measured"
+        if self.relative and committed is _MISSING:
+            return False, f"measured {measured!r}, no committed value"
+        reference = committed if self.relative else self.bound
+        if self.kind == "identity":
+            return measured == reference, f"{measured!r} != {reference!r}"
+        if not (is_number(measured) and is_number(reference)):
+            return False, f"{measured!r} vs {reference!r} is not numeric"
+        if self.kind == "floor":
+            limit = reference * self.tolerance if self.relative else reference
+            return measured >= limit, f"{measured:g} vs floor {limit:g}"
+        limit = reference / self.tolerance if self.relative else reference
+        return measured <= limit, f"{measured:g} vs ceiling {limit:g}"
 
 
 @dataclass
 class PerfFinding:
-    """One gate's verdict inside one tier."""
+    """One gate row's verdict inside one tier."""
 
     tier: str
-    name: str
-    ok: bool
+    gate: Gate
+    status: str  # "ok" | "FAIL" | "skip" | "moved" (ratcheted by a refresh)
     detail: str
-    measured: Optional[float] = None
-    baseline: Optional[float] = None
+    #: concrete path -> why it failed
+    failures: Dict[str, str] = field(default_factory=dict)
+
+    @property
+    def ok(self) -> bool:
+        return self.status != "FAIL"
 
     def row(self) -> str:
-        status = "ok  " if self.ok else "FAIL"
-        numbers = ""
-        if self.measured is not None and self.baseline is not None:
-            numbers = f" [measured={self.measured:g} baseline={self.baseline:g}]"
-        return f"{status} {self.tier:<7} {self.name:<28} {self.detail}{numbers}"
+        lines = [
+            f"{self.status:<5} {self.tier:<7} {self.gate.path:<36} "
+            f"{self.gate.describe()}: {self.detail}"
+        ]
+        lines.extend(f"        {path}: {why}" for path, why in self.failures.items())
+        return "\n".join(lines)
 
     def to_dict(self) -> Dict[str, Any]:
         return {
             "tier": self.tier,
-            "name": self.name,
-            "ok": self.ok,
+            "path": self.gate.path,
+            "kind": self.gate.kind,
+            "rule": self.gate.describe(),
+            "status": self.status,
             "detail": self.detail,
-            "measured": self.measured,
-            "baseline": self.baseline,
+            "failures": dict(self.failures),
         }
+
+
+def judge(
+    tier: str,
+    gates: Sequence[Gate],
+    measured: Dict[str, Any],
+    committed: Dict[str, Any],
+    cores: int,
+) -> List[PerfFinding]:
+    """Apply every gate row to a measured document against a committed
+    one.  A row covers each measured path it matches plus the committed
+    paths beneath the same matched nodes, so a leaf missing on either
+    side fails too."""
+    got, want = flatten(measured), flatten(committed)
+    findings = []
+    for gate in gates:
+        if gate.min_cores > cores:
+            findings.append(PerfFinding(
+                tier, gate, "skip",
+                f"needs ≥ {gate.min_cores} usable cores, host has {cores}",
+            ))
+            continue
+        pattern = gate.pattern
+        nodes = {m.group(1) for m in map(pattern.fullmatch, got) if m}
+        if not nodes:
+            findings.append(
+                PerfFinding(tier, gate, "skip", "not measured by this run")
+            )
+            continue
+        paths = sorted(
+            path for path in set(got) | set(want)
+            if (m := pattern.fullmatch(path)) and m.group(1) in nodes
+        )
+        notes = {
+            path: gate.check(got.get(path, _MISSING), want.get(path, _MISSING))
+            for path in paths
+        }
+        failures = {path: note for path, (ok, note) in notes.items() if not ok}
+        detail = f"{len(paths) - len(failures)}/{len(paths)} paths hold"
+        if not failures and gate.kind != "identity" and len(paths) <= 3:
+            detail = "; ".join(f"{path} {note}" for path, (_, note) in notes.items())
+        findings.append(PerfFinding(
+            tier, gate, "FAIL" if failures else "ok", detail, failures
+        ))
+    return findings
+
+
+# -- tier measurements --------------------------------------------------------
+# Each returns a document in its committed BENCH_<tier>.json shape; heavy
+# imports stay inside so importing this module costs nothing.
+
+
+def _scopes(tiny: bool) -> Sequence[str]:
+    from repro.cli import SCOPES
+
+    return TINY_SCOPES if tiny else tuple(SCOPES)
+
+
+def measure_kernel(tiny: bool, seed: int) -> Dict[str, Any]:
+    """Untraced POR-off exploration (best of :data:`KERNEL_REPEAT`) plus
+    one rule-traced pass for the kernel's memo counters.  POR stays off:
+    this tier isolates per-state kernel cost, and the reduced state space
+    is the por tier's."""
+    from repro.checking.model_checker import ExploreOptions, explore
+    from repro.cli import SCOPES
+    from repro.obs import RecordingTracer
+
+    baselines = {}
+    for scope in ("mem-ww",) if tiny else ("kvmap-branch", "mem-ww"):
+        spec_cls, programs = SCOPES[scope]
+        best = float("inf")
+        for _ in range(KERNEL_REPEAT):
+            start = time.perf_counter()
+            report = explore(spec_cls(), programs, ExploreOptions(por=False))
+            best = min(best, time.perf_counter() - start)
+        tracer = RecordingTracer()
+        explore(
+            spec_cls(), programs,
+            ExploreOptions(tracer=tracer, trace_rules=True, por=False),
+        )
+        gauges = next(
+            e.args for e in reversed(tracer.events) if e.name == "packed.kernel"
+        )
+        traced = {
+            name: tracer.counts.get(name, 0)
+            for name in ("denot.hit", "denot.miss", "mover.left.hit",
+                         "mover.left.miss")
+        }
+        traced.update({k: gauges[k] for k in ("packed.recipes", "packed.plans")})
+        baselines[scope] = {
+            "states_per_sec": round(report.states / best, 1),
+            "verdict": {
+                "states": report.states,
+                "transitions": report.transitions,
+                "final_states": report.final_states,
+                "rule_counts": dict(sorted(report.rule_counts.items())),
+                "ok": report.ok,
+            },
+            "traced": traced,
+        }
+    return {"baselines": baselines}
+
+
+def measure_por(tiny: bool, seed: int) -> Dict[str, Any]:
+    """Every scope with the reduction on and off, plus sequential vs
+    ``--jobs`` on the heaviest configuration (kvmap-branch with
+    commit-preservation checking, where per-state work dominates IPC)."""
+    from repro.checking import explore, explore_parallel, verdict_fingerprint
+    from repro.checking.model_checker import ExploreOptions
+    from repro.cli import SCOPES
+
+    def timed(run: Callable[[], Any]) -> Tuple[Any, float]:
+        start = time.perf_counter()
+        report = run()
+        return report, time.perf_counter() - start
+
+    scopes = {}
+    for name in _scopes(tiny):
+        spec_cls, programs = SCOPES[name]
+        (on, t_on), (off, t_off) = (
+            timed(lambda: explore(
+                spec_cls(), programs, ExploreOptions(max_states=400_000, por=por)
+            ))
+            for por in (True, False)
+        )
+        scopes[name] = {
+            "on": {
+                "states": on.states,
+                "transitions": on.transitions,
+                "elapsed_sec": round(t_on, 4),
+                "ample_hits": on.ample_hits,
+                "full_expansions": on.full_expansions,
+                "ok": on.ok,
+            },
+            "off": {
+                "states": off.states,
+                "transitions": off.transitions,
+                "elapsed_sec": round(t_off, 4),
+                "ok": off.ok,
+            },
+            "reduction": round(off.states / max(on.states, 1), 2),
+            "verdict_identical": verdict_fingerprint(on) == verdict_fingerprint(off),
+        }
+    document: Dict[str, Any] = {"scopes": scopes}
+    if not tiny:
+        total_on = sum(row["on"]["states"] for row in scopes.values())
+        total_off = sum(row["off"]["states"] for row in scopes.values())
+        document["aggregate_reduction"] = round(total_off / max(total_on, 1), 2)
+
+    spec_cls, programs = SCOPES["kvmap-branch"]
+    options = ExploreOptions(max_states=400_000, por=True, check_cmtpres=True)
+    seq, t_seq = timed(lambda: explore(spec_cls(), programs, options))
+    par, t_par = timed(
+        lambda: explore_parallel(spec_cls(), programs, options, jobs=POR_JOBS)
+    )
+    document["jobs_speedup"] = {
+        "scope": "kvmap-branch",
+        "jobs": POR_JOBS,
+        "sequential_sec": round(t_seq, 4),
+        "parallel_sec": round(t_par, 4),
+        "speedup": round(t_seq / t_par, 2),
+        "parallel_states": par.states,
+        "worker_busy_sec": round(par.worker_busy, 4),
+        "verdict_identical": verdict_fingerprint(seq) == verdict_fingerprint(par),
+        "usable_cores": usable_cores(),
+    }
+    return document
+
+
+def measure_faults(tiny: bool, seed: int) -> Dict[str, Any]:
+    """The seeded nemesis suite: every strategy × :data:`FAULT_PLANS`
+    fault plans under the conformance gate."""
+    from repro.faults.conformance import run_suite
+    from repro.runtime.workload import WorkloadConfig
+    from repro.tm import ALL_ALGORITHMS
+
+    config = WorkloadConfig(
+        transactions=5, ops_per_tx=3, keys=4, read_ratio=0.5, seed=seed
+    )
+    report = run_suite(
+        sorted(ALL_ALGORITHMS), config,
+        plans_per_strategy=FAULT_PLANS, base_seed=seed,
+    )
+    return {
+        "mode": "tiny" if tiny else "full",
+        "report": report.to_dict(),
+        "suite": "chaos-conformance",
+    }
+
+
+def measure_packed(tiny: bool, seed: int) -> Dict[str, Any]:
+    """Seeded random rule walks on which every visited state's packed key
+    must decode to the object-level reference key."""
+    from repro.checking.packedcheck import sweep_identity
+    from repro.cli import SCOPES
+    from repro.core.ops import intern_stats
+
+    scopes = {name: SCOPES[name] for name in _scopes(tiny)}
+    return {
+        "scopes": sweep_identity(scopes, steps=60, walks=3, seed=seed),
+        "intern_tables": intern_stats(),
+    }
+
+
+def measure_serve_tier(tiny: bool, seed: int) -> Dict[str, Any]:
+    """The daemon end to end: the inline gate rows (deterministic and
+    fork-free) and the process-mode matrix (one forked worker per shard,
+    the deployment shape), of which ``--tiny`` runs one row, plus the
+    shard-scaling row.  Inline and process rows are not comparable."""
+    from repro.serve.bench import measure_serve
+
+    def row(strategy: str, shards: int, mode: str, cross: float = 0.0):
+        return measure_serve(
+            strategy, shards, mode=mode, requests=SERVE_REQUESTS,
+            cross_ratio=cross, seed=seed,
+        )
+
+    document: Dict[str, Any] = {
+        "mode": "tiny" if tiny else "full",
+        "requests": SERVE_REQUESTS,
+        "seed": seed,
+    }
+    configs = [("encounter", 2, 0.0)] if tiny else [
+        (strategy, shards, 0.0)
+        for strategy in ("encounter", "tl2", "globallock")
+        for shards in (1, 2, 4)
+    ] + [("encounter", 2, 0.2)]
+    matrix = document["matrix"] = {
+        f"{strategy}x{shards}{'+cross' if cross else ''}":
+            row(strategy, shards, "process", cross)
+        for strategy, shards, cross in configs
+    }
+    if not tiny:
+        one, two = matrix["encounterx1"]["rps"], matrix["encounterx2"]["rps"]
+        cores = usable_cores()
+        document["scaling"] = {
+            "workload": "kvmap",
+            "strategy": "encounter",
+            "one_shard_rps": one,
+            "two_shard_rps": two,
+            "speedup": round(two / max(one, 1e-9), 2),
+            "usable_cores": cores,
+            "gated": cores >= MIN_PARALLEL_CORES,
+        }
+    document["gate"] = {
+        f"encounterx{shards}": row("encounter", shards, "inline")
+        for shards in (1, 2)
+    }
+    return document
+
+
+def measure_durable_tier(tiny: bool, seed: int) -> Dict[str, Any]:
+    from repro.durable.bench import measure_durable
+
+    return {"mode": "tiny" if tiny else "full", **measure_durable(seed=seed)}
+
+
+def _declared_opaque(strategy: str) -> bool:
+    if strategy == "hybrid":
+        from repro.faults.conformance import chaos_setup
+        from repro.runtime.workload import WorkloadConfig
+
+        algorithm, _, _ = chaos_setup(
+            "hybrid", WorkloadConfig(transactions=1, ops_per_tx=1, keys=1,
+                                     read_ratio=0.5, seed=0)
+        )
+        return algorithm.opaque
+    from repro.tm import ALL_ALGORITHMS
+
+    return ALL_ALGORITHMS[strategy]().opaque
+
+
+def measure_opacity(tiny: bool, seed: int) -> Dict[str, Any]:
+    """Every strategy walked up the registered frontier ladder under both
+    opacity oracles, plus bounded-vs-TMS2 agreement on every
+    model-checker scope."""
+    from repro.checking import explore
+    from repro.checking.frontier import FRONTIER_LADDER, find_frontier
+    from repro.checking.model_checker import ExploreOptions
+    from repro.checking.tms2 import tms2_stats_snapshot
+    from repro.cli import SCOPES
+    from repro.tm import ALL_ALGORITHMS
+
+    started = time.perf_counter()
+    # the opacity.* counters are process-wide: keep this tier's share
+    before = tms2_stats_snapshot()
+    strategies = {}
+    for strategy in sorted(ALL_ALGORITHMS):
+        result = find_frontier(strategy)
+        row = result.to_dict()
+        row["matches_declared_label"] = result.opaque == _declared_opaque(strategy)
+        row["probes"] = [
+            {
+                "rung": probe.rung.name,
+                "commits": probe.commits,
+                "bounded_violations": len(probe.bounded_violations),
+                "tms2_violations": len(probe.tms2_violations),
+                "sound": probe.sound,
+            }
+            for probe in result.probes
+        ]
+        strategies[strategy] = row
+    agreement = {}
+    for name, (spec_cls, programs) in SCOPES.items():
+        report = explore(
+            spec_cls(), programs, ExploreOptions(opacity_checker="both")
+        )
+        agreement[name] = {
+            "terminals": report.opacity_terminals,
+            "violations": len(report.opacity_violations),
+            "divergences": len(report.opacity_divergences),
+            "ok": report.ok,
+        }
+    return {
+        "elapsed_sec": round(time.perf_counter() - started, 3),
+        "ladder": [rung.to_dict() for rung in FRONTIER_LADDER],
+        "mode": "tiny" if tiny else "full",
+        "scope_agreement": agreement,
+        "stats": {
+            name: count - before.get(name, 0)
+            for name, count in tms2_stats_snapshot().items()
+        },
+        "strategies": strategies,
+    }
+
+
+# -- the tier table -----------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Tier:
+    name: str
+    title: str
+    measure: Callable[[bool, int], Dict[str, Any]]
+    gates: Tuple[Gate, ...]
+    #: what ``--tiny`` leaves out (shown in the report)
+    note: str = ""
+
+
+TIERS: Dict[str, Tier] = {tier.name: tier for tier in (
+    Tier(
+        "kernel", "Kernel throughput", measure_kernel,
+        (
+            Gate("baselines.*.verdict", "identity"),
+            Gate("baselines.*.states_per_sec", "floor", TOLERANCE,
+                 unit="states/s"),
+            # memo misses and memo populations are deterministic: they may
+            # fall, never rise, so an algorithmic regression fails on any box
+            Gate("baselines.*.traced.denot.miss", "ceiling", 1.0, unit="count"),
+            Gate("baselines.*.traced.mover.left.miss", "ceiling", 1.0,
+                 unit="count"),
+            Gate("baselines.*.traced.packed.recipes", "ceiling", 1.0,
+                 unit="count"),
+            Gate("baselines.*.traced.packed.plans", "ceiling", 1.0,
+                 unit="count"),
+            # every counter present: a silent tracing regression would
+            # otherwise make the ceilings unfalsifiable
+            Gate("baselines.*.traced", "floor", bound=1, unit="count"),
+        ),
+        "--tiny explores mem-ww only",
+    ),
+    Tier(
+        "por", "Partial-order reduction", measure_por,
+        (
+            Gate("scopes.*.on.states", "identity"),
+            Gate("scopes.*.on.transitions", "identity"),
+            Gate("scopes.*.on.ample_hits", "identity"),
+            Gate("scopes.*.on.full_expansions", "identity"),
+            Gate("scopes.*.on.ok", "identity"),
+            Gate("scopes.*.off.states", "identity"),
+            Gate("scopes.*.off.transitions", "identity"),
+            Gate("scopes.*.off.ok", "identity"),
+            Gate("scopes.*.verdict_identical", "identity", bound=True),
+            # aggregate, not per scope: all-conflicting scopes (mem-ww)
+            # have no sound payload-level quotient and honestly read 1.0x
+            Gate("aggregate_reduction", "floor", bound=2.0, unit="x"),
+            Gate("jobs_speedup.verdict_identical", "identity", bound=True),
+            Gate("jobs_speedup.speedup", "floor", bound=1.5, unit="x",
+                 min_cores=MIN_PARALLEL_CORES),
+        ),
+        "--tiny runs mem-ww and counter, so no aggregate reduction",
+    ),
+    Tier(
+        "faults", "Chaos suite", measure_faults,
+        (
+            Gate("report.strategies.*.gate_failures", "ceiling", bound=0),
+            # a chaos suite that never faults a strategy proves nothing
+            Gate("report.strategies.*.injected", "floor", bound=1),
+            Gate("report.strategies.*.plans", "identity"),
+            Gate("report.strategies.*.commits", "identity"),
+            Gate("report.strategies.*.aborts", "identity"),
+            Gate("report.strategies.*.injected", "identity"),
+            Gate("report.strategies.*.permanently_aborted", "identity"),
+        ),
+    ),
+    Tier(
+        "packed", "Packed-key contract", measure_packed,
+        (
+            Gate("scopes.*.mismatches", "identity", bound=[]),
+            Gate("scopes.*.checked_states", "identity"),
+            Gate("intern_tables", "floor", bound=1, unit="entries"),
+        ),
+        "--tiny walks mem-ww and counter",
+    ),
+    Tier(
+        "serve", "Serve daemon", measure_serve_tier,
+        (
+            Gate("gate.*.rps", "floor", TOLERANCE, unit="req/s"),
+            Gate("gate.*.p99_ms", "ceiling", TOLERANCE, unit="ms"),
+            Gate("gate.*.conformance_ok", "identity", bound=True),
+            Gate("matrix.*.conformance_ok", "identity", bound=True),
+            # 2 shards must beat 1 (speedup is rounded to 0.01)
+            Gate("scaling.speedup", "floor", bound=1.01, unit="x",
+                 min_cores=MIN_PARALLEL_CORES),
+        ),
+        "--tiny runs the gate rows and one process-mode row",
+    ),
+    Tier(
+        "durable", "Durable log", measure_durable_tier,
+        (
+            Gate("append.*.records_per_sec", "floor", TOLERANCE,
+                 unit="records/s"),
+            Gate("recovery.*.commits_per_sec", "floor", TOLERANCE,
+                 unit="commits/s"),
+            Gate("recovery.*.conformance_ok", "identity", bound=True),
+            # every recovery run damages the tail first
+            Gate("recovery.*.torn_tail_dropped", "floor", bound=1, unit="B"),
+            Gate("recovery.*.replayed_commits", "identity"),
+        ),
+    ),
+    Tier(
+        "opacity", "Opacity frontiers", measure_opacity,
+        (
+            # a frontier index only means something against its ladder
+            Gate("ladder", "identity"),
+            Gate("strategies.*.opaque", "identity"),
+            Gate("strategies.*.frontier", "identity"),
+            Gate("strategies.*.frontier_index", "identity"),
+            Gate("strategies.*.matches_declared_label", "identity", bound=True),
+            # bounded rejects but TMS2 accepts is always a checker bug
+            Gate("strategies.*.probes.*.sound", "identity", bound=True),
+            Gate("scope_agreement.*.violations", "ceiling", bound=0),
+            Gate("scope_agreement.*.divergences", "ceiling", bound=0),
+            Gate("scope_agreement.*.ok", "identity", bound=True),
+        ),
+    ),
+)}
+
+
+# -- running the tiers --------------------------------------------------------
+
+
+class BaselineError(RuntimeError):
+    """A baseline file is missing or unusable, or a tier is unknown
+    (exit 1, not 2 — the watchdog cannot judge without a reference)."""
+
+
+def baseline_path(tier: str, baselines: Path = BENCH_DIR) -> Path:
+    return Path(baselines) / f"BENCH_{tier}.json"
+
+
+def load_baseline(path: Path) -> Dict[str, Any]:
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except FileNotFoundError:
+        raise BaselineError(f"baseline file not found: {path}") from None
+    except (OSError, json.JSONDecodeError) as exc:
+        raise BaselineError(f"unreadable baseline {path}: {exc}") from None
 
 
 @dataclass
 class PerfReport:
-    """Everything one watchdog pass concluded."""
+    """Everything one ``repro perf`` pass concluded."""
 
     tiny: bool
-    tolerance: float
     findings: List[PerfFinding] = field(default_factory=list)
+    #: tier -> written baseline path (``--refresh-baseline``)
+    refreshed: Dict[str, str] = field(default_factory=dict)
     elapsed_sec: float = 0.0
-
-    @property
-    def ok(self) -> bool:
-        return all(f.ok for f in self.findings)
 
     @property
     def regressions(self) -> List[PerfFinding]:
         return [f for f in self.findings if not f.ok]
 
+    @property
+    def ok(self) -> bool:
+        return not self.regressions
+
     def to_dict(self) -> Dict[str, Any]:
         return {
             "ok": self.ok,
             "tiny": self.tiny,
-            "tolerance": self.tolerance,
             "findings": [f.to_dict() for f in self.findings],
+            "refreshed": dict(self.refreshed),
             "elapsed_sec": round(self.elapsed_sec, 3),
         }
 
     def render(self) -> str:
         lines = [f.row() for f in self.findings]
-        verdict = "all gates green" if self.ok else (
-            f"{len(self.regressions)} regression(s)"
+        lines.extend(
+            f"refreshed {tier} -> {path}" for tier, path in self.refreshed.items()
+        )
+        skipped = sum(f.status == "skip" for f in self.findings)
+        verdict = (
+            "all gates green" if self.ok
+            else f"{len(self.regressions)} regression(s)"
         )
         lines.append(
-            f"perf: {verdict} "
-            f"({'tiny' if self.tiny else 'full'} tier set, "
-            f"tolerance {self.tolerance}, {self.elapsed_sec:.1f}s)"
+            f"perf: {verdict}, {skipped} skipped "
+            f"({'tiny' if self.tiny else 'full'} run, {self.elapsed_sec:.1f}s)"
         )
         return "\n".join(lines)
 
 
-class BaselineError(RuntimeError):
-    """A baseline file is missing or structurally unusable (exit 1,
-    not exit 2 — the watchdog cannot judge without a reference)."""
-
-
-def _load(path: Path, tier: str) -> Dict[str, Any]:
-    if not Path(path).exists():
-        raise BaselineError(f"{tier}: baseline file not found: {path}")
-    try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise BaselineError(f"{tier}: unreadable baseline {path}: {exc}")
-
-
-# -- kernel tier ---------------------------------------------------------------
-
-
-def _measure_kernel(scope: str, repeat: int) -> Tuple[float, Dict[str, Any]]:
-    """Best-of-``repeat`` untraced states/sec plus the verdict — the
-    same measurement (and the same POR-off isolation rationale) as
-    ``benchmarks/bench_kernel.py``."""
-    from repro.checking.model_checker import ExploreOptions, explore
-    from repro.cli import SCOPES
-
-    spec_cls, programs = SCOPES[scope]
-    best: Optional[float] = None
-    report = None
-    for _ in range(max(1, repeat)):
-        start = time.perf_counter()
-        report = explore(spec_cls(), programs, ExploreOptions(por=False))
-        elapsed = time.perf_counter() - start
-        best = elapsed if best is None or elapsed < best else best
-    verdict = {
-        "states": report.states,
-        "transitions": report.transitions,
-        "final_states": report.final_states,
-        "rule_counts": dict(sorted(report.rule_counts.items())),
-        "ok": report.ok,
-    }
-    return report.states / best, verdict
-
-
-def check_kernel(
-    tiny: bool, repeat: int, tolerance: float, baseline_path: Path
-) -> List[PerfFinding]:
-    scope = KERNEL_TINY_SCOPE if tiny else KERNEL_FULL_SCOPE
-    document = _load(baseline_path, "kernel")
-    baseline = document.get("baselines", {}).get(scope)
-    if baseline is None:
-        raise BaselineError(
-            f"kernel: no committed baseline for scope {scope!r} in {baseline_path}"
-        )
-    rate, verdict = _measure_kernel(scope, repeat)
-    findings = []
-    expected = baseline.get("verdict")
-    if expected is not None:
-        findings.append(
-            PerfFinding(
-                "kernel",
-                f"{scope}/verdict",
-                ok=expected == verdict,
-                detail="exploration verdict identical to baseline"
-                if expected == verdict
-                else f"verdict differs from baseline (got {verdict})",
-            )
-        )
-    committed = float(baseline["states_per_sec"])
-    floor = tolerance * committed
-    findings.append(
-        PerfFinding(
-            "kernel",
-            f"{scope}/throughput",
-            ok=rate >= floor,
-            detail=f"states/sec vs {tolerance} x committed floor ({floor:.0f})",
-            measured=round(rate, 1),
-            baseline=committed,
-        )
-    )
-    return findings
-
-
-# -- por tier ------------------------------------------------------------------
-
-#: the deterministic fields of a BENCH_por scope row, per arm
-_POR_ON_FIELDS = ("states", "transitions", "ample_hits", "full_expansions", "ok")
-_POR_OFF_FIELDS = ("states", "transitions", "ok")
-
-
-def _measure_por(scope: str) -> Dict[str, Dict[str, Any]]:
-    from repro.checking.model_checker import ExploreOptions, explore
-    from repro.cli import SCOPES
-
-    spec_cls, programs = SCOPES[scope]
-    row: Dict[str, Dict[str, Any]] = {}
-    for arm, por in (("on", True), ("off", False)):
-        report = explore(
-            spec_cls(), programs, ExploreOptions(max_states=400_000, por=por)
-        )
-        row[arm] = {
-            "states": report.states,
-            "transitions": report.transitions,
-            "ample_hits": report.ample_hits,
-            "full_expansions": report.full_expansions,
-            "ok": report.ok,
-        }
-    return row
-
-
-def check_por(tiny: bool, baseline_path: Path) -> List[PerfFinding]:
-    document = _load(baseline_path, "por")
-    scopes = document.get("scopes", {})
-    if not scopes:
-        raise BaselineError(f"por: no scopes recorded in {baseline_path}")
-    names: Sequence[str] = (
-        [s for s in POR_TINY_SCOPES if s in scopes] if tiny else sorted(scopes)
-    )
-    findings = []
-    for scope in names:
-        committed = scopes[scope]
-        measured = _measure_por(scope)
-        mismatches = []
-        for arm, fields in (("on", _POR_ON_FIELDS), ("off", _POR_OFF_FIELDS)):
-            for key in fields:
-                want = committed.get(arm, {}).get(key)
-                got = measured[arm].get(key)
-                if want is not None and want != got:
-                    mismatches.append(f"{arm}.{key}: {got} != {want}")
-        findings.append(
-            PerfFinding(
-                "por",
-                scope,
-                ok=not mismatches,
-                detail="POR on/off exploration identical to baseline"
-                if not mismatches
-                else "; ".join(mismatches),
-            )
-        )
-    return findings
-
-
-# -- faults tier ---------------------------------------------------------------
-
-#: the deterministic per-strategy aggregates of a suite row
-_FAULT_FIELDS = ("plans", "commits", "aborts", "injected", "permanently_aborted")
-
-
-def check_faults(tiny: bool, baseline_path: Path, seed: int = 0) -> List[PerfFinding]:
-    from repro.faults.conformance import run_suite
-    from repro.runtime.workload import WorkloadConfig
-    from repro.tm import ALL_ALGORITHMS
-
-    document = _load(baseline_path, "faults")
-    mode = "tiny" if tiny else "full"
-    plans = FAULTS_TINY_PLANS if tiny else FAULTS_FULL_PLANS
-    config = WorkloadConfig(
-        transactions=5, ops_per_tx=3, keys=4, read_ratio=0.5, seed=seed
-    )
-    report = run_suite(
-        sorted(ALL_ALGORITHMS), config, plans_per_strategy=plans, base_seed=seed
-    )
-    findings = [
-        PerfFinding(
-            "faults",
-            "conformance",
-            ok=report.ok,
-            detail=f"{len(report.failures)} gate failure(s) "
-            f"across {report.total_plans} plans"
-            if not report.ok
-            else f"all {report.total_plans} plans passed the gate",
-        )
-    ]
-    silent = [
-        name for name, row in report.strategies.items() if row["injected"] == 0
-    ]
-    findings.append(
-        PerfFinding(
-            "faults",
-            "injection-floor",
-            ok=not silent,
-            detail="every strategy saw injected faults"
-            if not silent
-            else f"no injections for {silent}",
-            measured=float(report.total_injected),
-        )
-    )
-    committed = document.get("report", {}).get("strategies", {})
-    if document.get("mode") == mode and committed:
-        mismatches = []
-        for name, want in sorted(committed.items()):
-            got = report.strategies.get(name)
-            if got is None:
-                mismatches.append(f"{name}: strategy missing from suite")
-                continue
-            for key in _FAULT_FIELDS:
-                if key in want and want[key] != got[key]:
-                    mismatches.append(f"{name}.{key}: {got[key]} != {want[key]}")
-        findings.append(
-            PerfFinding(
-                "faults",
-                "suite-determinism",
-                ok=not mismatches,
-                detail="per-strategy aggregates identical to baseline"
-                if not mismatches
-                else "; ".join(mismatches[:6]),
-            )
-        )
-    return findings
-
-
-# -- packed tier ---------------------------------------------------------------
-
-PACKED_TINY_SCOPES = ("mem-ww", "counter")
-PACKED_WALK_STEPS = 60
-PACKED_WALKS = 3
-
-
-def check_packed(tiny: bool, seed: int = 0) -> List[PerfFinding]:
-    """Representation-identity gate for the packed kernel (no baseline
-    file: the reference is computed live from the object model)."""
-    from repro.checking.packedcheck import sweep_identity
-    from repro.cli import SCOPES
-    from repro.core.ops import intern_stats
-
-    names = PACKED_TINY_SCOPES if tiny else tuple(SCOPES)
-    scopes = {name: SCOPES[name] for name in names}
-    results = sweep_identity(
-        scopes, steps=PACKED_WALK_STEPS, walks=PACKED_WALKS, seed=seed
-    )
-    findings = []
-    for name, row in results.items():
-        mismatches = row["mismatches"]
-        findings.append(
-            PerfFinding(
-                "packed",
-                f"{name}/key-identity",
-                ok=not mismatches,
-                detail=f"{row['checked_states']} states decode to the "
-                "object-level reference key"
-                if not mismatches
-                else str(mismatches[0]),
-            )
-        )
-    tables = intern_stats()
-    empty = sorted(k for k, v in tables.items() if not v)
-    findings.append(
-        PerfFinding(
-            "packed",
-            "intern-tables",
-            ok=not empty,
-            detail=f"intern tables populated: {tables}"
-            if not empty
-            else f"empty intern tables after sweep: {empty}",
-        )
-    )
-    return findings
-
-
-# -- serve tier ----------------------------------------------------------------
-
-SERVE_TINY_REQUESTS = 150
-SERVE_FULL_REQUESTS = 400
-
-
-def check_serve(
-    tiny: bool, tolerance: float, baseline_path: Path, seed: int = 0
-) -> List[PerfFinding]:
-    """Re-measure the committed inline gate rows of ``BENCH_serve.json``
-    and judge throughput floor, p99 ceiling, and conformance."""
-    from repro.serve.bench import measure_serve
-
-    document = _load(baseline_path, "serve")
-    gate_rows = document.get("gate", {})
-    if not gate_rows:
-        raise BaselineError(f"serve: no gate rows recorded in {baseline_path}")
-    names = sorted(gate_rows)
-    if tiny:
-        names = names[:1]
-    requests = SERVE_TINY_REQUESTS if tiny else SERVE_FULL_REQUESTS
-    findings = []
-    for name in names:
-        committed = gate_rows[name]
-        measured = measure_serve(
-            committed["strategy"],
-            int(committed["shards"]),
-            mode="inline",
-            workload=committed.get("workload", "kvmap"),
-            requests=requests,
-            cross_ratio=float(committed.get("cross_ratio", 0.0)),
-            seed=seed,
-        )
-        floor = tolerance * float(committed["rps"])
-        findings.append(
-            PerfFinding(
-                "serve",
-                f"{name}/throughput",
-                ok=measured["rps"] >= floor,
-                detail=f"req/s vs {tolerance} x committed floor ({floor:.0f})",
-                measured=measured["rps"],
-                baseline=float(committed["rps"]),
-            )
-        )
-        ceiling = float(committed["p99_ms"]) / tolerance
-        findings.append(
-            PerfFinding(
-                "serve",
-                f"{name}/p99",
-                ok=measured["p99_ms"] <= ceiling,
-                detail=f"p99 ms vs committed ceiling ({ceiling:.1f}ms = "
-                f"baseline / {tolerance})",
-                measured=measured["p99_ms"],
-                baseline=float(committed["p99_ms"]),
-            )
-        )
-        failures = measured["conformance_failures"]
-        findings.append(
-            PerfFinding(
-                "serve",
-                f"{name}/conformance",
-                ok=measured["conformance_ok"],
-                detail=f"{measured['commits_gated']} commits gated clean "
-                f"across {committed['shards']} shard(s)"
-                if measured["conformance_ok"]
-                else f"conformance gate failed: {failures[:3]}",
-            )
-        )
-    return findings
-
-
-# -- durable tier --------------------------------------------------------------
-
-
-def check_durable(
-    tiny: bool, tolerance: float, baseline_path: Path, seed: int = 0
-) -> List[PerfFinding]:
-    """Re-measure the committed append sweep and recovery rows of
-    ``BENCH_durable.json``: tolerance floors on throughput, hard gates
-    on the recovery row's deterministic facts."""
-    from repro.durable.bench import measure_append, measure_recovery
-
-    document = _load(baseline_path, "durable")
-    mode = "tiny" if tiny else "full"
-    same_mode = document.get("mode") == mode
-    append_rows = document.get("append", [])
-    recovery_rows = document.get("recovery", [])
-    if not append_rows or not recovery_rows:
-        raise BaselineError(
-            f"durable: no append/recovery rows recorded in {baseline_path}"
-        )
-    findings = []
-    append_records = 400 if tiny else 2000
-    for committed in append_rows if same_mode else append_rows[:1]:
-        batch = int(committed["batch"])
-        measured = measure_append(append_records, batch)
-        floor = tolerance * float(committed["records_per_sec"])
-        findings.append(
-            PerfFinding(
-                "durable",
-                f"append/batch-{batch}",
-                ok=measured["records_per_sec"] >= floor,
-                detail=f"records/sec vs {tolerance} x committed floor "
-                f"({floor:.0f})",
-                measured=measured["records_per_sec"],
-                baseline=float(committed["records_per_sec"]),
-            )
-        )
-    recovery_sizes = [int(row["commits"]) for row in recovery_rows]
-    if tiny or not same_mode:
-        recovery_sizes = recovery_sizes[:1]
-    for committed, size in zip(recovery_rows, recovery_sizes):
-        measured = measure_recovery(size, seed=seed)
-        floor = tolerance * float(committed["commits_per_sec"])
-        findings.append(
-            PerfFinding(
-                "durable",
-                f"recovery/{size}/throughput",
-                ok=measured["commits_per_sec"] >= floor,
-                detail=f"replayed commits/sec vs {tolerance} x committed "
-                f"floor ({floor:.0f})",
-                measured=measured["commits_per_sec"],
-                baseline=float(committed["commits_per_sec"]),
-            )
-        )
-        problems = []
-        if not measured["conformance_ok"]:
-            problems.append("recovered history failed the conformance gate")
-        if measured["torn_tail_dropped"] <= 0:
-            problems.append("torn tail was not truncated during recovery")
-        if same_mode and measured["replayed_commits"] != committed.get(
-            "replayed_commits"
-        ):
-            problems.append(
-                f"replayed_commits: {measured['replayed_commits']} != "
-                f"{committed.get('replayed_commits')}"
-            )
-        findings.append(
-            PerfFinding(
-                "durable",
-                f"recovery/{size}/integrity",
-                ok=not problems,
-                detail=f"{measured['replayed_commits']} commits replayed, "
-                "conformance clean, torn tail truncated"
-                if not problems
-                else "; ".join(problems),
-            )
-        )
-    return findings
-
-
-# -- opacity tier --------------------------------------------------------------
-
-OPACITY_TINY_SCOPES = ("mem-ww", "counter")
-
-
-def check_opacity(tiny: bool, baseline_path: Path, seed: int = 0) -> List[PerfFinding]:
-    """The opacity decision-procedure gate (all deterministic, no
-    tolerance):
-
-    1. **scope agreement** — every registered model-checker scope
-       explored under ``--opacity-checker both`` must terminate with
-       zero opacity violations and zero bounded-vs-TMS2 divergences;
-    2. **frontier identity** — the committed per-strategy opacity
-       frontiers of ``BENCH_opacity.json`` must re-verify: each
-       non-opaque strategy still falls at its committed rung, each
-       opaque strategy stays clean (tiny mode re-probes only the
-       committed frontier rungs; full mode re-walks the whole ladder);
-    3. **checker soundness** — no probe anywhere may be rejected by the
-       bounded checker yet accepted by TMS2 (the reduction's soundness
-       direction: that disagreement is always a checker bug).
-    """
-    from repro.checking.frontier import (
-        FRONTIER_LADDER,
-        RUNGS_BY_NAME,
-        find_frontier,
-        probe_scope,
-    )
-    from repro.checking.model_checker import ExploreOptions, explore
-    from repro.checking.tms2 import tms2_stats_snapshot
-    from repro.cli import SCOPES
-
-    document = _load(baseline_path, "opacity")
-    committed_ladder = document.get("ladder", [])
-    committed_strategies = document.get("strategies", {})
-    if not committed_strategies:
-        raise BaselineError(
-            f"opacity: no strategy frontiers recorded in {baseline_path}"
-        )
-    findings = []
-
-    # gate 0: the committed ladder must be the registered one (a frontier
-    # index is only meaningful against the ladder it was measured on)
-    registered = [r.to_dict() for r in FRONTIER_LADDER]
-    findings.append(
-        PerfFinding(
-            "opacity",
-            "ladder-identity",
-            ok=committed_ladder == registered,
-            detail=f"{len(registered)} registered rungs match the baseline"
-            if committed_ladder == registered
-            else "committed ladder differs from checking.frontier.FRONTIER_LADDER",
-        )
-    )
-
-    # gate 1: bounded-vs-TMS2 agreement on the model-checker scopes
-    scope_names = OPACITY_TINY_SCOPES if tiny else tuple(SCOPES)
-    for name in scope_names:
-        spec_cls, programs = SCOPES[name]
-        report = explore(
-            spec_cls(), programs, ExploreOptions(opacity_checker="both")
-        )
-        problems = list(report.opacity_violations) + list(
-            report.opacity_divergences
-        )
-        findings.append(
-            PerfFinding(
-                "opacity",
-                f"{name}/agreement",
-                ok=not problems and report.ok,
-                detail=f"{report.opacity_terminals} terminal histories, "
-                "both checkers accept, no divergence"
-                if not problems and report.ok
-                else f"{len(problems)} problem(s): {problems[:2]}",
-            )
-        )
-
-    # gates 2+3: frontier identity and checker soundness
-    unsound: List[str] = []
-    for name in sorted(committed_strategies):
-        committed = committed_strategies[name]
-        want_index = committed.get("frontier_index")
-        want_rung = committed.get("frontier")
-        if tiny:
-            # re-probe only the committed frontier rung (opaque
-            # strategies have none: probe the first ladder rung, which
-            # must stay clean)
-            rung = (
-                RUNGS_BY_NAME.get(want_rung)
-                if want_rung is not None
-                else FRONTIER_LADDER[0]
-            )
-            if rung is None:
-                findings.append(
-                    PerfFinding(
-                        "opacity", f"{name}/frontier", ok=False,
-                        detail=f"committed frontier rung {want_rung!r} is "
-                        "not on the registered ladder",
-                    )
-                )
-                continue
-            probe = probe_scope(name, rung)
-            if not probe.sound:
-                unsound.append(f"{name}@{rung.name}")
-            separated = probe.checked and bool(probe.tms2_violations)
-            expect_separated = want_rung is not None
-            findings.append(
-                PerfFinding(
-                    "opacity",
-                    f"{name}/frontier",
-                    ok=separated == expect_separated,
-                    detail=(
-                        f"TMS2 still rejects at committed frontier "
-                        f"{rung.name} ({len(probe.tms2_violations)} "
-                        "violation(s))"
-                        if expect_separated
-                        else f"opaque on rung {rung.name} as committed"
-                    )
-                    if separated == expect_separated
-                    else f"rung {rung.name}: separated={separated}, "
-                    f"baseline says {expect_separated}",
-                )
-            )
-        else:
-            result = find_frontier(name)
-            for probe in result.probes:
-                if not probe.sound:
-                    unsound.append(f"{name}@{probe.rung.name}")
-            got = result.to_dict()
-            mismatches = [
-                f"{key}: {got[key]!r} != {committed[key]!r}"
-                for key in ("opaque", "frontier_index", "frontier")
-                if key in committed and got[key] != committed[key]
-            ]
-            findings.append(
-                PerfFinding(
-                    "opacity",
-                    f"{name}/frontier",
-                    ok=not mismatches,
-                    detail=(
-                        f"opaque across all {len(result.probes)} rungs"
-                        if result.opaque
-                        else f"frontier {got['frontier']} (rung "
-                        f"{got['frontier_index']}) as committed"
-                    )
-                    if not mismatches
-                    else "; ".join(mismatches),
-                )
-            )
-    stats = tms2_stats_snapshot()
-    findings.append(
-        PerfFinding(
-            "opacity",
-            "checker-soundness",
-            ok=not unsound,
-            detail=f"bounded ⊆ TMS2 on every probe "
-            f"({stats.get('opacity.tms2.checks', 0)} TMS2 checks, "
-            f"{stats.get('opacity.tms2.steps', 0)} automaton steps)"
-            if not unsound
-            else f"bounded rejects but TMS2 accepts at: {unsound[:4]}",
-        )
-    )
-    return findings
-
-
-# -- the watchdog --------------------------------------------------------------
-
-
 def run_perf(
+    tiers: Sequence[str] = tuple(TIERS),
     tiny: bool = False,
-    repeat: int = 2,
-    tolerance: float = DEFAULT_TOLERANCE,
-    kernel_path: Path = KERNEL_BASELINE,
-    por_path: Path = POR_BASELINE,
-    faults_path: Path = FAULTS_BASELINE,
-    serve_path: Path = SERVE_BASELINE,
-    durable_path: Path = DURABLE_BASELINE,
-    opacity_path: Path = OPACITY_BASELINE,
-    tiers: Sequence[str] = TIERS,
+    refresh: bool = False,
+    baselines: Path = BENCH_DIR,
     seed: int = 0,
 ) -> PerfReport:
-    """One full watchdog pass over the requested ``tiers``.
+    """Measure and judge ``tiers`` against ``baselines/BENCH_<tier>.json``;
+    every measured document also lands in ``baselines/out/`` (gitignored).
 
-    Raises :class:`BaselineError` when a reference is unusable; any
-    measured regression lands as a failing finding in the report (the
-    CLI maps ``report.ok`` to exit code 2).
+    Raises :class:`BaselineError` when a reference is unusable; a
+    measured regression lands as a failing finding (the CLI maps
+    ``report.ok`` to exit code 2).
     """
-    report = PerfReport(tiny=tiny, tolerance=tolerance)
+    if refresh and tiny:
+        raise BaselineError(
+            "--refresh-baseline refuses --tiny: a baseline records the full run"
+        )
+    unknown = [name for name in tiers if name not in TIERS]
+    if unknown:
+        raise BaselineError(f"unknown tier(s) {unknown}; tiers: {list(TIERS)}")
+    report = PerfReport(tiny=tiny)
     started = time.perf_counter()
-    if "kernel" in tiers:
-        report.findings.extend(
-            check_kernel(tiny, repeat, tolerance, Path(kernel_path))
+    env = environment()
+    for name in tiers:
+        tier = TIERS[name]
+        path = baseline_path(name, baselines)
+        committed = (
+            load_baseline(path) if path.exists() or not refresh else {}
         )
-    if "por" in tiers:
-        report.findings.extend(check_por(tiny, Path(por_path)))
-    if "faults" in tiers:
-        report.findings.extend(check_faults(tiny, Path(faults_path), seed=seed))
-    if "packed" in tiers:
-        report.findings.extend(check_packed(tiny, seed=seed))
-    if "serve" in tiers:
-        report.findings.extend(
-            check_serve(tiny, tolerance, Path(serve_path), seed=seed)
-        )
-    if "durable" in tiers:
-        report.findings.extend(
-            check_durable(tiny, tolerance, Path(durable_path), seed=seed)
-        )
-    if "opacity" in tiers:
-        report.findings.extend(check_opacity(tiny, Path(opacity_path), seed=seed))
+        measured = {**tier.measure(tiny, seed), "env": env}
+        current = Path(baselines) / "out" / f"BENCH_{name}.current.json"
+        current.parent.mkdir(parents=True, exist_ok=True)
+        current.write_text(json.dumps(measured, indent=2) + "\n", encoding="utf-8")
+        findings = judge(name, tier.gates, measured, committed, env["usable_cores"])
+        report.findings.extend(findings)
+        if refresh and all(f.ok for f in findings if not f.gate.relative):
+            path.write_text(json.dumps(measured, indent=2) + "\n", encoding="utf-8")
+            report.refreshed[name] = str(path)
+            for finding in findings:
+                if not finding.ok:  # a relative row: what the refresh ratchets
+                    finding.status = "moved"
     report.elapsed_sec = time.perf_counter() - started
     return report

@@ -8,15 +8,11 @@ opened from disk and always shows the same thing.
 
 Sections (each skipped gracefully when its input is absent):
 
-* **kernel throughput** — committed baseline vs current states/sec per
-  scope, plus the kernel cache hit rates (``BENCH_kernel.json``);
-* **partial-order reduction** — POR-off vs POR-on state counts and the
-  reduction factor per scope (``benchmarks/BENCH_por.json``);
-* **chaos suite** — per-strategy commits/aborts and the injected-fault
-  kind breakdown (``BENCH_faults.json``);
-* **serve daemon** — req/s and p99 latency per strategy × shard count
-  from the process-mode matrix plus the inline gate rows, with the
-  shard-scaling note (``benchmarks/BENCH_serve.json``);
+* **one per perf tier** — drawn generically from the tier's committed
+  ``benchmarks/BENCH_<tier>.json`` through the gate rows
+  :data:`repro.obs.perf.TIERS` declares: a bar chart per floor/ceiling
+  row, a value table per identity row, and the baseline's provenance
+  (commit, usable cores, Python) or "env unrecorded";
 * **fuzz coverage heatmap** — the ``strategy × rule`` grid of covered
   ``(strategy, rule, outcome)`` triples from the committed coverage
   ratchet (``tests/corpus/expected_coverage.json``);
@@ -31,16 +27,20 @@ import hashlib
 import json
 from html import escape
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from repro.obs.perf import (
+    BENCH_DIR,
+    TIERS,
+    Tier,
+    baseline_path,
+    flatten,
+    is_number,
+)
 from repro.obs.profiling import Profile
 
 #: src/repro/obs/report.py -> repo root
 REPO_ROOT = Path(__file__).resolve().parents[3]
-KERNEL_JSON = REPO_ROOT / "BENCH_kernel.json"
-POR_JSON = REPO_ROOT / "benchmarks" / "BENCH_por.json"
-FAULTS_JSON = REPO_ROOT / "BENCH_faults.json"
-SERVE_JSON = REPO_ROOT / "benchmarks" / "BENCH_serve.json"
 COVERAGE_JSON = REPO_ROOT / "tests" / "corpus" / "expected_coverage.json"
 
 _BAR_H = 18
@@ -66,8 +66,9 @@ def _bar_chart(rows: Sequence[Tuple[str, float, str]], unit: str = "") -> str:
     if not rows:
         return "<p class='empty'>no data</p>"
     peak = max(value for _, value, _ in rows) or 1.0
+    label_w = max(_LABEL_W, 7 * max(len(label) for label, _, _ in rows))
     height = len(rows) * (_BAR_H + _ROW_GAP) + _ROW_GAP
-    width = _LABEL_W + _CHART_W + _VALUE_W
+    width = label_w + _CHART_W + _VALUE_W
     parts = [
         f"<svg viewBox='0 0 {width} {height}' width='{width}' "
         f"height='{height}' role='img'>"
@@ -77,11 +78,11 @@ def _bar_chart(rows: Sequence[Tuple[str, float, str]], unit: str = "") -> str:
         bar = max(1.0, _CHART_W * value / peak)
         text = f"{value:g}{unit}"
         parts.append(
-            f"<text x='{_LABEL_W - 6}' y='{y + _BAR_H - 5}' "
+            f"<text x='{label_w - 6}' y='{y + _BAR_H - 5}' "
             f"text-anchor='end' class='lbl'>{escape(label)}</text>"
-            f"<rect x='{_LABEL_W}' y='{y}' width='{bar:.1f}' "
+            f"<rect x='{label_w}' y='{y}' width='{bar:.1f}' "
             f"height='{_BAR_H}' fill='{color}'/>"
-            f"<text x='{_LABEL_W + bar + 5:.1f}' y='{y + _BAR_H - 5}' "
+            f"<text x='{label_w + bar + 5:.1f}' y='{y + _BAR_H - 5}' "
             f"class='val'>{escape(text)}</text>"
         )
     parts.append("</svg>")
@@ -197,113 +198,47 @@ def _section(title: str, body: str, note: str = "") -> str:
     return f"<section><h2>{escape(title)}</h2>{note_html}{body}</section>"
 
 
-def kernel_section(document: Dict) -> str:
-    rows: List[Tuple[str, float, str]] = []
-    for scope, row in sorted(document.get("baselines", {}).items()):
-        rows.append((f"{scope} (baseline)", float(row["states_per_sec"]), "#bab0ac"))
-    current = document.get("current", {})
-    if current.get("scope"):
-        rows.append(
-            (
-                f"{current['scope']} (current)",
-                float(current["states_per_sec"]),
-                "#4e79a7",
+def _provenance(document: Dict[str, Any]) -> str:
+    env = document.get("env")
+    if not isinstance(env, dict):
+        return "env unrecorded"
+    return (
+        f"commit {env.get('commit', '?')}, {env.get('usable_cores', '?')} "
+        f"usable core(s), Python {env.get('python', '?')}"
+    )
+
+
+def tier_section(tier: Tier, document: Dict[str, Any]) -> str:
+    """Every gate row of ``tier`` over its committed document: numeric
+    floor/ceiling rows as bars, identity rows as a value table."""
+    flat = flatten(document)
+    color = _color(tier.name)
+    body = []
+    for gate in tier.gates:
+        pattern = gate.pattern
+        values = [(path, v) for path, v in flat.items() if pattern.fullmatch(path)]
+        caption = f"{gate.path} — {gate.describe()}"
+        if gate.min_cores:
+            caption += f"; gated only with ≥ {gate.min_cores} usable cores"
+        body.append(f"<h3>{escape(caption)}</h3>")
+        numeric = [(path, float(v), color) for path, v in values if is_number(v)]
+        if gate.kind != "identity" and len(numeric) == len(values) and values:
+            body.append(_bar_chart(numeric, unit=f" {gate.unit}".rstrip()))
+        elif values:
+            rows = "".join(
+                f"<tr><td>{escape(path)}</td><td>{escape(json.dumps(v))}</td></tr>"
+                for path, v in values
             )
-        )
-    body = _bar_chart(rows, unit=" st/s")
-    hit_rates = current.get("cache_hit_rates") or {}
-    if hit_rates:
-        cache_rows = [
-            (cache, round(100 * rate, 1), "#59a14f")
-            for cache, rate in sorted(hit_rates.items())
-            if rate is not None
-        ]
-        body += "<h3>kernel cache hit rates</h3>" + _bar_chart(
-            cache_rows, unit="%"
-        )
-    return _section(
-        "Kernel throughput",
-        body,
-        "committed BENCH_kernel.json baselines vs the last bench run",
-    )
-
-
-def por_section(document: Dict) -> str:
-    rows: List[Tuple[str, float, str]] = []
-    for scope, row in document.get("scopes", {}).items():
-        rows.append((f"{scope} POR off", float(row["off"]["states"]), "#bab0ac"))
-        rows.append(
-            (
-                f"{scope} POR on (×{row.get('reduction', '?')})",
-                float(row["on"]["states"]),
-                "#f28e2b",
+            body.append(
+                f"<details><summary>{len(values)} committed value(s)</summary>"
+                f"<table>{rows}</table></details>"
             )
-        )
-    aggregate = document.get("aggregate_reduction")
-    note = (
-        f"states explored with the reduction off vs on; aggregate ×{aggregate}"
-        if aggregate
-        else "states explored with the reduction off vs on"
-    )
-    return _section(
-        "Partial-order reduction", _bar_chart(rows, unit=" states"), note
-    )
-
-
-def faults_section(document: Dict) -> str:
-    strategies = document.get("report", {}).get("strategies", {})
-    commit_rows: List[Tuple[str, float, str]] = []
-    kinds: Dict[str, int] = {}
-    for name, row in sorted(strategies.items()):
-        commit_rows.append((f"{name} commits", float(row["commits"]), "#59a14f"))
-        commit_rows.append((f"{name} aborts", float(row["aborts"]), "#e15759"))
-        for kind, count in row.get("injected_by_kind", {}).items():
-            kinds[kind] = kinds.get(kind, 0) + count
-    body = _bar_chart(commit_rows)
-    if kinds:
-        body += "<h3>injected faults by kind</h3>" + _bar_chart(
-            [(kind, float(n), _color(kind)) for kind, n in sorted(kinds.items())]
-        )
-    return _section(
-        "Chaos suite",
-        body,
-        f"mode={document.get('mode', '?')} — committed BENCH_faults.json",
-    )
-
-
-def serve_section(document: Dict) -> str:
-    matrix = document.get("matrix", {})
-    gate = document.get("gate", {})
-    rps_rows: List[Tuple[str, float, str]] = []
-    p99_rows: List[Tuple[str, float, str]] = []
-    for name, row in matrix.items():
-        suffix = "" if row.get("conformance_ok", True) else " CONFORMANCE-FAIL"
-        rps_rows.append((f"{name}{suffix}", float(row["rps"]), "#4e79a7"))
-        p99_rows.append((f"{name} p99", float(row["p99_ms"]), "#e15759"))
-    for name, row in gate.items():
-        rps_rows.append((f"{name} (inline gate)", float(row["rps"]), "#bab0ac"))
-        p99_rows.append(
-            (f"{name} p99 (inline gate)", float(row["p99_ms"]), "#f28e2b")
-        )
-    body = _bar_chart(rps_rows, unit=" req/s")
-    if p99_rows:
-        body += "<h3>p99 latency</h3>" + _bar_chart(p99_rows, unit=" ms")
-    scaling = document.get("scaling")
-    note = (
-        f"mode={document.get('mode', '?')} — committed BENCH_serve.json; "
-        "process-mode matrix vs inline gate rows (not comparable to each "
-        "other)"
-    )
-    if scaling:
-        gated = "gated" if scaling.get("gated") else (
-            f"gate skipped: {scaling.get('usable_cores')} core(s)"
-        )
-        note += (
-            f"; shard scaling ×{scaling.get('speedup')} "
-            f"({scaling.get('one_shard_rps')} → "
-            f"{scaling.get('two_shard_rps')} req/s, {gated})"
-        )
-    return _section("Serve daemon", body, note)
+        else:
+            body.append("<p class='empty'>no committed value</p>")
+    note = f"BENCH_{tier.name}.json — {_provenance(document)}"
+    if tier.note:
+        note += f"; {tier.note}"
+    return _section(f"{tier.title} ({tier.name})", "".join(body), note)
 
 
 def coverage_section(document: Dict) -> str:
@@ -343,30 +278,25 @@ svg { display: block; margin: .5rem 0; }
 svg .lbl { font: 11px system-ui, sans-serif; fill: #444; }
 svg .val { font: 11px system-ui, sans-serif; fill: #222; }
 svg .frame { font: 10px system-ui, sans-serif; fill: #fff; }
+details table { font-size: .8rem; border-collapse: collapse; }
+details td { padding: 0 .75rem 0 0; font-family: monospace; }
 footer { margin-top: 3rem; color: #999; font-size: .8rem; }
 """
 
 
 def render_report(
-    kernel: Optional[Dict] = None,
-    por: Optional[Dict] = None,
-    faults: Optional[Dict] = None,
-    serve: Optional[Dict] = None,
+    tiers: Optional[Dict[str, Dict[str, Any]]] = None,
     coverage: Optional[Dict] = None,
     profile: Optional[Profile] = None,
     profile_origin: str = "recorded trace",
     title: str = "repro dashboard",
 ) -> str:
-    """Assemble the full HTML document from whatever inputs exist."""
-    sections = []
-    if kernel:
-        sections.append(kernel_section(kernel))
-    if por:
-        sections.append(por_section(por))
-    if faults:
-        sections.append(faults_section(faults))
-    if serve:
-        sections.append(serve_section(serve))
+    """Assemble the full HTML document from whatever inputs exist;
+    ``tiers`` maps a tier name to its committed document."""
+    sections = [
+        tier_section(TIERS[name], document)
+        for name, document in (tiers or {}).items()
+    ]
     if coverage:
         sections.append(coverage_section(coverage))
     if profile is not None and not profile.empty:
@@ -394,10 +324,7 @@ def _maybe_json(path: Path) -> Optional[Dict]:
 
 def build_report(
     out: str,
-    kernel_path: Path = KERNEL_JSON,
-    por_path: Path = POR_JSON,
-    faults_path: Path = FAULTS_JSON,
-    serve_path: Path = SERVE_JSON,
+    baselines: Path = BENCH_DIR,
     coverage_path: Path = COVERAGE_JSON,
     trace_path: Optional[str] = None,
     title: str = "repro dashboard",
@@ -413,11 +340,11 @@ def build_report(
         profile = Profile()
         profile.add(read_jsonl(trace_path))
         origin = str(trace_path)
+    documents = {
+        name: _maybe_json(baseline_path(name, baselines)) for name in TIERS
+    }
     html = render_report(
-        kernel=_maybe_json(kernel_path),
-        por=_maybe_json(por_path),
-        faults=_maybe_json(faults_path),
-        serve=_maybe_json(serve_path),
+        tiers={name: doc for name, doc in documents.items() if doc},
         coverage=_maybe_json(coverage_path),
         profile=profile,
         profile_origin=origin,

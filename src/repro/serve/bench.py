@@ -1,21 +1,17 @@
-"""Shared measurement core for the serve benchmark and perf tier.
-
-``benchmarks/bench_serve.py`` (the ratchet that writes the committed
-``BENCH_serve.json``) and ``repro perf --tier serve`` (the watchdog that
-judges against it) must measure *the same thing the same way*, so the
-one-configuration measurement lives here: start a daemon on an ephemeral
-port, drive a closed-loop load run, then ask every shard's conformance
-gate before shutting down.
+"""One-configuration measurement of the serve perf tier (``repro perf
+--tier serve``, committed as ``benchmarks/BENCH_serve.json``): start a
+daemon on an ephemeral port, drive a closed-loop load run, then ask
+every shard's conformance gate before shutting down.
 
 Two modes matter and are **not** comparable to each other:
 
 * ``process`` — one forked worker per shard, the deployment shape.  The
-  benchmark matrix and the shard-scaling row use it (aggregate req/s can
-  only scale across shards when shards own distinct event loops).
+  matrix and the shard-scaling row use it (aggregate req/s can only
+  scale across shards when shards own distinct event loops).
 * ``inline`` — all shards on the caller's loop, deterministic and
-  fork-free.  The watchdog's gate rows use it so ``repro perf`` stays
-  cheap and CI-safe; the baseline therefore records gate rows measured
-  inline, separate from the process-mode matrix.
+  fork-free.  The gate rows use it so ``repro perf --tiny`` stays cheap
+  and CI-safe; the baseline therefore records gate rows measured inline,
+  separate from the process-mode matrix.
 """
 
 from __future__ import annotations

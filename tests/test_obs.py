@@ -202,6 +202,31 @@ class TestMachineInstrumentation:
         assert names["quantum"] >= 1
         assert tracer.counts.get("sched.quanta", 0) >= 1
 
+    def test_conflict_graph_drives_the_commutes_memo_counters(self):
+        """Exploration consults only the denotation and left-mover memos
+        (the kernel perf tier gates those); the ``mover.commutes`` memo's
+        consumer is the conflict-graph oracle."""
+        from repro.core.conflictgraph import conflict_serializable
+        from repro.specs import get_spec
+        from repro.tm import ALL_ALGORITHMS
+
+        tracer = RecordingTracer()
+        config = WorkloadConfig(transactions=12, ops_per_tx=3, keys=4,
+                                read_ratio=0.5, seed=7)
+        spec = get_spec("counter")
+        result = run_experiment(
+            ALL_ALGORITHMS["boosting"](), spec,
+            make_workload("counter", config),
+            concurrency=3, seed=7, tracer=tracer,
+        )
+        serializable, _, _ = conflict_serializable(
+            spec, result.runtime.history, result.runtime.machine
+        )
+        assert serializable
+        hits = tracer.counts.get("mover.commutes.hit", 0)
+        misses = tracer.counts.get("mover.commutes.miss", 0)
+        assert hits + misses > 0
+
 
 class TestModelCheckerInstrumentation:
     def test_explore_emits_stats(self):

@@ -17,7 +17,6 @@ schedule), so these are exact pins, not flaky thresholds.
 from __future__ import annotations
 
 import json
-from pathlib import Path
 
 import pytest
 
@@ -27,9 +26,9 @@ from repro.checking.frontier import (
     find_frontier,
     probe_scope,
 )
+from repro.obs.perf import baseline_path
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
-BASELINE_PATH = REPO_ROOT / "benchmarks" / "BENCH_opacity.json"
+BASELINE_PATH = baseline_path("opacity")
 
 #: strategy -> (frontier rung name, ladder index, bounded count, tms2 count)
 EXPECTED_FRONTIERS = {

@@ -50,16 +50,22 @@ processes (the parallel explorer's shared seen-set relies on this).
 from __future__ import annotations
 
 from itertools import permutations
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.language import Code
 from repro.core.machine import Machine
-from repro.core.ops import Op
+from repro.core.ops import Op, payload_class_of, payload_of
 from repro.core.packed import (
+    KIND_NAMES,
+    PLD,
     decode_global_rows,
     decode_thread_key,
-    encode_node_key,
+    pack_codes,
+    pack_i32,
+    pack_owners,
+    unpack_codes,
     unpack_owners,
+    unpack_tid_cs,
 )
 from repro.core.precongruence import trace_normal_form
 from repro.core.spec import MemoizedMovers, SequentialSpec, shared_movers
@@ -121,69 +127,63 @@ class Reducer:
         self.ample = ample
         self.perms = _symmetry_perms(programs) if symmetry else []
         self.tracer = tracer
-        # Payload-level commutation of two id-free rows; symmetric, so both
+        # Both-mover verdict per payload-class pair; symmetric, so both
         # orientations are stored per query.
-        self._commute: Dict[Tuple, bool] = {}
-        # (rows, owner_row) → canonical (rows, owner_row).  G changes on a
-        # minority of transitions, so this cache carries most states.
-        self._g_cache: Dict[Tuple, Tuple] = {}
-        # flag_rows → flag_rows with pld runs normalized.
-        self._l_cache: Dict[Tuple, Tuple] = {}
+        self._commute: Dict[Tuple[int, int], bool] = {}
+        # Normal-form sort keys, one per intern code: the repr of the
+        # decoded row, so ranks are payload-level (intern ids are
+        # process-local and carry no payload order).
+        self._local_keys: Dict[int, str] = {}
+        self._global_keys: Dict[Tuple[int, int], str] = {}
+        # Thread-key bytes → canonical thread-key bytes.
+        self._t_memo: Dict[bytes, bytes] = {}
+        # (global codes, owner row) → canonical pair.  G changes on a
+        # minority of transitions, so this memo carries most states.
+        self._g_memo: Dict[Tuple[bytes, bytes], Tuple[bytes, bytes]] = {}
+        # Symmetry: pre-symmetry canonical key → least member of its
+        # class, plus the repr pieces candidates are ranked by (per
+        # thread key and per global log).
+        self._orbit_memo: Dict[Tuple, Tuple] = {}
+        self._reprs: Dict[Any, str] = {}
         # Packed node key → packed canonical key.  The checker calls
         # :meth:`canonical` once per emitted transition and most states are
-        # revisited, so this front cache keeps the decode→normalize→encode
-        # round-trip off the hot path (bytes keys hash once — CPython
-        # caches ``bytes.__hash__``).
+        # revisited, so this front memo answers most calls with one lookup
+        # (bytes keys hash once — CPython caches ``bytes.__hash__``).
         self._canon_cache: Dict[Tuple, Tuple] = {}
         # Counters folded into the report / `por.*` trace stream.
         self.ample_hits = 0
         self.ample_deferred = 0
         self.full_expansions = 0
+        self.t_cache_misses = 0
         self.g_cache_misses = 0
-        self.canon_decodes = 0
+        self.sym_minimizations = 0
 
     # ------------------------------------------------------------- movers
 
-    def _rows_commute(self, row1: Tuple, row2: Tuple) -> bool:
-        """Both-mover check on id-free payload rows ``(method, args, ret)``.
+    def _payloads_commute(self, pid1: int, pid2: int) -> bool:
+        """Both-mover check on two payload classes.
 
         Probe records carry sentinel ids (never stored); the underlying
         memo is keyed on payload classes, so repeats are dictionary hits.
         """
-        key = (row1, row2)
+        key = (pid1, pid2)
         got = self._commute.get(key)
         if got is None:
-            op1 = Op(row1[0], row1[1], row1[2], -1)
-            op2 = Op(row2[0], row2[1], row2[2], -2)
+            op1 = Op(*payload_of(pid1), -1)
+            op2 = Op(*payload_of(pid2), -2)
             got = self.movers.commutes(op1, op2)
             self._commute[key] = got
-            self._commute[(row2, row1)] = got
+            self._commute[(pid2, pid1)] = got
         return got
 
-    # ----------------------------------------------------- canonical keys
-
-    def _canon_global(self, rows: Tuple, owner_row: Tuple) -> Tuple:
-        """Trace normal form of G's ``(payload_row, owner)`` sequence."""
-        key = (rows, owner_row)
-        got = self._g_cache.get(key)
-        if got is not None:
-            return got
-        self.g_cache_misses += 1
-        items = trace_normal_form(
-            tuple(zip(rows, owner_row)),
-            lambda a, b: self._rows_commute(a[0][:3], b[0][:3]),
-            repr,
+    def _rows_commute(self, row1: Tuple, row2: Tuple) -> bool:
+        """:meth:`_payloads_commute` on id-free rows ``(method, args, ret)``."""
+        return self._payloads_commute(
+            payload_class_of(*row1), payload_class_of(*row2)
         )
-        if items:
-            crows, cowners = zip(*items)
-            got = (tuple(crows), tuple(cowners))
-        else:
-            got = ((), ())
-        self._g_cache[key] = got
-        return got
 
-    def _local_rows_commute(self, row1: Tuple, row2: Tuple) -> bool:
-        """Independence of two local-log rows ``(method, args, ret, kind)``.
+    def _local_commute(self, code1: int, code2: int) -> bool:
+        """Independence of two local-row codes ``(payload_class << 2) | kind``.
 
         Own entries (``npshd``/``pshd``) never commute with each other,
         whatever their payloads: their relative order is *data* — the
@@ -194,22 +194,127 @@ class Reducer:
         swapped logs are mutually ``≼`` in every context, and every
         order-sensitive clause or criterion cites a non-commuting pair,
         whose relative order the trace normal form preserves."""
-        if row1[3] != "pld" and row2[3] != "pld":
+        if code1 & 3 != PLD and code2 & 3 != PLD:
             return False
-        return self._rows_commute(row1[:3], row2[:3])
+        return self._payloads_commute(code1 >> 2, code2 >> 2)
 
-    def _canon_local(self, flag_rows: Tuple) -> Tuple:
-        """The trace normal form of a thread's local-log rows under
-        :meth:`_local_rows_commute` — pulled entries slide into canonical
+    def _global_commute(self, item1: Tuple[int, int], item2: Tuple[int, int]) -> bool:
+        """Independence of two ``(global row code, owner)`` items."""
+        return self._payloads_commute(item1[0] >> 1, item2[0] >> 1)
+
+    # ----------------------------------------------------- canonical keys
+
+    def _local_key(self, code: int) -> str:
+        """Sort key of a local row code: ``repr`` of its decoded row."""
+        got = self._local_keys.get(code)
+        if got is None:
+            method, args, ret = payload_of(code >> 2)
+            got = repr((method, args, ret, KIND_NAMES[code & 3]))
+            self._local_keys[code] = got
+        return got
+
+    def _global_key(self, item: Tuple[int, int]) -> str:
+        """Sort key of a ``(global row code, owner)`` item: ``repr`` of
+        the decoded ``(row, owner)`` pair."""
+        got = self._global_keys.get(item)
+        if got is None:
+            code, owner = item
+            method, args, ret = payload_of(code >> 1)
+            got = repr(((method, args, ret, bool(code & 1)), owner))
+            self._global_keys[item] = got
+        return got
+
+    def _canon_thread(self, tkey: bytes) -> bytes:
+        """A packed thread key with its local log in trace normal form
+        under :meth:`_local_commute`: pulled entries slide into canonical
         position among themselves and past commuting own entries, so the
         PULL-permutation blowup collapses to one representative per
-        thread-local trace class."""
-        got = self._l_cache.get(flag_rows)
+        thread-local trace class.  Own entries never commute with each
+        other, so a key with no pld entry is its own canonical form."""
+        got = self._t_memo.get(tkey)
+        if got is None:
+            self.t_cache_misses += 1
+            # thread key = pack("<ii", tid, code_state_id) + local codes
+            codes = unpack_codes(tkey[8:])
+            got = tkey
+            if any(code & 3 == PLD for code in codes):
+                got = tkey[:8] + pack_codes(
+                    trace_normal_form(codes, self._local_commute, self._local_key)
+                )
+            self._t_memo[tkey] = got
+        return got
+
+    def _canon_log(self, gpacked: bytes, opacked: bytes) -> Tuple[bytes, bytes]:
+        """Trace normal form of G's ``(row code, owner)`` sequence."""
+        key = (gpacked, opacked)
+        got = self._g_memo.get(key)
+        if got is None:
+            self.g_cache_misses += 1
+            items = trace_normal_form(
+                tuple(zip(unpack_codes(gpacked), unpack_owners(opacked))),
+                self._global_commute,
+                self._global_key,
+            )
+            got = (
+                pack_codes(code for code, _ in items),
+                pack_owners(owner for _, owner in items),
+            )
+            self._g_memo[key] = got
+        return got
+
+    def _rank(self, nkey: Tuple) -> str:
+        """``repr`` of the decoded node key, assembled from pieces
+        memoized per thread key and per global log: payload-level, so the
+        least candidate is the same in every process."""
+        (tkeys, gpacked, opacked), committed = nkey
+        reprs = self._reprs
+        threads = []
+        for tkey in tkeys:
+            text = reprs.get(tkey)
+            if text is None:
+                text = reprs[tkey] = repr(decode_thread_key(tkey))
+            threads.append(text)
+        log = reprs.get((gpacked, opacked))
+        if log is None:
+            log = reprs[gpacked, opacked] = (
+                f"{decode_global_rows(gpacked)!r}, {tuple(unpack_owners(opacked))!r}"
+            )
+        body = ", ".join(threads) + ("," if len(threads) == 1 else "")
+        return f"((({body}), {log}), {committed!r})"
+
+    def _minimize(self, nkey: Tuple) -> Tuple:
+        """The least member of ``nkey``'s thread-permutation class.
+
+        Every candidate is itself a pre-symmetry canonical key of the
+        same class — the program-preserving permutations form a group,
+        and renaming tids maps trace classes to trace classes — so the
+        whole class is memoized to the winner after one minimization.
+        """
+        got = self._orbit_memo.get(nkey)
         if got is not None:
             return got
-        got = trace_normal_form(flag_rows, self._local_rows_commute, repr)
-        self._l_cache[flag_rows] = got
-        return got
+        self.sym_minimizations += 1
+        (tkeys, gpacked, opacked), committed = nkey
+        tids = [unpack_tid_cs(tkey[:8])[0] for tkey in tkeys]
+        owners = unpack_owners(opacked)
+        candidates = [nkey]
+        for perm in self.perms:
+            renamed = sorted(
+                (perm.get(tid, tid), tkey[4:]) for tid, tkey in zip(tids, tkeys)
+            )
+            candidates.append((
+                (
+                    tuple(pack_i32(tid) + tail for tid, tail in renamed),
+                    *self._canon_log(
+                        gpacked, pack_owners(perm.get(o, o) for o in owners)
+                    ),
+                ),
+                tuple(sorted(perm.get(tid, tid) for tid in committed)),
+            ))
+        best = min(candidates, key=self._rank)
+        for candidate in candidates:
+            self._orbit_memo[candidate] = best
+        return best
 
     def canonical(self, nkey: Tuple) -> Tuple:
         """The canonical key of a packed checker node key
@@ -218,54 +323,29 @@ class Reducer:
         Applies, in order: per-thread pld-run normalization, global-log
         trace normalization, and (when the scope has interchangeable
         threads) minimization over program-preserving tid permutations.
-        The normalization itself runs on the *decoded* object-level rows
-        (intern ids are process-local and carry no payload order, so the
-        packed codes can't be ranked directly); the result is re-encoded
-        to a packed key.  Decode → normalize → encode is pure and
-        payload-level — canonical keys of equal states agree across
-        processes once digested through
-        :func:`repro.checking.parallel.key_digest` (which decodes again).
+        Each works on the packed parts through its own memo, so a
+        successor that changed one thread costs at most one thread-memo
+        miss, and only a code or part seen for the first time is decoded.
+        The normal forms rank rows by the ``repr`` of their decoded
+        payloads, memoized per intern code, and candidates by the
+        ``repr`` of the decoded key — payload-level orders, so canonical
+        keys of equal states agree across processes once digested through
+        :func:`repro.checking.parallel.key_digest`.
         """
         got = self._canon_cache.get(nkey)
         if got is not None:
             return got
-        self.canon_decodes += 1
-        (ptkeys, gpacked, opacked), committed = nkey
-        tkeys = tuple(decode_thread_key(tb) for tb in ptkeys)
-        rows = decode_global_rows(gpacked)
-        owner_row = tuple(unpack_owners(opacked))
-        tkeys = tuple(
-            (tid, code, stack, self._canon_local(frows))
-            for tid, code, stack, frows in tkeys
-        )
-        rows, owner_row = self._canon_global(rows, owner_row)
+        (tkeys, gpacked, opacked), committed = nkey
         # Commit *order* is bookkeeping only — every consumer (the
         # Theorem 5.17 cover check, the CLI reports) reads the committed
         # *set* — so CMT-order interleavings collapse to one key.
-        committed = tuple(sorted(committed))
-        best = ((tkeys, rows, owner_row), committed)
+        skey = (
+            tuple(map(self._canon_thread, tkeys)),
+            *self._canon_log(gpacked, opacked),
+        )
+        got = (skey, tuple(sorted(committed)))
         if self.perms:
-            # Tids occur inside heterogeneous tuples, so candidates are
-            # ranked by their (deterministic) repr rather than compared
-            # structurally.
-            best_rank = repr(best)
-            for perm in self.perms:
-                permuted_tkeys = tuple(
-                    sorted(
-                        ((perm.get(tk[0], tk[0]),) + tk[1:] for tk in tkeys),
-                        key=lambda t: t[0],
-                    )
-                )
-                powners = tuple(
-                    perm.get(o, o) if o >= 0 else o for o in owner_row
-                )
-                prows, powners = self._canon_global(rows, powners)
-                pcommitted = tuple(sorted(perm.get(t, t) for t in committed))
-                cand = ((permuted_tkeys, prows, powners), pcommitted)
-                rank = repr(cand)
-                if rank < best_rank:
-                    best, best_rank = cand, rank
-        got = encode_node_key(best)
+            got = self._minimize(got)
         self._canon_cache[nkey] = got
         return got
 
@@ -326,10 +406,9 @@ class Reducer:
             "por.ample_hits": self.ample_hits,
             "por.ample_deferred": self.ample_deferred,
             "por.full_expansions": self.full_expansions,
+            "por.t_cache_misses": self.t_cache_misses,
             "por.g_cache_misses": self.g_cache_misses,
-            "por.g_cache_size": len(self._g_cache),
-            "por.l_cache_size": len(self._l_cache),
-            "por.canon_decodes": self.canon_decodes,
+            "por.sym_minimizations": self.sym_minimizations,
             "por.canon_cache_size": len(self._canon_cache),
             "por.symmetry_perms": len(self.perms),
         }

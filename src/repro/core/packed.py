@@ -22,11 +22,12 @@ Layout
 
 Because every code round-trips through the intern tables in
 :mod:`repro.core.ops`, packed keys decode back to the PR-2 object-level
-structure exactly.  The POR canonicalizer and the parallel explorer's
-cross-process digests rely on that: intern ids are process-local, so any
-consumer that needs process-independent or payload-level meaning decodes
-first (:func:`decode_node_key`) and re-encodes after
-(:func:`encode_node_key`).
+structure exactly.  Intern ids are process-local, so a consumer that
+needs a process-independent or payload-level *order* decodes: the
+parallel explorer digests :func:`decode_node_key`, and the POR
+canonicalizer (:mod:`repro.checking.reduction`) keeps its keys packed
+but ranks rows by the ``repr`` of their decoded payloads, memoized per
+intern code.
 """
 
 from __future__ import annotations
@@ -162,12 +163,6 @@ def encode_state_key(skey: Tuple[Any, ...]) -> Tuple[Any, ...]:
         ).tobytes(),
         array("i", owner_row).tobytes(),
     )
-
-
-def encode_node_key(nkey: Tuple[Any, ...]) -> Tuple[Any, ...]:
-    """Encode an object-level checker node key ``(state_key, committed)``."""
-    skey, committed = nkey
-    return (encode_state_key(skey), committed)
 
 
 # ---------------------------------------------------------------------------

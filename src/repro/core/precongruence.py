@@ -23,15 +23,12 @@ The mover relations follow the same pattern: exact oracles on
 :class:`StateSpec` (Definition 4.1 quantifies over every log ``ℓ``, which a
 spec resolves by quantifying over its reachable states), and a bounded
 fallback :func:`left_mover_bounded` quantifying over probe logs.
-
-Lifted/list forms used by the machine criteria are provided at the bottom:
-``left_mover_list_op`` (ℓ ◁ op), ``op_left_mover_list`` (op ◁ ℓ), etc.
 """
 
 from __future__ import annotations
 
 from itertools import permutations, product
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.core.ops import Op
 from repro.core.spec import (
@@ -231,36 +228,6 @@ def trace_normal_form(items, commutes, sort_key) -> Tuple:
                 best_index, best_key = index, key
         out.append(pending.pop(best_index))
     return tuple(out)
-
-
-# ---------------------------------------------------------------------------
-# Lifted (list) forms used by the Figure 5 criteria
-# ---------------------------------------------------------------------------
-
-
-def op_left_mover_list(spec: SequentialSpec, op: Op, ops: Iterable[Op]) -> bool:
-    """``op ◁ ℓ`` — ``op`` moves left of every operation in ``ops``.
-
-    PUSH criterion (i) instantiates this with ``⌊L⌋_npshd``.
-    """
-    movers = shared_movers(spec)
-    return all(movers.left_mover(op, other) for other in ops)
-
-
-def list_left_mover_op(spec: SequentialSpec, ops: Iterable[Op], op: Op) -> bool:
-    """``ℓ ◁ op`` — every operation in ``ops`` moves left of ``op``."""
-    movers = shared_movers(spec)
-    return all(movers.left_mover(other, op) for other in ops)
-
-
-def list_right_mover_op(spec: SequentialSpec, ops: Iterable[Op], op: Op) -> bool:
-    """``ℓ ▷ op`` — every operation of ``ops`` moves right of ``op``.
-
-    PUSH criterion (ii) instantiates this with the *other* transactions'
-    uncommitted operations; PULL criterion (iii) with the puller's own ops.
-    """
-    movers = shared_movers(spec)
-    return all(movers.left_mover(op, other) for other in ops)
 
 
 def serial_permutation_exists(

@@ -49,7 +49,9 @@ TOLERANCE = 0.35
 #: kernel timing repetitions; the best run counts
 KERNEL_REPEAT = 3
 #: the scopes ``--tiny`` runs where a tier sweeps model-checker scopes
-TINY_SCOPES = ("mem-ww", "counter")
+TINY_SCOPES = ("mem-ww", "counter", "counter-sym")
+#: the POR canonicalizer's memo misses, recorded per scope (``por.<name>``)
+POR_MEMO_COUNTERS = ("t_cache_misses", "g_cache_misses", "sym_minimizations")
 SERVE_REQUESTS = 400
 FAULT_PLANS = 20
 POR_JOBS = 4
@@ -299,10 +301,13 @@ def measure_kernel(tiny: bool, seed: int) -> Dict[str, Any]:
 def measure_por(tiny: bool, seed: int) -> Dict[str, Any]:
     """Every scope with the reduction on and off, plus sequential vs
     ``--jobs`` on the heaviest configuration (kvmap-branch with
-    commit-preservation checking, where per-state work dominates IPC)."""
+    commit-preservation checking, where per-state work dominates IPC).
+    A recording tracer collects the POR-on run's ``por.stats``, whose
+    canonicalizer memo misses are recorded per scope."""
     from repro.checking import explore, explore_parallel, verdict_fingerprint
     from repro.checking.model_checker import ExploreOptions
     from repro.cli import SCOPES
+    from repro.obs import RecordingTracer
 
     def timed(run: Callable[[], Any]) -> Tuple[Any, float]:
         start = time.perf_counter()
@@ -312,12 +317,15 @@ def measure_por(tiny: bool, seed: int) -> Dict[str, Any]:
     scopes = {}
     for name in _scopes(tiny):
         spec_cls, programs = SCOPES[name]
+        tracer = RecordingTracer()
         (on, t_on), (off, t_off) = (
             timed(lambda: explore(
-                spec_cls(), programs, ExploreOptions(max_states=400_000, por=por)
+                spec_cls(), programs,
+                ExploreOptions(max_states=400_000, por=por, tracer=tracer),
             ))
             for por in (True, False)
         )
+        stats = next(e.args for e in tracer.events if e.name == "por.stats")
         scopes[name] = {
             "on": {
                 "states": on.states,
@@ -326,6 +334,10 @@ def measure_por(tiny: bool, seed: int) -> Dict[str, Any]:
                 "ample_hits": on.ample_hits,
                 "full_expansions": on.full_expansions,
                 "ok": on.ok,
+                **{
+                    counter: int(stats[f"por.{counter}"])
+                    for counter in POR_MEMO_COUNTERS
+                },
             },
             "off": {
                 "states": off.states,
@@ -388,13 +400,9 @@ def measure_packed(tiny: bool, seed: int) -> Dict[str, Any]:
     must decode to the object-level reference key."""
     from repro.checking.packedcheck import sweep_identity
     from repro.cli import SCOPES
-    from repro.core.ops import intern_stats
 
     scopes = {name: SCOPES[name] for name in _scopes(tiny)}
-    return {
-        "scopes": sweep_identity(scopes, steps=60, walks=3, seed=seed),
-        "intern_tables": intern_stats(),
-    }
+    return sweep_identity(scopes, steps=60, walks=3, seed=seed)
 
 
 def measure_serve_tier(tiny: bool, seed: int) -> Dict[str, Any]:
@@ -566,6 +574,11 @@ TIERS: Dict[str, Tier] = {tier.name: tier for tier in (
             Gate("scopes.*.off.transitions", "identity"),
             Gate("scopes.*.off.ok", "identity"),
             Gate("scopes.*.verdict_identical", "identity", bound=True),
+            # canonicalizer memo misses may fall, never rise
+            *(
+                Gate(f"scopes.*.on.{counter}", "ceiling", 1.0, unit="count")
+                for counter in POR_MEMO_COUNTERS
+            ),
             # aggregate, not per scope: all-conflicting scopes (mem-ww)
             # have no sound payload-level quotient and honestly read 1.0x
             Gate("aggregate_reduction", "floor", bound=2.0, unit="x"),
@@ -573,7 +586,8 @@ TIERS: Dict[str, Tier] = {tier.name: tier for tier in (
             Gate("jobs_speedup.speedup", "floor", bound=1.5, unit="x",
                  min_cores=MIN_PARALLEL_CORES),
         ),
-        "--tiny runs mem-ww and counter, so no aggregate reduction",
+        "--tiny runs mem-ww, counter and counter-sym, so no aggregate "
+        "reduction",
     ),
     Tier(
         "faults", "Chaos suite", measure_faults,
@@ -595,7 +609,7 @@ TIERS: Dict[str, Tier] = {tier.name: tier for tier in (
             Gate("scopes.*.checked_states", "identity"),
             Gate("intern_tables", "floor", bound=1, unit="entries"),
         ),
-        "--tiny walks mem-ww and counter",
+        "--tiny walks mem-ww, counter and counter-sym",
     ),
     Tier(
         "serve", "Serve daemon", measure_serve_tier,

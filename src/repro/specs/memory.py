@@ -119,26 +119,6 @@ class MemorySpec(StateSpec):
             ]
         return [tuple(sorted(s, key=lambda kv: repr(kv[0]))) for s in states]
 
-    # -- fast-path analytic oracle (consistent with mover_states; kept for
-    #    documentation and used by benchmarks to measure the gap) -------------
-
-    def commutes_analytic(self, op1: Op, op2: Op) -> bool:
-        """Textbook read/write conflict relation: operations on different
-        locations commute; read/read on the same location commutes; any
-        pair involving a write to a read/written location conflicts —
-        except the degenerate cases where the recorded values make the pair
-        state-preserving (e.g. writing the value a read observed)."""
-        if self._locations(op1)[0] != self._locations(op2)[0]:
-            return True
-        if op1.method == "read" and op2.method == "read":
-            return True
-        # Same location, at least one write: fall back to the exact check.
-        return all(
-            self._check_swap_on_state(s, op1, op2)
-            and self._check_swap_on_state(s, op2, op1)
-            for s in self.mover_states(op1, op2)
-        )
-
     # -- probes for bounded checkers -------------------------------------------
 
     # -- driver metadata ---------------------------------------------------------

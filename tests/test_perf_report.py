@@ -10,7 +10,10 @@ committed baselines — no waiting for real performance to move.
 import contextlib
 import io
 import json
+import os
 import shutil
+import subprocess
+import sys
 from types import SimpleNamespace
 
 import pytest
@@ -193,6 +196,25 @@ class TestWatchdog:
             "intern_tables": "ok",
         }
 
+    def test_packed_intern_tables_do_not_depend_on_earlier_tiers(self, tiny_run):
+        """``intern_tables`` counts the codes the packed tier's own walks
+        reach: measured first, in a fresh process, it reads what the
+        shared ``--tiny`` run read after the kernel, por and faults tiers
+        had filled the process-wide intern tables."""
+        src = str(perf.REPO_ROOT / "src")
+        alone = subprocess.run(
+            [sys.executable, "-c",
+             "import json; from repro.obs.perf import measure_packed; "
+             "print(json.dumps(measure_packed(True, 0)['intern_tables']))"],
+            env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True, text=True, check=True, timeout=300,
+        )
+        after = json.loads(
+            (tiny_run.baselines / "out" / "BENCH_packed.current.json")
+            .read_text(encoding="utf-8")
+        )["intern_tables"]
+        assert json.loads(alone.stdout) == after
+
     def test_throughput_regression_flips_the_gate(self, tmp_path):
         """An absurd committed rate makes the tolerance floor
         unreachable — the watchdog must report a regression."""
@@ -219,6 +241,7 @@ class TestWatchdog:
         ("durable", ("recovery", 0, "replayed_commits"), 13),
         ("serve", ("gate", "encounterx1", "p99_ms"), 1.0),
         ("opacity", ("strategies", "elastic", "frontier_index"), 3),
+        ("por", ("scopes", "counter-sym", "on", "sym_minimizations"), 520),
     ])
     def test_one_perturbed_value_fails_exactly_its_path(
         self, tiny_run, tmp_path, tier, keys, value

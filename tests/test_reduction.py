@@ -9,13 +9,17 @@ state is reachable from the state via both-mover adjacent swaps only,
 so pruned states never differ observably from the one explored.
 """
 
+from functools import lru_cache
+
 from hypothesis import given, settings, strategies as st
 
 from repro.checking import explore, verdict_fingerprint
 from repro.checking.model_checker import ExploreOptions
+from repro.checking.packedcheck import reference_canonical
 from repro.checking.reduction import Reducer, _symmetry_perms
 from repro.cli import SCOPES
 from repro.core.language import call, tx
+from repro.core.packed import pack_i32, pack_owners, unpack_owners, unpack_tid_cs
 from repro.core.precongruence import trace_normal_form
 from repro.specs import CounterSpec
 
@@ -161,3 +165,81 @@ def test_known_violation_scope_keeps_its_witnesses_with_por():
     assert not off.ok, "scope is supposed to violate without gray criteria"
     assert not on.ok
     assert verdict_fingerprint(on) == verdict_fingerprint(off)
+
+
+def _canonical_calls(name):
+    """Explore scope ``name`` with POR on; returns the report and every
+    distinct raw key the checker canonicalized, with its reducer and
+    canonical key."""
+    calls = {}
+    original = Reducer.canonical
+
+    def recording(self, nkey):
+        got = original(self, nkey)
+        calls.setdefault(nkey, (self, got))
+        return got
+
+    spec_cls, programs = SCOPES[name]
+    Reducer.canonical = recording
+    try:
+        report = explore(
+            spec_cls(), programs, ExploreOptions(max_states=400_000, por=True)
+        )
+    finally:
+        Reducer.canonical = original
+    return report, calls
+
+
+def test_canonical_matches_the_reference_on_every_explored_state():
+    """The packed canonicalizer is the decode → normalize → encode one,
+    byte for byte, on every key the POR-on explorations canonicalize —
+    and so on every state they visit, since the seen-set holds exactly
+    the canonical keys."""
+    states = 0
+    for name in SCOPES:
+        report, calls = _canonical_calls(name)
+        for nkey, (reducer, got) in calls.items():
+            assert got == reference_canonical(
+                nkey, reducer.movers, reducer.perms
+            ), (name, nkey)
+        assert len({got for _, got in calls.values()}) == report.states, name
+        states += report.states
+    assert states == 1863
+
+
+@lru_cache(maxsize=None)
+def _counter_sym_keys():
+    return sorted(_canonical_calls("counter-sym")[1])
+
+
+def _rename_tids(nkey, perm):
+    """``nkey`` with every tid renamed by ``perm``: thread keys (kept in
+    tid order, as the machine keeps its threads), owner row and commit
+    tuple."""
+    (tkeys, gpacked, opacked), committed = nkey
+    renamed = sorted(
+        (perm[unpack_tid_cs(tkey[:8])[0]], tkey[4:]) for tkey in tkeys
+    )
+    owners = pack_owners(perm.get(o, o) for o in unpack_owners(opacked))
+    return (
+        (tuple(pack_i32(tid) + tail for tid, tail in renamed), gpacked, owners),
+        tuple(perm[tid] for tid in committed),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.permutations([0, 1, 2]))
+def test_canonical_is_invariant_under_tid_permutation(data, image):
+    """On ``counter-sym`` (three identical threads) a raw key and every
+    tid renaming of it canonicalize to one key, whichever of the two a
+    fresh reducer sees first — the orbit memo maps a whole symmetry
+    class to one winner."""
+    spec_cls, programs = SCOPES["counter-sym"]
+    nkey = data.draw(st.sampled_from(_counter_sym_keys()))
+    renamed = _rename_tids(nkey, dict(zip((0, 1, 2), image)))
+    keys = []
+    for order in ((nkey, renamed), (renamed, nkey)):
+        reducer = Reducer(spec_cls(), programs=tuple(enumerate(programs)))
+        keys.extend(reducer.canonical(key) for key in order)
+    reference = reference_canonical(renamed, reducer.movers, reducer.perms)
+    assert keys == [reference] * 4

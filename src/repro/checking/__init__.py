@@ -17,14 +17,12 @@ from repro.checking.model_checker import (
     check_serializability_small_scope,
     verdict_fingerprint,
 )
-from repro.checking.parallel import explore_parallel
 from repro.checking.reduction import Reducer
 
 __all__ = [
     "ExplorationReport",
     "ExploreOptions",
     "explore",
-    "explore_parallel",
     "check_serializability_small_scope",
     "verdict_fingerprint",
     "Reducer",

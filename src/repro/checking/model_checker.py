@@ -144,9 +144,6 @@ class ExplorationReport:
     ample_deferred: int = 0
     #: states expanded in full while the reduction was active
     full_expansions: int = 0
-    #: summed worker compute seconds (parallel runs only) — utilization is
-    #: ``worker_busy / (jobs × wall-clock)``
-    worker_busy: float = 0.0
     #: path of the flight-recorder dump written for a failed verdict
     #: (``None`` when the run was clean or no flight recorder was armed)
     flight_dump: Optional[str] = None
@@ -168,9 +165,10 @@ _OP_ID = re.compile(r"#\d+")
 def normalize_witness(message: str) -> str:
     """A violation message with operation ids (``#n``) blanked.
 
-    Ids record mint order, which varies across processes (the parallel
-    workers re-mint ids on snapshot restore) while the payload content of
-    the witness does not — so verdict comparisons go through this."""
+    Ids record mint order, which depends on the path that first reached
+    the witness (POR-on and POR-off runs walk different paths, so they
+    mint different ids) while the payload content of the witness does
+    not — so verdict comparisons go through this."""
     return _OP_ID.sub("#·", message)
 
 
@@ -179,8 +177,7 @@ def verdict_fingerprint(report: "ExplorationReport") -> Tuple:
     sorted sets of normalized violation witnesses.  This is the equality
     the POR-identity gate, the benchmarks and the tests compare — state
     and transition counts are deliberately excluded (the quotient merges
-    terminals, and exploration order picks representatives; see
-    ``checking/parallel.py`` on both)."""
+    terminals, so a POR-on run reaches fewer of them)."""
     return (
         report.ok,
         tuple(sorted({normalize_witness(m) for m in report.invariant_violations})),

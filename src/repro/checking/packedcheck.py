@@ -13,9 +13,11 @@ at every visited state.  It backs both the ``repro perf`` packed tier and
 the property tests in ``tests/test_packed_kernel.py``.
 
 It also holds :func:`reference_canonical`, the POR canonicalizer computed
-the slow way — decode to the object level, normalize, encode — which the
-packed :meth:`repro.checking.reduction.Reducer.canonical` must match byte
-for byte (``tests/test_reduction.py``).
+the slow way — decode to the object level, normalize, encode — ranked by
+``repr``, so it does not depend on intern order.  The packed
+:meth:`repro.checking.reduction.Reducer.canonical` ranks by intern code
+and so picks other representatives, but it must partition keys into
+exactly the same classes (``tests/test_reduction.py``).
 """
 
 from __future__ import annotations

@@ -36,30 +36,32 @@ filter*, both consumed by :func:`repro.checking.model_checker.explore`:
    ample chain strictly consumes program text and ends in a fully
    expanded state, which rules out the ignoring problem without a
    seen-set proviso — the ample decision is a pure function of the state,
-   so sequential and work-stealing parallel runs explore the *same*
-   reduced graph.  The filter is applied only when backward rules are
-   explored (``include_backward``): UNAPP chains from the fully expanded
-   chain ends re-reach the deferred mid-chain configurations, preserving
-   the per-thread invariant-witness coverage of the full graph.
+   so every run explores the *same* reduced graph.  The filter is applied
+   only when backward rules are explored (``include_backward``): UNAPP
+   chains from the fully expanded chain ends re-reach the deferred
+   mid-chain configurations, preserving the per-thread invariant-witness
+   coverage of the full graph.
 
-Everything here is payload-level and deterministic; no operation ids,
-``id()`` values, or hashes enter the canonical keys, so keys agree across
-processes (the parallel explorer's shared seen-set relies on this).
+Canonical keys stay packed, and every rank is an intern code: rows order
+by their code, global items by ``(code, owner)``, and symmetry candidates
+by their key tuples.  Intern codes are numbered in first-seen order, so
+which member of a class is picked depends on the process, but any fixed
+total order picks exactly one member per class.  The explorer reads
+canonical keys only to test seen-set membership (it always expands the
+first raw state it reaches), so state counts, transition counts and
+verdicts do not depend on intern order (see DESIGN.md "Reduction").
 """
 
 from __future__ import annotations
 
 from itertools import permutations
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.language import Code
 from repro.core.machine import Machine
 from repro.core.ops import Op, payload_class_of, payload_of
 from repro.core.packed import (
-    KIND_NAMES,
     PLD,
-    decode_global_rows,
-    decode_thread_key,
     pack_codes,
     pack_i32,
     pack_owners,
@@ -107,10 +109,9 @@ def _symmetry_perms(programs: Sequence[Tuple[int, Code]]) -> List[Dict[int, int]
 class Reducer:
     """Canonicalization and ample-set decisions for one exploration.
 
-    Stateful only in its caches and counters; :meth:`canonical` and
-    :meth:`ample_tid` are pure functions of their arguments, which is what
-    makes the reduction reproducible across runs and across the parallel
-    explorer's workers.
+    Stateful only in its caches and counters; within one process,
+    :meth:`canonical` and :meth:`ample_tid` are pure functions of their
+    arguments, which is what makes the reduction reproducible.
     """
 
     def __init__(
@@ -130,21 +131,14 @@ class Reducer:
         # Both-mover verdict per payload-class pair; symmetric, so both
         # orientations are stored per query.
         self._commute: Dict[Tuple[int, int], bool] = {}
-        # Normal-form sort keys, one per intern code: the repr of the
-        # decoded row, so ranks are payload-level (intern ids are
-        # process-local and carry no payload order).
-        self._local_keys: Dict[int, str] = {}
-        self._global_keys: Dict[Tuple[int, int], str] = {}
         # Thread-key bytes → canonical thread-key bytes.
         self._t_memo: Dict[bytes, bytes] = {}
         # (global codes, owner row) → canonical pair.  G changes on a
         # minority of transitions, so this memo carries most states.
         self._g_memo: Dict[Tuple[bytes, bytes], Tuple[bytes, bytes]] = {}
         # Symmetry: pre-symmetry canonical key → least member of its
-        # class, plus the repr pieces candidates are ranked by (per
-        # thread key and per global log).
+        # class.
         self._orbit_memo: Dict[Tuple, Tuple] = {}
-        self._reprs: Dict[Any, str] = {}
         # Packed node key → packed canonical key.  The checker calls
         # :meth:`canonical` once per emitted transition and most states are
         # revisited, so this front memo answers most calls with one lookup
@@ -204,26 +198,6 @@ class Reducer:
 
     # ----------------------------------------------------- canonical keys
 
-    def _local_key(self, code: int) -> str:
-        """Sort key of a local row code: ``repr`` of its decoded row."""
-        got = self._local_keys.get(code)
-        if got is None:
-            method, args, ret = payload_of(code >> 2)
-            got = repr((method, args, ret, KIND_NAMES[code & 3]))
-            self._local_keys[code] = got
-        return got
-
-    def _global_key(self, item: Tuple[int, int]) -> str:
-        """Sort key of a ``(global row code, owner)`` item: ``repr`` of
-        the decoded ``(row, owner)`` pair."""
-        got = self._global_keys.get(item)
-        if got is None:
-            code, owner = item
-            method, args, ret = payload_of(code >> 1)
-            got = repr(((method, args, ret, bool(code & 1)), owner))
-            self._global_keys[item] = got
-        return got
-
     def _canon_thread(self, tkey: bytes) -> bytes:
         """A packed thread key with its local log in trace normal form
         under :meth:`_local_commute`: pulled entries slide into canonical
@@ -239,7 +213,7 @@ class Reducer:
             got = tkey
             if any(code & 3 == PLD for code in codes):
                 got = tkey[:8] + pack_codes(
-                    trace_normal_form(codes, self._local_commute, self._local_key)
+                    trace_normal_form(codes, self._local_commute)
                 )
             self._t_memo[tkey] = got
         return got
@@ -253,7 +227,6 @@ class Reducer:
             items = trace_normal_form(
                 tuple(zip(unpack_codes(gpacked), unpack_owners(opacked))),
                 self._global_commute,
-                self._global_key,
             )
             got = (
                 pack_codes(code for code, _ in items),
@@ -261,26 +234,6 @@ class Reducer:
             )
             self._g_memo[key] = got
         return got
-
-    def _rank(self, nkey: Tuple) -> str:
-        """``repr`` of the decoded node key, assembled from pieces
-        memoized per thread key and per global log: payload-level, so the
-        least candidate is the same in every process."""
-        (tkeys, gpacked, opacked), committed = nkey
-        reprs = self._reprs
-        threads = []
-        for tkey in tkeys:
-            text = reprs.get(tkey)
-            if text is None:
-                text = reprs[tkey] = repr(decode_thread_key(tkey))
-            threads.append(text)
-        log = reprs.get((gpacked, opacked))
-        if log is None:
-            log = reprs[gpacked, opacked] = (
-                f"{decode_global_rows(gpacked)!r}, {tuple(unpack_owners(opacked))!r}"
-            )
-        body = ", ".join(threads) + ("," if len(threads) == 1 else "")
-        return f"((({body}), {log}), {committed!r})"
 
     def _minimize(self, nkey: Tuple) -> Tuple:
         """The least member of ``nkey``'s thread-permutation class.
@@ -311,7 +264,7 @@ class Reducer:
                 ),
                 tuple(sorted(perm.get(tid, tid) for tid in committed)),
             ))
-        best = min(candidates, key=self._rank)
+        best = min(candidates)
         for candidate in candidates:
             self._orbit_memo[candidate] = best
         return best
@@ -325,12 +278,10 @@ class Reducer:
         threads) minimization over program-preserving tid permutations.
         Each works on the packed parts through its own memo, so a
         successor that changed one thread costs at most one thread-memo
-        miss, and only a code or part seen for the first time is decoded.
-        The normal forms rank rows by the ``repr`` of their decoded
-        payloads, memoized per intern code, and candidates by the
-        ``repr`` of the decoded key — payload-level orders, so canonical
-        keys of equal states agree across processes once digested through
-        :func:`repro.checking.parallel.key_digest`.
+        miss, and nothing is decoded.  The normal forms rank rows by
+        intern code and candidates by their packed key tuples, so the
+        representative is fixed within this process; equal states map to
+        equal keys, which is all the seen set needs.
         """
         got = self._canon_cache.get(nkey)
         if got is not None:

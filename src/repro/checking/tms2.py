@@ -65,7 +65,7 @@ from repro.core.ops import Op
 from repro.core.spec import SequentialSpec
 
 #: process-wide aggregate counters (the ``opacity.*`` family documented
-#: in OBSERVABILITY.md); layers absorb this dict into their registries.
+#: in OBSERVABILITY.md).
 TMS2_STATS: Dict[str, int] = {
     "opacity.tms2.checks": 0,
     "opacity.tms2.steps": 0,
@@ -376,6 +376,5 @@ def check_opacity_agreement(
 
 
 def tms2_stats_snapshot() -> Dict[str, int]:
-    """A copy of the process-wide ``opacity.*`` counters (absorbable by
-    :meth:`repro.obs.metrics.MetricsRegistry.absorb`)."""
+    """A copy of the process-wide ``opacity.*`` counters."""
     return dict(TMS2_STATS)

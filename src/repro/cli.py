@@ -64,7 +64,7 @@ import sys
 import time
 from typing import List, Optional
 
-from repro.checking import explore, explore_parallel
+from repro.checking import explore
 from repro.checking.model_checker import ExploreOptions
 from repro.core.language import call, choice, tx
 from repro.obs import (
@@ -277,24 +277,8 @@ def _por_baselines() -> dict:
 
 def cmd_modelcheck(args: argparse.Namespace) -> int:
     failures = 0
-    # --jobs is a presence sentinel: omitted (None) runs the sequential
-    # explorer; any explicit N >= 1 runs the deterministic parallel
-    # dataflow, whose attribution is identical for every N.
-    jobs = getattr(args, "jobs", None)
-    parallel = jobs is not None
     por = getattr(args, "por", True)
     do_profile = getattr(args, "profile", False)
-    if parallel and (getattr(args, "trace", None) or getattr(args, "flame", None)):
-        # Tracers are process-local event sinks; the frontier workers run
-        # untraced, so a parallel run has no event stream to export.
-        print(
-            "modelcheck: --trace/--flame are ignored with --jobs "
-            "(worker processes run untraced; --profile still reports the "
-            "logical attribution)",
-            file=sys.stderr,
-        )
-        args.trace = None
-        args.flame = None
     tracer = _pick_tracer(args)
     baselines = _por_baselines() if por else {}
     profiles = []
@@ -313,15 +297,7 @@ def cmd_modelcheck(args: argparse.Namespace) -> int:
             ),
         )
         start = time.time()
-        if parallel:
-            # Work-stealing frontier parallelism *within* the scope (the
-            # pre-PR3 mode farmed whole scopes out instead, capping the
-            # speedup at the slowest scope).
-            report = explore_parallel(
-                spec_cls(), programs, options, jobs=max(1, jobs)
-            )
-        else:
-            report = explore(spec_cls(), programs, options)
+        report = explore(spec_cls(), programs, options)
         failures += _print_scope_report(
             name, report, time.time() - start, baselines.get(name)
         )
@@ -342,8 +318,7 @@ def cmd_modelcheck(args: argparse.Namespace) -> int:
     if do_profile:
         print()
         print(profile_report_table(profiles))
-    if not parallel:
-        _emit_profile(args, tracer)
+    _emit_profile(args, tracer)
     return 1 if failures else 0
 
 
@@ -857,12 +832,6 @@ def build_parser() -> argparse.ArgumentParser:
     modelcheck.add_argument("--max-states", type=int, default=400_000,
                             dest="max_states")
     modelcheck.add_argument("--cmtpres", action="store_true")
-    modelcheck.add_argument("--jobs", type=int, default=None, metavar="N",
-                            help="run the deterministic parallel dataflow "
-                                 "with N worker processes per scope (any N "
-                                 "gives identical attribution, including "
-                                 "N=1; omit for the sequential explorer; "
-                                 "disables --trace/--flame)")
     modelcheck.add_argument("--por", action=argparse.BooleanOptionalAction,
                             default=True,
                             help="mover-guided partial-order reduction "

@@ -36,9 +36,6 @@ class Code:
     def __add__(self, other: "Code") -> "Choice":
         return Choice(self, other)
 
-    def then(self, other: "Code") -> "Seq":
-        return Seq(self, other)
-
 
 @dataclass(frozen=True)
 class Skip(Code):

@@ -165,7 +165,7 @@ _OPCLASS_INTERN: dict = {}
 _PAYLOAD_CLASSES: dict = {}
 
 #: reverse table ``pid -> (method, args, ret)`` — lets packed consumers
-#: (the POR canonicalizer, the parallel explorer's cross-process digests,
+#: (the POR canonicalizer's mover probes, the reference canonicalizer,
 #: the identity tests) decode interned codes back to payload level.
 _PAYLOAD_LIST: list = []
 
@@ -231,7 +231,7 @@ def code_state_id(code: Any, stack: Any) -> int:
     structure, not object identity).
 
     The memo is tagged with the owning process's pid: code ASTs travel
-    across process boundaries (parallel-checker snapshots, fuzz jobs) and
+    across process boundaries (fuzz jobs pickle them) and
     a pickled memo carries the *sender's* csids, which mean nothing — and
     may be out of range — against this process's tables.  A foreign tag
     just rebuilds the memo against the local registry.

@@ -22,12 +22,11 @@ Layout
 
 Because every code round-trips through the intern tables in
 :mod:`repro.core.ops`, packed keys decode back to the PR-2 object-level
-structure exactly.  Intern ids are process-local, so a consumer that
-needs a process-independent or payload-level *order* decodes: the
-parallel explorer digests :func:`decode_node_key`, and the POR
-canonicalizer (:mod:`repro.checking.reduction`) keeps its keys packed
-but ranks rows by the ``repr`` of their decoded payloads, memoized per
-intern code.
+structure exactly.  Intern ids are process-local: they number payloads
+and code states in first-seen order, so packed keys compare meaningfully
+only within the process that minted them.  One exploration runs in one
+process, so the POR canonicalizer (:mod:`repro.checking.reduction`)
+ranks rows and symmetry candidates by their codes directly.
 """
 
 from __future__ import annotations
@@ -120,12 +119,6 @@ def decode_state_key(skey: Tuple[Any, ...]) -> Tuple[Any, ...]:
         decode_global_rows(gpacked),
         tuple(array("i", opacked)),
     )
-
-
-def decode_node_key(nkey: Tuple[Any, ...]) -> Tuple[Any, ...]:
-    """Decode a packed checker node key ``(state_key, committed)``."""
-    skey, committed = nkey
-    return (decode_state_key(skey), committed)
 
 
 # ---------------------------------------------------------------------------

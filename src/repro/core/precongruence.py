@@ -32,7 +32,6 @@ from typing import List, Optional, Sequence, Tuple
 
 from repro.core.ops import Op
 from repro.core.spec import (
-    NondetSpec,
     SequentialSpec,
     StateSpec,
     shared_denotations,
@@ -190,7 +189,7 @@ def left_mover_bounded(
 # ---------------------------------------------------------------------------
 
 
-def trace_normal_form(items, commutes, sort_key) -> Tuple:
+def trace_normal_form(items, commutes, sort_key=None) -> Tuple:
     """The lexicographically-least representative of ``items``'s
     Mazurkiewicz trace class under the independence relation ``commutes``.
 
@@ -209,7 +208,8 @@ def trace_normal_form(items, commutes, sort_key) -> Tuple:
     trace's dependence order).  The dependence order is an invariant of
     the class, so the result is canonical: equal on two sequences iff they
     are trace-equivalent.  O(n²) ``commutes`` queries; ``commutes`` must
-    be symmetric, and ``sort_key`` a total order on the elements.
+    be symmetric, and ``sort_key`` a total order on the elements (``None``
+    compares the elements themselves).
     """
     pending = list(items)
     if len(pending) < 2:
@@ -223,7 +223,7 @@ def trace_normal_form(items, commutes, sort_key) -> Tuple:
                 not commutes(pending[j], item) for j in range(index)
             ):
                 continue  # blocked: cannot slide to the front
-            key = sort_key(item)
+            key = item if sort_key is None else sort_key(item)
             if best_key is None or key < best_key:
                 best_index, best_key = index, key
         out.append(pending.pop(best_index))

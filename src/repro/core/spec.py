@@ -511,9 +511,6 @@ class SpecDenotations:
     def result_log(self, log, method: str, args: Tuple[Any, ...]) -> Any:
         return self.result(log.all_ops(), method, args)
 
-    def cache_info(self) -> dict:
-        return {"entries": 0, "caching": False}
-
     def clear(self) -> None:
         pass
 
@@ -699,9 +696,6 @@ class DenotationCache(SpecDenotations):
             return False
         return self.spec.observe(s1) == self.spec.observe(s2)
 
-    def cache_info(self) -> dict:
-        return {"entries": len(self._states), "caching": True}
-
     def clear(self) -> None:
         self._states = {(): self.spec.initial_state()}
 
@@ -810,9 +804,6 @@ class NondetDenotationCache(SpecDenotations):
         result = bool(found)
         proj[akey] = result
         return result
-
-    def cache_info(self) -> dict:
-        return {"entries": len(self._states), "caching": True}
 
     def clear(self) -> None:
         self._states = {(): frozenset(self.spec.initial_states())}

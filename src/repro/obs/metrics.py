@@ -14,10 +14,6 @@ each addressable by name plus an optional label set (Prometheus-style:
 * **snapshot/delta semantics** — :meth:`MetricsRegistry.snapshot` is a
   plain nested dict; :meth:`MetricsRegistry.delta` subtracts a previous
   snapshot, so a caller can meter one phase of a long run;
-* **absorption** — :meth:`MetricsRegistry.absorb` folds the library's
-  ad-hoc counter dicts (``fault.*``, ``recovery.*``, ``denot.*``,
-  ``por.*``) into the registry, so one object can aggregate a whole
-  chaos suite or fuzz session;
 * **Prometheus text exposition** — :meth:`MetricsRegistry.to_prometheus`
   renders the standard ``# TYPE`` + sample-line format, which is what a
   future ``repro serve`` daemon will put behind ``/metrics``.
@@ -168,19 +164,6 @@ class MetricsRegistry:
         if metric is None:
             metric = self._histograms[key] = HistogramMetric(name, labels=key[1])
         return metric
-
-    # -- ingestion helpers ---------------------------------------------------
-
-    def absorb(
-        self,
-        counts: Mapping[str, float],
-        labels: Optional[Mapping[str, str]] = None,
-    ) -> None:
-        """Fold an ad-hoc counter dict (``fault.*``, ``recovery.*``,
-        ``denot.*``, ``por.*``, tracer ``counts``) into the registry's
-        counters, adding to any prior absorption under the same labels."""
-        for name, value in counts.items():
-            self.counter(name, labels).inc(int(value))
 
     # -- reading -------------------------------------------------------------
 

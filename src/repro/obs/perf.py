@@ -54,7 +54,6 @@ TINY_SCOPES = ("mem-ww", "counter", "counter-sym")
 POR_MEMO_COUNTERS = ("t_cache_misses", "g_cache_misses", "sym_minimizations")
 SERVE_REQUESTS = 400
 FAULT_PLANS = 20
-POR_JOBS = 4
 #: wall-clock parallelism rows need this many usable cores
 MIN_PARALLEL_CORES = 4
 
@@ -299,12 +298,10 @@ def measure_kernel(tiny: bool, seed: int) -> Dict[str, Any]:
 
 
 def measure_por(tiny: bool, seed: int) -> Dict[str, Any]:
-    """Every scope with the reduction on and off, plus sequential vs
-    ``--jobs`` on the heaviest configuration (kvmap-branch with
-    commit-preservation checking, where per-state work dominates IPC).
-    A recording tracer collects the POR-on run's ``por.stats``, whose
-    canonicalizer memo misses are recorded per scope."""
-    from repro.checking import explore, explore_parallel, verdict_fingerprint
+    """Every scope with the reduction on and off.  A recording tracer
+    collects the POR-on run's ``por.stats``, whose canonicalizer memo
+    misses are recorded per scope."""
+    from repro.checking import explore, verdict_fingerprint
     from repro.checking.model_checker import ExploreOptions
     from repro.cli import SCOPES
     from repro.obs import RecordingTracer
@@ -353,24 +350,6 @@ def measure_por(tiny: bool, seed: int) -> Dict[str, Any]:
         total_on = sum(row["on"]["states"] for row in scopes.values())
         total_off = sum(row["off"]["states"] for row in scopes.values())
         document["aggregate_reduction"] = round(total_off / max(total_on, 1), 2)
-
-    spec_cls, programs = SCOPES["kvmap-branch"]
-    options = ExploreOptions(max_states=400_000, por=True, check_cmtpres=True)
-    seq, t_seq = timed(lambda: explore(spec_cls(), programs, options))
-    par, t_par = timed(
-        lambda: explore_parallel(spec_cls(), programs, options, jobs=POR_JOBS)
-    )
-    document["jobs_speedup"] = {
-        "scope": "kvmap-branch",
-        "jobs": POR_JOBS,
-        "sequential_sec": round(t_seq, 4),
-        "parallel_sec": round(t_par, 4),
-        "speedup": round(t_seq / t_par, 2),
-        "parallel_states": par.states,
-        "worker_busy_sec": round(par.worker_busy, 4),
-        "verdict_identical": verdict_fingerprint(seq) == verdict_fingerprint(par),
-        "usable_cores": usable_cores(),
-    }
     return document
 
 
@@ -582,9 +561,6 @@ TIERS: Dict[str, Tier] = {tier.name: tier for tier in (
             # aggregate, not per scope: all-conflicting scopes (mem-ww)
             # have no sound payload-level quotient and honestly read 1.0x
             Gate("aggregate_reduction", "floor", bound=2.0, unit="x"),
-            Gate("jobs_speedup.verdict_identical", "identity", bound=True),
-            Gate("jobs_speedup.speedup", "floor", bound=1.5, unit="x",
-                 min_cores=MIN_PARALLEL_CORES),
         ),
         "--tiny runs mem-ww, counter and counter-sym, so no aggregate "
         "reduction",

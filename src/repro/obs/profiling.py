@@ -15,8 +15,8 @@ Two attribution modes coexist deliberately:
 * **logical steps** (:meth:`Profile.step_counts`, :func:`logical_profile`)
   — event counts per ``(category, name)`` and the model checker's rule
   counts.  A pure function of the seeded run: identical across repeats,
-  ``--jobs`` settings and machines, which is exactly what the
-  determinism tests pin down.
+  with or without tracing, and across machines, which is exactly what
+  the determinism tests pin down.
 
 Output formats: a top-N table (:meth:`Profile.top_table`, sorted by self
 time — the "what should I optimise" order) and collapsed stacks
@@ -158,9 +158,8 @@ def logical_profile(report) -> Dict[str, int]:
     """The model checker's logical-step attribution: rule applications
     plus exploration totals from an
     :class:`~repro.checking.model_checker.ExplorationReport`.  Pure
-    function of the explored graph — identical for sequential and
-    parallel runs of the same scope (any ``--jobs``), which the
-    determinism tests assert."""
+    function of the explored graph — identical across repeats and with
+    or without tracing, which the determinism tests assert."""
     out = {f"rule.{rule}": count
            for rule, count in sorted(report.rule_counts.items())}
     out["mc.states"] = report.states
@@ -175,8 +174,7 @@ def logical_profile(report) -> Dict[str, int]:
 
 def profile_report_table(profiles: Sequence[Tuple[str, Dict[str, int]]]) -> str:
     """Render per-scope logical profiles side by side (modelcheck
-    ``--profile`` with parallel jobs, where wall-clock spans live in
-    untraced workers)."""
+    ``--profile`` prints it above the wall-clock top table)."""
     lines = []
     for scope, attribution in profiles:
         lines.append(f"[{scope}]")

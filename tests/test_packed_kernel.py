@@ -156,8 +156,8 @@ def test_global_order_distinguishes_packed_key():
 
 
 def test_code_state_memo_ignores_foreign_process_tags():
-    """Code ASTs cross process boundaries (parallel-checker snapshots,
-    fuzz jobs) and carry their csid memo with them; a memo tagged by
+    """Code ASTs cross process boundaries (fuzz jobs pickle them) and
+    carry their csid memo with them; a memo tagged by
     another process holds ids that mean nothing — possibly out of range —
     against this process's intern tables and must be rebuilt, not used."""
     from repro.core.ops import code_state_id, code_state_of

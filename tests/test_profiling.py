@@ -1,12 +1,10 @@
 """The deterministic profiler (ISSUE 6): nesting reconstruction,
 collapsed-stack export, and the logical-attribution determinism
-contracts (``--jobs`` invariance for model checking, seed invariance for
-chaos runs).
+contracts (repeat and tracing invariance for model checking, seed
+invariance for chaos runs).
 """
 
-import pytest
-
-from repro.checking import explore, explore_parallel
+from repro.checking import explore
 from repro.checking.model_checker import ExploreOptions
 from repro.cli import SCOPES
 from repro.faults.conformance import chaos_setup, run_chaos
@@ -101,26 +99,30 @@ class TestExports:
 
 class TestLogicalDeterminism:
     """The attribution half that is a *pure function* of the seeded run:
-    identical across repeats, ``--jobs`` settings and worker layouts."""
-
-    @pytest.mark.parametrize("scope", ["mem-ww", "counter"])
-    def test_jobs_one_and_two_attribute_identically(self, scope):
-        spec_cls, programs = SCOPES[scope]
-        one = explore_parallel(spec_cls(), programs, ExploreOptions(), jobs=1)
-        two = explore_parallel(spec_cls(), programs, ExploreOptions(), jobs=2)
-        assert logical_profile(one) == logical_profile(two)
+    identical across repeats and with or without tracing."""
 
     def test_sequential_explorer_attributes_the_same_rules(self):
+        """A traced rerun (warm intern tables and mover memos, a span per
+        rule) attributes exactly what the untraced run does, and its rule
+        spans are the report's rule counts (END is counted, not traced)."""
         spec_cls, programs = SCOPES["mem-ww"]
-        seq = logical_profile(explore(spec_cls(), programs, ExploreOptions()))
-        par = logical_profile(
-            explore_parallel(spec_cls(), programs, ExploreOptions(), jobs=2)
-        )
-        assert {k: v for k, v in seq.items() if k.startswith("rule.")} == {
-            k: v for k, v in par.items() if k.startswith("rule.")
+        plain = logical_profile(explore(spec_cls(), programs, ExploreOptions()))
+        tracer = RecordingTracer()
+        traced = logical_profile(explore(
+            spec_cls(), programs,
+            ExploreOptions(tracer=tracer, trace_rules=True),
+        ))
+        assert plain == traced
+        spans = Profile()
+        spans.add_tracer(tracer)
+        assert {
+            f"rule.{name}": count
+            for (cat, name), count in spans.step_counts().items()
+            if cat == CAT_RULE
+        } == {
+            k: v for k, v in traced.items()
+            if k.startswith("rule.") and k != "rule.END"
         }
-        assert seq["mc.states"] == par["mc.states"]
-        assert seq["mc.transitions"] == par["mc.transitions"]
 
     def test_repeated_seeded_chaos_runs_attribute_identically(self):
         plan = FaultPlan.generate(23, events=5, jobs=CFG.transactions)

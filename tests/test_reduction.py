@@ -9,6 +9,10 @@ state is reachable from the state via both-mover adjacent swaps only,
 so pruned states never differ observably from the one explored.
 """
 
+import json
+import os
+import subprocess
+import sys
 from functools import lru_cache
 
 from hypothesis import given, settings, strategies as st
@@ -21,6 +25,7 @@ from repro.cli import SCOPES
 from repro.core.language import call, tx
 from repro.core.packed import pack_i32, pack_owners, unpack_owners, unpack_tid_cs
 from repro.core.precongruence import trace_normal_form
+from repro.obs import perf
 from repro.specs import CounterSpec
 
 
@@ -191,18 +196,26 @@ def _canonical_calls(name):
 
 
 def test_canonical_matches_the_reference_on_every_explored_state():
-    """The packed canonicalizer is the decode → normalize → encode one,
-    byte for byte, on every key the POR-on explorations canonicalize —
-    and so on every state they visit, since the seen-set holds exactly
-    the canonical keys."""
+    """The packed canonicalizer partitions keys exactly as the
+    decode → normalize → encode one does, on every key the POR-on
+    explorations canonicalize: each canonical key lies in its raw key's
+    reference class, and canonical and reference keys are in bijection —
+    so on every state the explorations visit, since the seen-set holds
+    exactly the canonical keys.  The two pick different representatives
+    (intern codes vs ``repr``), so the keys themselves differ."""
     states = 0
     for name in SCOPES:
         report, calls = _canonical_calls(name)
+        to_reference = {}
+        from_reference = {}
         for nkey, (reducer, got) in calls.items():
-            assert got == reference_canonical(
-                nkey, reducer.movers, reducer.perms
-            ), (name, nkey)
-        assert len({got for _, got in calls.values()}) == report.states, name
+            reference = reference_canonical(nkey, reducer.movers, reducer.perms)
+            assert reference_canonical(
+                got, reducer.movers, reducer.perms
+            ) == reference, (name, nkey)
+            assert to_reference.setdefault(got, reference) == reference, name
+            assert from_reference.setdefault(reference, got) == got, name
+        assert len(to_reference) == len(from_reference) == report.states, name
         states += report.states
     assert states == 1863
 
@@ -233,7 +246,8 @@ def test_canonical_is_invariant_under_tid_permutation(data, image):
     """On ``counter-sym`` (three identical threads) a raw key and every
     tid renaming of it canonicalize to one key, whichever of the two a
     fresh reducer sees first — the orbit memo maps a whole symmetry
-    class to one winner."""
+    class to one winner — and that key lies in the renamed key's
+    reference class."""
     spec_cls, programs = SCOPES["counter-sym"]
     nkey = data.draw(st.sampled_from(_counter_sym_keys()))
     renamed = _rename_tids(nkey, dict(zip((0, 1, 2), image)))
@@ -241,5 +255,58 @@ def test_canonical_is_invariant_under_tid_permutation(data, image):
     for order in ((nkey, renamed), (renamed, nkey)):
         reducer = Reducer(spec_cls(), programs=tuple(enumerate(programs)))
         keys.extend(reducer.canonical(key) for key in order)
-    reference = reference_canonical(renamed, reducer.movers, reducer.perms)
-    assert keys == [reference] * 4
+    assert keys == [keys[0]] * 4
+    assert reference_canonical(
+        keys[0], reducer.movers, reducer.perms
+    ) == reference_canonical(renamed, reducer.movers, reducer.perms)
+
+
+#: explores every scope with POR on in reverse ``SCOPES`` order, so each
+#: scope meets intern tables filled in another order than ``repro perf``
+#: and perfbench fill them; prints the counts ``BENCH_por.json`` records
+_REVERSE_SWEEP = """
+import json
+from repro.checking import explore
+from repro.checking.model_checker import ExploreOptions
+from repro.cli import SCOPES
+from repro.obs import RecordingTracer
+from repro.obs.perf import POR_MEMO_COUNTERS
+
+out = {}
+for name in reversed(list(SCOPES)):
+    spec_cls, programs = SCOPES[name]
+    tracer = RecordingTracer()
+    report = explore(
+        spec_cls(), programs,
+        ExploreOptions(max_states=400_000, por=True, tracer=tracer),
+    )
+    stats = next(e.args for e in tracer.events if e.name == "por.stats")
+    out[name] = {
+        "states": report.states,
+        "transitions": report.transitions,
+        "ok": report.ok,
+        "ample_hits": report.ample_hits,
+        "full_expansions": report.full_expansions,
+        **{c: int(stats["por." + c]) for c in POR_MEMO_COUNTERS},
+    }
+print(json.dumps(out))
+"""
+
+
+def test_intern_order_does_not_move_por_counts():
+    """Ranks are intern codes, so the representative of a class depends
+    on intern order; the partition, and so every count, must not.  The
+    one exception is ``g_cache_misses``: it also counts the symmetry
+    candidates' logs, which are built from the representative, so it is
+    held to the same ceiling the por tier gates it with."""
+    swept = json.loads(subprocess.run(
+        [sys.executable, "-c", _REVERSE_SWEEP],
+        env=dict(os.environ, PYTHONPATH=str(perf.REPO_ROOT / "src")),
+        capture_output=True, text=True, check=True, timeout=300,
+    ).stdout)
+    committed = perf.load_baseline(perf.baseline_path("por"))["scopes"]
+    assert list(swept) == list(reversed(list(SCOPES)))
+    for name, counts in swept.items():
+        expected = committed[name]["on"]
+        assert counts.pop("g_cache_misses") <= expected["g_cache_misses"], name
+        assert counts == {key: expected[key] for key in counts}, name

@@ -13,7 +13,7 @@ a machine and records every rule application; traces can be
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.machine import Machine
 from repro.core.ops import Op

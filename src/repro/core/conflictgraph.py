@@ -18,7 +18,7 @@ so the harness escalates cyclic cases to the exact checker.)
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.core.history import History
 from repro.core.machine import Machine

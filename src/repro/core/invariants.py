@@ -14,11 +14,10 @@ the clause.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import List, Tuple
 
 from repro.core.logs import ops_minus
 from repro.core.machine import Machine, Thread
-from repro.core.ops import Op
 from repro.core.precongruence import precongruent
 
 

@@ -63,14 +63,12 @@ from repro.core.language import (
     SKIP,
     Star,
     Tx,
-    fin,
     fin_cached,
     seq_cont,
     sorted_choices,
     step,
 )
 from repro.core.logs import (
-    COMMITTED,
     EMPTY_GLOBAL,
     EMPTY_LOCAL,
     GlobalLog,

@@ -28,14 +28,13 @@ here by bounded search (adequate for model-checker scopes).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.core.errors import OpacityViolation
-from repro.core.history import History, TxRecord
-from repro.core.language import Call, Code, methods_of
+from repro.core.history import History
+from repro.core.language import methods_of
 from repro.core.machine import Machine
 from repro.core.ops import Op
-from repro.core.precongruence import precongruent
 from repro.core.spec import SequentialSpec
 
 

@@ -26,12 +26,12 @@ are meant for the model checker's small scopes (where they are exact).
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 from repro.core.atomic import bigstep, payloads
 from repro.core.logs import GlobalLog, LocalLog, NotPushed, Pulled, Pushed
 from repro.core.machine import Machine, Thread
-from repro.core.ops import IdGenerator, Op
+from repro.core.ops import IdGenerator
 from repro.core.precongruence import precongruent
 
 

@@ -28,9 +28,9 @@ from __future__ import annotations
 from itertools import permutations
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-from repro.core.atomic import atomic_final_logs, payloads
+from repro.core.atomic import atomic_final_logs
 from repro.core.errors import SerializabilityViolation
-from repro.core.history import History, TxRecord
+from repro.core.history import History
 from repro.core.language import Code
 from repro.core.machine import Machine
 from repro.core.ops import Op

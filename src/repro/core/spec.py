@@ -37,7 +37,7 @@ from abc import ABC, abstractmethod
 from typing import Any, FrozenSet, Iterable, Optional, Sequence, Tuple
 
 from repro.core.errors import SpecError
-from repro.core.ops import Op, OpClass, payload_class_id, payload_of
+from repro.core.ops import Op, payload_class_id, payload_of
 from repro.obs.tracer import CAT_MOVER, NULL_TRACER, Tracer
 
 

@@ -49,6 +49,8 @@ ROUND_KINDS = (
     "bitflip_refusal",   # bit flip with valid records beyond -> must refuse
     "kill_process",      # real SIGKILL of a forked worker mid-traffic
     "in_doubt",          # prepared 2PC sub-txn, decision log adjudicates
+    "commit_unflushed",  # acked 2PC commit record still buffered at the crash
+    "commit_rides_wave", # a wave reading the 2PC write fsyncs its record first
 )
 
 #: small segments so every round exercises rotation, small window so
@@ -84,7 +86,7 @@ class DurableChaosReport:
         for row in self.rounds:
             status = "ok  " if row["ok"] else "FAIL"
             lines.append(
-                f"{status} round {row['round']:<2} {row['kind']:<16} "
+                f"{status} round {row['round']:<2} {row['kind']:<17} "
                 f"{row['detail']}"
             )
         verdict = (
@@ -221,6 +223,11 @@ def _run_round(index: int, kind: str, seed: int, base_dir: str) -> Dict[str, Any
 
     if kind == "in_doubt":
         return _run_in_doubt_round(row, config, rng, root)
+
+    if kind in ("commit_unflushed", "commit_rides_wave"):
+        return _run_unflushed_commit_round(
+            row, config, rng, root, ride=kind == "commit_rides_wave"
+        )
 
     state = open_durable_shard(config, segment_bytes=SEGMENT_BYTES)
     model = _drive(state, rng, waves=4 + rng.randrange(4), tag=f"r{index}")
@@ -374,6 +381,67 @@ def _run_in_doubt_round(row, config, rng: random.Random, root: str) -> Dict[str,
                 f"in-doubt resolution wrong: reads {got} (want {expected}), "
                 f"decisions {report.in_doubt}"
             )
+        row["recovery"] = report.to_dict()
+    finally:
+        recovered.durable.close()
+    return row
+
+
+def _run_unflushed_commit_round(
+    row, config, rng: random.Random, root: str, ride: bool
+) -> Dict[str, Any]:
+    """A participant's 2PC commit record is appended without an fsync.
+    Ack the sub-txn the way the daemon does — prepare fsynced, ``decide
+    commit`` fsynced in the coordinator log, ``commit_prepared`` run —
+    then crash before the shard flushes.  With ``ride`` a wave first
+    reads the 2PC write, so its fsync must carry the commit record ahead
+    of its own; recovery replays the reader and the result-divergence
+    oracle checks it saw the write.  Either way every acked write must
+    read back."""
+    state = open_durable_shard(config, segment_bytes=SEGMENT_BYTES)
+    model = _drive(state, rng, waves=2 + rng.randrange(3), tag=f"r{row['round']}")
+    txn, value = "x-acked", 1000 + rng.randrange(1000)
+    reply = state.prepare(txn, [["kvmap", "put", "twopc", value], ["counter", "inc"]])
+    assert reply["ok"], reply
+    coord = SegmentStore(os.path.join(root, "coord"))
+    coord.append({"t": "decide", "txn": txn, "outcome": "commit",
+                  "participants": [0]})
+    coord.sync()
+    coord.close()
+    state.commit_prepared(txn)
+    unsynced = state.durable.unsynced_records
+    model["puts"]["twopc"] = value  # the coordinator's ack
+    model["incs"] += 1
+    read = [value]
+    if ride:
+        outcomes = state.execute_wave(
+            [{"id": "reader", "ops": [["kvmap", "get", "twopc"]], "attempts": 0}]
+        )
+        read = list(outcomes[0].results) if outcomes[0].ok else outcomes[0].error
+    state.durable.crash()
+
+    recovered = open_durable_shard(config, segment_bytes=SEGMENT_BYTES)
+    try:
+        report = recovered.last_recovery
+        failure = _read_back(recovered, model, exact=True)
+        # unflushed: the record is lost and the decision log commits the
+        # in-doubt prepare; ridden: the wave's fsync persisted it
+        want = {} if ride else {txn: "commit"}
+        if failure is None and unsynced != 1:
+            failure = f"commit_prepared left {unsynced} unsynced records, not 1"
+        if failure is None and read != [value]:
+            failure = f"the reader saw {read!r}, not the acked {value}"
+        if failure is None and report.in_doubt != want:
+            failure = f"in-doubt resolutions {report.in_doubt}, want {want}"
+        if failure is None:
+            source = "the reader's fsync" if ride else "the decision log"
+            row.update(
+                ok=True,
+                detail=f"acked 2pc commit recovered from {source} (replayed "
+                f"{report.replayed_commits}, in doubt {len(report.in_doubt)})",
+            )
+        else:
+            row["detail"] = failure
         row["recovery"] = report.to_dict()
     finally:
         recovered.durable.close()

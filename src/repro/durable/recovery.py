@@ -35,7 +35,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Optional
 
 from repro.durable.inspect import read_directory_records
 from repro.durable.records import DurableError, decode_state

@@ -44,7 +44,7 @@ import re
 import time
 import zlib
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
 from repro.durable.records import (
     FORMAT_VERSION,

@@ -24,7 +24,7 @@ import os
 from dataclasses import dataclass, replace
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.core.language import Call, Tx, call, tx
+from repro.core.language import Tx, call, tx
 from repro.faults.plan import FaultPlan
 
 

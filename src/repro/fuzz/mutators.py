@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import replace
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.core.language import Call, Tx, call, tx
 from repro.faults.plan import FaultEvent, FaultKind, FaultPlan

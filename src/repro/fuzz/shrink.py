@@ -21,12 +21,12 @@ keeps probes in the tens.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Callable, List, Optional
+from typing import Callable, Optional
 
-from repro.core.language import Tx, tx
+from repro.core.language import tx
 from repro.faults.conformance import shrink_plan
 from repro.fuzz.corpus import CorpusEntry
-from repro.fuzz.oracle import MAX_RETRIES, StrategyRun, run_entry
+from repro.fuzz.oracle import MAX_RETRIES, run_entry
 from repro.tm.base import TMAlgorithm
 
 

@@ -16,7 +16,7 @@
 from __future__ import annotations
 
 import json
-from typing import Dict, Iterable, List, Sequence, TextIO, Union
+from typing import Dict, Iterable, List, Sequence, Union
 
 from repro.obs.tracer import (
     PH_COMPLETE,

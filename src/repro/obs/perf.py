@@ -32,6 +32,7 @@ import os
 import platform
 import re
 import subprocess
+import tempfile
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -428,6 +429,16 @@ def measure_serve_tier(tiny: bool, seed: int) -> Dict[str, Any]:
         f"encounterx{shards}": row("encounter", shards, "inline")
         for shards in (1, 2)
     }
+    # One request in flight, so every wave holds one transaction and the
+    # fsync count is exact: one per single-shard commit, and per
+    # cross-shard commit one per participant's prepare plus the decide.
+    with tempfile.TemporaryDirectory(prefix="repro-perf-serve-") as durable:
+        document["durable"] = {
+            "encounterx2+cross": measure_serve(
+                "encounter", 2, mode="inline", requests=SERVE_REQUESTS,
+                cross_ratio=0.2, seed=seed, max_inflight=1, durable=durable,
+            )
+        }
     return document
 
 
@@ -594,11 +605,15 @@ TIERS: Dict[str, Tier] = {tier.name: tier for tier in (
             Gate("gate.*.p99_ms", "ceiling", TOLERANCE, unit="ms"),
             Gate("gate.*.conformance_ok", "identity", bound=True),
             Gate("matrix.*.conformance_ok", "identity", bound=True),
+            # a count, not a clock: it fails on any box
+            Gate("durable.*.fsyncs_per_txn", "ceiling", 1.0, unit="fsyncs"),
+            Gate("durable.*.conformance_ok", "identity", bound=True),
             # 2 shards must beat 1 (speedup is rounded to 0.01)
             Gate("scaling.speedup", "floor", bound=1.01, unit="x",
                  min_cores=MIN_PARALLEL_CORES),
         ),
-        "--tiny runs the gate rows and one process-mode row",
+        "--tiny runs the gate rows, the durable row and one process-mode "
+        "row",
     ),
     Tier(
         "durable", "Durable log", measure_durable_tier,

@@ -26,7 +26,7 @@ format speedscope and the classic FlameGraph scripts import directly.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from repro.obs.tracer import PH_COMPLETE, PH_COUNTER, TraceEvent
 

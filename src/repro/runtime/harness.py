@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from repro.core.errors import SerializabilityViolation
-from repro.core.history import History
 from repro.core.language import Code
 from repro.core.serializability import SerializationResult, check_history
 from repro.core.spec import SequentialSpec

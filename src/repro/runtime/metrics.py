@@ -16,11 +16,11 @@ evaluation section normally plots:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from repro.core.errors import AbortKind
 from repro.core.history import History, TxRecord, TxStatus
-from repro.obs.metrics import HistogramMetric, percentile_nearest_rank
+from repro.obs.metrics import HistogramMetric
 
 
 @dataclass(frozen=True)

@@ -12,10 +12,10 @@ contention axis of E2/E3.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Any, Callable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Optional
 
-from repro.core.language import Call, Code, Tx, call, tx
+from repro.core.language import Call, Tx, call, tx
 
 
 @dataclass(frozen=True)

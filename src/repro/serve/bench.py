@@ -12,6 +12,11 @@ Two modes matter and are **not** comparable to each other:
   fork-free.  The gate rows use it so ``repro perf --tiny`` stays cheap
   and CI-safe; the baseline therefore records gate rows measured inline,
   separate from the process-mode matrix.
+
+A ``durable`` directory puts the daemon on segment stores and adds
+``fsyncs_per_txn`` to the row: the shard and coordinator
+``durable.fsync.calls`` the load caused, per committed transaction, read
+before shutdown (whose close would flush what is still buffered).
 """
 
 from __future__ import annotations
@@ -37,6 +42,7 @@ async def measure_serve_async(
     max_inflight: int = 32,
     pool: int = 2,
     flight_dir: Optional[str] = None,
+    durable: Optional[str] = None,
 ) -> Dict[str, Any]:
     """One configuration end to end: daemon up, closed-loop load,
     conformance verdict, daemon down.  Returns a JSON-safe row."""
@@ -49,6 +55,7 @@ async def measure_serve_async(
         mode=mode,
         conformance_window=conformance_window,
         flight_dir=flight_dir,
+        durable=durable,
     )
     daemon = Daemon(config)
     await daemon.start()
@@ -64,16 +71,20 @@ async def measure_serve_async(
             pool=pool,
             max_inflight=max_inflight,
         )
-        report = await run_load(load)
         client = ServeClient("127.0.0.1", daemon.port, pool=1)
         await client.connect(retries=4)
         try:
+            fsyncs = await _fsync_calls(client)
+            report = await run_load(load)
+            fsyncs = await _fsync_calls(client) - fsyncs
             verdict = await client.conformance()
         finally:
             await client.close()
     finally:
         await daemon.stop()
     row = report.to_dict()
+    if durable:
+        row["fsyncs_per_txn"] = round(fsyncs / max(report.committed, 1), 4)
     shard_rows = verdict.get("shards", [])
     row.update(
         {
@@ -94,6 +105,16 @@ async def measure_serve_async(
         }
     )
     return row
+
+
+async def _fsync_calls(client: ServeClient) -> int:
+    """Every store's ``durable.fsync.calls`` so far: the shards' (under a
+    ``shard`` label) plus the coordinator decision log's."""
+    metrics = await client.metrics()
+    return int(sum(
+        summary["value"] for name, summary in metrics.items()
+        if name.partition("{")[0] == "durable.fsync.calls"
+    ))
 
 
 def measure_serve(strategy: str, shards: int, **kwargs: Any) -> Dict[str, Any]:

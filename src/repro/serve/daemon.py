@@ -15,7 +15,13 @@ Topology::
   bounded no matter how hard an open-loop generator drives it (the
   backpressure property ``tests/test_serve_daemon.py`` pins down).
   Workers drain up to ``batch`` transactions per wave and run them
-  through the shard's TxStepper + scheduler machinery.
+  through the shard's TxStepper + scheduler machinery (the ``wave``
+  request; on a durable shard it returns after the wave's fsync).  The
+  worker resolves the wave's replies, yields once so they are written,
+  and only then sends the shard a ``checkpoint`` request: the windowed
+  conformance gate and verified rollover never change an outcome, so
+  they run off the ack path but still before the next wave.  A failing
+  verdict counts in ``serve.conformance.failures`` and goes sticky.
 
 * **Cross-shard transactions** run a deterministic 2PC: the coordinator
   prepares on every participant (ascending shard order), then commits in
@@ -24,6 +30,11 @@ Topology::
   conflict aborts the prepared participants and retries the whole round
   under the shared :mod:`repro.faults.recovery` policy (seeded backoff,
   the same contract chaos runs use), bounded by ``cross_attempts``.
+  Durably, an ack waits on the participants' ``prepare`` fsyncs, one
+  after another, then the coordinator's ``decide`` fsync (three in a row
+  for two shards).  The participants' commit records ride their shards'
+  next fsync: a crash that loses one leaves an in-doubt prepare, which
+  recovery commits from the decision log.
 
 * **Admin plane** (same frame protocol): ``ping``, ``stats``,
   ``metrics``, ``prometheus`` (the MetricsRegistry text exposition),
@@ -321,15 +332,19 @@ class Daemon:
                          for key in ("ok", "results", "error", "kind")
                          if key in outcome}
                     )
+            # The outcomes are final and durable: yield once so the reply
+            # tasks write them (and parked 2PC phase-2 messages land
+            # before conflicting carry items retry), then run the gate
+            # before the next wave.
+            await asyncio.sleep(0)
+            reply = await backend.request(
+                {"id": f"checkpoint-{index}", "method": "checkpoint"}
+            )
             checkpoint = reply.get("checkpoint")
             if checkpoint and not checkpoint.get("ok"):
                 self.registry.counter("serve.conformance.failures").inc(
                     len(checkpoint.get("failures", ()))
                 )
-            if carry:
-                # Yield the loop so parked 2PC phase-2 messages can land
-                # before the conflicting carry items retry.
-                await asyncio.sleep(0)
 
     # -- cross-shard 2PC --------------------------------------------------------
 

@@ -29,7 +29,7 @@ import asyncio
 import random
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Sequence
 
 from repro.obs.metrics import percentile_nearest_rank
 from repro.serve.client import ServeClient

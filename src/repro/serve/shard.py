@@ -14,22 +14,30 @@ entry points:
 * :meth:`ShardState.prepare` / :meth:`ShardState.commit_prepared` /
   :meth:`ShardState.abort_prepared` — the participant half of the
   cross-shard 2PC.  *Prepare* APPs and PUSHes the sub-transaction's
-  operations (encounter-style eager publication) and parks the thread;
-  the global CMT rule is only fired by *commit*, so the paper's commit
-  criteria are what make the second phase safe.  A parked prepared
-  transaction's pushed-uncommitted entries block conflicting PUSHes on
-  the shard via the ordinary push criterion — 2PC "locks" are just
-  uncommitted global-log entries;
-* :meth:`ShardState.run_conformance` — the existing chaos conformance
-  gate (serializability / opacity / clean-aborts / quiescence) over the
-  shard's committed history.  The daemon runs it *windowed*: at every
-  quiescent wave boundary the gate runs over the wave's commits and,
-  when clean, the history rolls over into a
+  operations (encounter-style eager publication), fsyncs a ``prepare``
+  record on a durable shard, and parks the thread; the global CMT rule
+  is only fired by *commit*, so the paper's commit criteria are what
+  make the second phase safe.  A parked prepared transaction's
+  pushed-uncommitted entries block conflicting PUSHes on the shard via
+  the ordinary push criterion — 2PC "locks" are just uncommitted
+  global-log entries.  The commit and abort records are appended
+  without an fsync and ride the shard's next one: the coordinator's
+  fsynced ``decide commit``, or recovery's presumed abort, already
+  fixes the outcome;
+* :meth:`ShardState.maybe_checkpoint` / :meth:`ShardState.run_conformance`
+  — the existing chaos conformance gate (serializability / opacity /
+  clean-aborts / quiescence) over the shard's committed history.  The
+  daemon runs it *windowed*, as a separate ``checkpoint`` request after
+  each wave's replies are written and before the next wave: at every
+  quiescent wave boundary the gate runs over the commits since the last
+  one and, when clean, the history rolls over into a
   :class:`~repro.core.spec.RebasedStateSpec` (the same compaction move as
   ``Runtime.maybe_compact``, but gated on a verified window rather than
   blind), so the global log a transaction PULLs from holds about one
-  wave.  A durable shard checkpoints a rollover state once every
-  ``conformance_window`` commits.  On failure the armed per-shard
+  wave.  The gate never changes an outcome, so no reply waits for it.
+  A durable shard checkpoints a rollover state once every
+  ``conformance_window`` commits, so snapshots only ever hold verified
+  states.  On failure the verdict goes sticky and the armed per-shard
   :class:`~repro.obs.flight.FlightRecorder` auto-dumps its black box.
 
 The asyncio wrappers at the bottom (:func:`shard_server`,
@@ -43,7 +51,8 @@ inline (same event loop) for tests and tiny tiers.
 from __future__ import annotations
 
 import asyncio
-from dataclasses import dataclass, field
+import time
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.errors import TMAbort
@@ -308,7 +317,10 @@ class ShardState:
             # Group commit: one record per committed txn in history
             # commit order (end_time is the serialization order the
             # commit criteria certified), then a single fsync.  Acks
-            # leave this method only after that fsync returns.
+            # leave this method only after that fsync returns; it also
+            # carries any earlier unsynced 2PC commit record, at a lower
+            # LSN, so a txn that read a 2PC write is never durable
+            # without it.
             for _when, txn_id, ops, results in sorted(
                 durable_batch, key=lambda row: row[0]
             ):
@@ -399,12 +411,16 @@ class ShardState:
         rt.machine = rt.machine.end_thread(tid)
         rt.tid_to_job.pop(tid, None)
         if self.durable is not None:
+            # No sync: the prepare and the coordinator's ``decide commit``
+            # are already fsynced, so a crash that loses this record
+            # leaves an in-doubt prepare that recovery commits from the
+            # decision log.  The record rides the shard's next fsync,
+            # which every later durable record of the shard waits for.
             self.durable.append(
                 {"t": "commit", "txn": txn_id, "ops": wire_ops,
                  "results": [op.ret for op in record._commit_own],
                  "via": "2pc"}
             )
-            self.durable.sync()
         self.registry.gauge("serve.prepared").set(len(self.prepared))
         self._count("serve.2pc.committed")
         self._commits_since_check += 1
@@ -457,12 +473,19 @@ class ShardState:
         windowed conformance gate and, when clean, roll the verified
         history over into a rebased spec.  Rolling over every such wave
         keeps the global log about one wave long, so PULLs and the
-        criteria's log replays cost O(wave), not O(uptime)."""
+        criteria's log replays cost O(wave), not O(uptime).  Each gate
+        that runs, with its rollover and any snapshot, is timed into
+        ``serve.checkpoint.us``."""
         if not self._commits_since_check:
             return None
         if self.prepared or self.runtime.active_tids:
             return None
-        return self.run_conformance(rollover=True)
+        started = time.perf_counter()
+        verdict = self.run_conformance(rollover=True)
+        self.registry.histogram("serve.checkpoint.us").observe(
+            (time.perf_counter() - started) * 1e6
+        )
+        return verdict
 
     def run_conformance(
         self, rollover: bool = False, snapshot: bool = False
@@ -647,7 +670,6 @@ def handle_shard_request(state: ShardState, request: Dict[str, Any]) -> Dict[str
     try:
         if method == "wave":
             outcomes = state.execute_wave(request["txns"])
-            checkpoint = state.maybe_checkpoint()
             return {
                 "id": rid,
                 "ok": True,
@@ -660,8 +682,9 @@ def handle_shard_request(state: ShardState, request: Dict[str, Any]) -> Dict[str
                     }
                     for o in outcomes
                 ],
-                "checkpoint": checkpoint,
             }
+        if method == "checkpoint":
+            return {"id": rid, "ok": True, "checkpoint": state.maybe_checkpoint()}
         if method == "prepare":
             return {"id": rid, **state.prepare(request["txn"], request["ops"])}
         if method == "commit":

@@ -23,20 +23,19 @@ from __future__ import annotations
 
 import collections
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.core.errors import (
     AbortKind,
     CriterionViolation,
     MachineError,
-    SpecError,
     TMAbort,
 )
 from repro.core.history import History, TxRecord
 from repro.core.language import Call, Code, Tx, step as lang_step
-from repro.core.logs import NotPushed, Pulled, Pushed
+from repro.core.logs import Pulled, Pushed
 from repro.core.machine import Machine
 from repro.core.ops import Op
 from repro.core.spec import RebasedStateSpec, SequentialSpec, StateSpec

@@ -33,7 +33,7 @@ on — that is what "release" means.
 
 from __future__ import annotations
 
-from typing import Iterator, List
+from typing import Iterator
 
 from repro.core.errors import AbortKind, CriterionViolation, TMAbort
 from repro.core.history import TxRecord

@@ -24,12 +24,11 @@ renders both directions on top of the encounter-time discipline:
 
 from __future__ import annotations
 
-from typing import Iterator, List, Set
+from typing import Iterator, Set
 
 from repro.core.errors import CriterionViolation, TMAbort
 from repro.core.history import TxRecord
 from repro.core.language import Code
-from repro.core.ops import Op
 from repro.tm.base import Runtime, TMAlgorithm, record_commit_view
 
 

@@ -29,11 +29,11 @@ serializability — the elastic correctness criterion.
 
 from __future__ import annotations
 
-from typing import Iterator, List, Set
+from typing import Iterator, Set
 
 from repro.core.errors import CriterionViolation, TMAbort
 from repro.core.history import TxRecord
-from repro.core.language import Call, Choice, Code, SKIP, Seq, Tx, seq, tx as make_tx
+from repro.core.language import Choice, Code, SKIP, Seq
 from repro.tm.base import Runtime, TMAlgorithm, record_commit_view
 
 

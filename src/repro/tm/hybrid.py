@@ -38,13 +38,12 @@ transaction fall back to a full abort.
 from __future__ import annotations
 
 import collections
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterator, Set
 
 from repro.core.errors import AbortKind, TMAbort
 from repro.core.history import TxRecord
 from repro.core.language import Code
-from repro.core.logs import NotPushed, Pushed
-from repro.core.ops import Op
+from repro.core.logs import Pushed
 from repro.specs.product import split_method
 from repro.tm.base import Runtime, TMAlgorithm, record_commit_view
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 import collections
 from typing import Iterator
 
-from repro.core.errors import AbortKind, CriterionViolation, TMAbort
+from repro.core.errors import AbortKind, TMAbort
 from repro.core.history import TxRecord
 from repro.core.language import Code
 from repro.tm.base import Runtime, TMAlgorithm, record_commit_view

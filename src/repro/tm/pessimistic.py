@@ -31,7 +31,7 @@ from typing import Iterator
 
 from repro.core.errors import AbortKind, TMAbort
 from repro.core.history import TxRecord
-from repro.core.language import Code, Tx
+from repro.core.language import Code
 from repro.tm.base import Runtime, TMAlgorithm, record_commit_view
 
 WRITE_TOKEN = "pessimistic-write"

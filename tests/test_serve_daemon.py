@@ -1,19 +1,25 @@
 """Inline-mode daemon end to end over real TCP: transactions, 2PC,
 pipelined out-of-order replies, the admin plane, bounded-inbox
-backpressure, and the ``repro assert-*`` CI exit codes
+backpressure, replies written before the windowed gate runs, a process
+mode that answers like inline, and the ``repro assert-*`` CI exit codes
 (``src/repro/serve/daemon.py``, ``src/repro/cli.py``).
 """
 
 import asyncio
 import json
+import os
+import random
 import threading
 
 import pytest
 
 from repro.cli import main as cli_main
+from repro.serve import daemon as daemon_module
+from repro.serve import shard as shard_module
 from repro.serve.client import ServeClient
 from repro.serve.daemon import Daemon, DaemonConfig
-from repro.serve.sharding import shard_of
+from repro.serve.shard import ShardState
+from repro.serve.sharding import shard_of, split_by_shard
 
 
 def shard_key(space: str, shard: int, shards: int = 2) -> str:
@@ -30,7 +36,8 @@ def with_daemon(coro_fn, **overrides):
     """Run ``coro_fn(daemon, client)`` against a fresh inline daemon on
     an ephemeral port, torn down afterwards."""
     config = DaemonConfig(
-        host="127.0.0.1", port=0, shards=2, seed=3, mode="inline", **overrides
+        **{"host": "127.0.0.1", "port": 0, "shards": 2, "seed": 3,
+           "mode": "inline", **overrides}
     )
 
     async def go():
@@ -165,6 +172,162 @@ def test_metrics_flow_through_registry_to_prometheus():
         assert "serve_inbox_depth" in text
 
     with_daemon(scenario)
+
+
+# -- the gate runs after the replies -------------------------------------------
+
+
+def test_wave_replies_are_written_before_its_gate_runs(monkeypatch):
+    """Inline mode: every reply of a wave is on the wire before that
+    wave's ``maybe_checkpoint`` starts.  All traffic goes to shard 0, so
+    the count of committed outcomes and the count of written replies
+    must agree at every gate."""
+    events = []
+    write_frame = daemon_module.write_frame
+    execute_wave = ShardState.execute_wave
+    maybe_checkpoint = ShardState.maybe_checkpoint
+
+    async def recording_write_frame(writer, message, *args, **kwargs):
+        if isinstance(message, dict) and "results" in message:
+            events.append(("reply", 1))
+        return await write_frame(writer, message, *args, **kwargs)
+
+    def recording_execute_wave(self, items):
+        outcomes = execute_wave(self, items)
+        events.append(("wave", sum(o.ok for o in outcomes)))
+        return outcomes
+
+    def recording_maybe_checkpoint(self):
+        events.append(("gate", 0))
+        return maybe_checkpoint(self)
+
+    monkeypatch.setattr(daemon_module, "write_frame", recording_write_frame)
+    monkeypatch.setattr(ShardState, "execute_wave", recording_execute_wave)
+    monkeypatch.setattr(ShardState, "maybe_checkpoint", recording_maybe_checkpoint)
+    keys = [key for key in (f"kvmap-{n}" for n in range(200))
+            if shard_of("kvmap", key, 2) == 0][:24]
+
+    async def scenario(daemon, client):
+        for key in keys[:6]:  # one request in flight: one txn per wave
+            assert await client.txn([["kvmap", "put", key, 1]]) == [None]
+        replies = await asyncio.gather(
+            *(client.txn([["kvmap", "put", key, 2]]) for key in keys[6:])
+        )
+        assert replies == [[None]] * len(keys[6:])
+
+    with_daemon(scenario)
+    gates = 0
+    committed = written = 0
+    for kind, count in events:
+        if kind == "wave":
+            committed += count
+        elif kind == "reply":
+            written += count
+        else:
+            gates += 1
+            assert written == committed, events
+    assert committed == written == len(keys)
+    assert gates >= 6
+
+
+def _forced_gate_failure(*_args, **_kwargs):
+    return ["forced gate failure"], False
+
+
+def _snapshots(durable):
+    """Every shard's snapshot file names under a durability root."""
+    if not os.path.isdir(durable):
+        return []
+    return sorted(
+        name
+        for shard in sorted(os.listdir(durable))
+        if os.path.isdir(durable / shard)
+        for name in os.listdir(durable / shard)
+        if name.startswith("snapshot-")
+    )
+
+
+def test_failing_gate_keeps_outcomes_goes_sticky_and_writes_no_snapshot(
+    tmp_path, monkeypatch
+):
+    """A gate that fails after the replies changes none of them: the
+    daemon counts the failure, the shard's verdict goes sticky, the
+    flight recorder dumps, and no snapshot is taken from the unverified
+    state."""
+    k0, k1 = shard_key("kvmap", 0), shard_key("kvmap", 1)
+    txns = [
+        [["kvmap", "put", k0, 1]],
+        [["kvmap", "get", k0], ["counter", "inc"]],
+        [["kvmap", "put", k0, 5], ["kvmap", "put", k1, 6]],
+        [["kvmap", "get", k0], ["kvmap", "get", k1]],
+        [["counter", "inc"], ["counter", "get"]],
+    ]
+
+    def run(name, force):
+        durable = tmp_path / name / "wal"
+
+        async def scenario(daemon, client):
+            snapshots = _snapshots(durable)
+            if force:
+                monkeypatch.setattr(
+                    shard_module, "conformance_failures", _forced_gate_failure
+                )
+            replies = [await client.try_txn(ops) for ops in txns]
+            monkeypatch.undo()
+            metrics = await client.metrics()
+            stats = await client.stats()
+            verdict = await client.conformance()
+            return replies, snapshots, _snapshots(durable), metrics, stats, verdict
+
+        return with_daemon(
+            scenario, durable=str(durable), conformance_window=1,
+            flight_dir=str(tmp_path / name / "flight"),
+        )
+
+    clean, before, after, metrics, _stats, verdict = run("clean", force=False)
+    assert all(reply["ok"] for reply in clean)
+    assert verdict["ok"] and after != before  # window 1: gates snapshot
+    assert metrics.get("serve.conformance.failures", {}).get("value", 0) == 0
+
+    failed, before, after, metrics, stats, verdict = run("forced", force=True)
+    assert failed == clean
+    assert metrics["serve.conformance.failures"]["value"] >= 1
+    sticky = [s["conformance_failures"] for s in stats["shards"]]
+    assert any("forced gate failure" in f for f in sticky), sticky
+    assert not verdict["ok"]
+    assert after == before
+    assert any(s["flight_dumps"] for s in stats["shards"])
+
+
+def test_process_mode_answers_like_inline():
+    """Forked shard workers behind unix sockets return the replies the
+    inline shards return for the same seeded traffic, one request in
+    flight, and gate clean."""
+    rng = random.Random(17)
+    keys = [f"kvmap-{n}" for n in range(8)]
+    txns = []
+    for _ in range(24):
+        a, b = rng.sample(keys, 2)
+        if rng.random() < 0.5:
+            txns.append([["kvmap", "put", a, rng.randrange(100)], ["counter", "inc"]])
+        else:
+            txns.append([["kvmap", "get", a], ["kvmap", "put", b, rng.randrange(100)]])
+    assert any(len(split_by_shard(ops, 2)) == 2 for ops in txns)  # 2PC too
+
+    async def scenario(daemon, client):
+        replies = [await client.try_txn(ops) for ops in txns]
+        return replies, await client.conformance()
+
+    inline, inline_verdict = with_daemon(scenario)
+    forked, forked_verdict = with_daemon(scenario, mode="process")
+    assert all(reply["ok"] for reply in inline)
+    assert forked == inline
+    assert inline_verdict["ok"] and forked_verdict["ok"]
+    # the same gates ran over the same commits (the admin verdict is one
+    # more window on top of the workers' checkpoints)
+    for ours, theirs in zip(forked_verdict["shards"], inline_verdict["shards"]):
+        assert ours["windows_checked"] == theirs["windows_checked"] > 1
+        assert ours["commits_gated"] == theirs["commits_gated"]
 
 
 # -- the assert-* CI subcommands ----------------------------------------------

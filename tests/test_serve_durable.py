@@ -1,5 +1,6 @@
 """Durability wired into the serve daemon: restart round trips over real
 TCP, cross-shard 2PC through the fsynced coordinator decision log, the
+participant's unsynced commit record riding the next fsync, the
 double-daemon lock guard (exit 2), and the ``durable.*`` / fsync metrics
 in the merged admin registry (``src/repro/serve/daemon.py``,
 ``src/repro/durable/``).
@@ -10,8 +11,11 @@ import os
 import subprocess
 import sys
 
+from repro.durable.inspect import read_directory_records
+from repro.durable.recovery import open_durable_shard
 from repro.serve.client import ServeClient
 from repro.serve.daemon import Daemon, DaemonConfig
+from repro.serve.shard import ShardConfig
 from repro.serve.sharding import shard_of
 
 REPO_SRC = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
@@ -111,6 +115,46 @@ class TestDaemonRestart:
             assert batch["count"] == fsync["count"]
 
         with_durable_daemon(scenario, tmp_path / "wal")
+
+
+class TestParticipantCommitRidesNextFsync:
+    def open_shard(self, tmp_path):
+        return open_durable_shard(ShardConfig(
+            index=0, shards=1, root_seed=3, conformance_window=64,
+            durable_dir=str(tmp_path / "shard-000"),
+        ))
+
+    def fsyncs(self, state):
+        return state.registry.counter("durable.fsync.calls").value
+
+    def test_commit_prepared_buffers_one_record_without_an_fsync(self, tmp_path):
+        state = self.open_shard(tmp_path)
+        assert state.prepare("x1", [["kvmap", "put", "k", 7]])["ok"]
+        assert state.durable.unsynced_records == 0  # the prepare is fsynced
+        before = self.fsyncs(state)
+        assert state.commit_prepared("x1")["ok"]
+        assert state.durable.unsynced_records == 1
+        assert self.fsyncs(state) == before
+        state.durable.close()
+
+    def test_next_wave_persists_the_commit_record_first(self, tmp_path):
+        state = self.open_shard(tmp_path)
+        assert state.prepare("x1", [["kvmap", "put", "k", 7]])["ok"]
+        assert state.commit_prepared("x1")["ok"]
+        before = self.fsyncs(state)
+        outcomes = state.execute_wave(
+            [{"id": "reader", "ops": [["kvmap", "get", "k"]], "attempts": 0}]
+        )
+        assert outcomes[0].ok and list(outcomes[0].results) == [7]
+        assert self.fsyncs(state) == before + 1  # one fsync for both
+        assert state.durable.unsynced_records == 0
+        state.durable.crash()  # drops nothing: the wave synced
+        records, _watermark = read_directory_records(str(tmp_path / "shard-000"))
+        lsn = {r["txn"]: r["lsn"] for r in records if r.get("t") == "commit"}
+        assert lsn["x1"] < lsn["reader"]
+        recovered = self.open_shard(tmp_path)
+        assert recovered.last_recovery.in_doubt == {}
+        recovered.durable.close()
 
 
 class TestDoubleDaemonGuard:

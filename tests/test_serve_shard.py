@@ -247,7 +247,14 @@ def test_wave_dispatch_via_shard_request():
     )
     assert reply["id"] == 9 and reply["ok"]
     assert [o["ok"] for o in reply["outcomes"]] == [True, True]
-    assert reply["checkpoint"]["ok"]
+    # the gate is its own request, sent after the wave's replies
+    assert "checkpoint" not in reply
+    gate = handle_shard_request(state, {"id": 10, "method": "checkpoint"})
+    assert gate["id"] == 10 and gate["ok"]
+    assert gate["checkpoint"]["ok"] and gate["checkpoint"]["window_commits"] == 2
+    # nothing committed since: no gate runs
+    idle = handle_shard_request(state, {"id": 11, "method": "checkpoint"})
+    assert idle["ok"] and idle["checkpoint"] is None
     bad = handle_shard_request(state, {"id": 1, "method": "nope"})
     assert not bad["ok"] and bad["kind"] == "protocol"
 

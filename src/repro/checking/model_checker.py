@@ -28,6 +28,7 @@ Checked properties (all optional, see :class:`ExploreOptions`):
 
 from __future__ import annotations
 
+import gc
 import re
 from dataclasses import dataclass, field
 from typing import Container, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
@@ -326,8 +327,28 @@ def explore(
     options: Optional[ExploreOptions] = None,
 ) -> ExplorationReport:
     """Exhaustively explore all interleavings of ``programs`` (one
-    transaction per thread) and check the requested properties."""
-    options = options or ExploreOptions()
+    transaction per thread) and check the requested properties.
+
+    Automatic cyclic garbage collection is paused for the whole call and
+    the caller's thresholds are restored on every exit.  The exploration
+    only adds to structures that live as long as it does (the visited
+    set, the frontier, the kernel memos) and creates no reference cycles,
+    so the collector would only rescan a growing heap with nothing to
+    free, while refcounting still frees everything else at once.  The
+    pause lowers the generation-0 threshold rather than calling
+    ``gc.disable()``, whose process-wide flag other threads may toggle.
+    """
+    saved = gc.get_threshold()
+    gc.set_threshold(0, *saved[1:])
+    try:
+        return _explore(spec, programs, options or ExploreOptions())
+    finally:
+        gc.set_threshold(*saved)
+
+
+def _explore(
+    spec: SequentialSpec, programs: Sequence[Code], options: ExploreOptions
+) -> ExplorationReport:
     if options.max_pulled_per_thread is None:
         from repro.core.language import methods_of
 

@@ -23,7 +23,6 @@ transactions are ignored — ``tx (… tx c …)`` is rejected.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Any, FrozenSet, Tuple
 
@@ -136,35 +135,42 @@ def call(method: str, *args: Any) -> Call:
 # ---------------------------------------------------------------------------
 
 
-@functools.lru_cache(maxsize=None)
 def step(code: Code) -> FrozenSet[Tuple[Call, Code]]:
     """``step(c)``: pairs ``(m, c')`` with ``m`` a next reachable method.
 
     Mirrors Example 1 of the paper literally, including the two auxiliary
-    liftings ``S ; c`` and ``B ; S``.  Memoized: code nodes are immutable
-    and the machine re-queries ``step`` of the same residual programs on
-    every APP probe.
+    liftings ``S ; c`` and ``B ; S``.  Memoized on the (immutable) code
+    node itself, so the memo lives exactly as long as the program: the
+    machine re-queries ``step`` of the same residual programs on every APP
+    probe, and a global table would keep every program ever stepped.  The
+    result is structural, so a pickled node may carry it.
     """
+    try:
+        return code._step  # type: ignore[attr-defined]
+    except AttributeError:
+        pass
     if isinstance(code, Skip):
-        return frozenset()
-    if isinstance(code, Call):
-        return frozenset({(code, SKIP)})
-    if isinstance(code, Seq):
-        first_steps = frozenset(
+        result: FrozenSet[Tuple[Call, Code]] = frozenset()
+    elif isinstance(code, Call):
+        result = frozenset({(code, SKIP)})
+    elif isinstance(code, Seq):
+        result = frozenset(
             (m, seq_cont(cont, code.second)) for m, cont in step(code.first)
         )
         if fin(code.first):
-            return first_steps | step(code.second)
-        return first_steps
-    if isinstance(code, Choice):
-        return step(code.left) | step(code.right)
-    if isinstance(code, Star):
-        return frozenset(
+            result |= step(code.second)
+    elif isinstance(code, Choice):
+        result = step(code.left) | step(code.right)
+    elif isinstance(code, Star):
+        result = frozenset(
             (m, seq_cont(cont, code)) for m, cont in step(code.body)
         )
-    if isinstance(code, Tx):
-        return step(code.body)
-    raise LanguageError(f"unknown code node {code!r}")
+    elif isinstance(code, Tx):
+        result = step(code.body)
+    else:
+        raise LanguageError(f"unknown code node {code!r}")
+    object.__setattr__(code, "_step", result)
+    return result
 
 
 def seq_cont(cont: Code, rest: Code) -> Code:
@@ -176,13 +182,9 @@ def seq_cont(cont: Code, rest: Code) -> Code:
 
 def sorted_choices(code: Code) -> Tuple[Tuple[Call, Code], ...]:
     """``step(code)`` in a deterministic order, cached on the (immutable)
-    code node itself.
-
-    The model checker resolves every APP instance through this on every
-    visit of every state; ``repr`` of program ASTs is recursive and even an
-    ``lru_cache`` lookup re-hashes the (recursive) node per call, so the
-    tuple is stored as an attribute on the node — the same discipline as
-    the log-projection caches (one pointer load on every revisit)."""
+    code node like :func:`step` itself: the model checker resolves every
+    APP instance through this on every visit of every state, and ``repr``
+    of program ASTs is recursive."""
     try:
         return code._schoices  # type: ignore[attr-defined]
     except AttributeError:
@@ -192,37 +194,30 @@ def sorted_choices(code: Code) -> Tuple[Tuple[Call, Code], ...]:
     return choices
 
 
-def fin_cached(code: Code) -> bool:
-    """:func:`fin` cached as an attribute on the (immutable) code node —
-    the same discipline as :func:`sorted_choices`: the CMT criterion probes
-    ``fin`` on every visit of every state, and even an ``lru_cache`` lookup
-    re-hashes the recursive node per call."""
+def fin(code: Code) -> bool:
+    """``fin(c)``: ``c`` can reduce to ``skip`` with no method call.
+    Memoized on the node like :func:`step`: the CMT criterion probes it on
+    every visit of every state."""
     try:
         return code._fin  # type: ignore[attr-defined]
     except AttributeError:
         pass
-    value = fin(code)
-    object.__setattr__(code, "_fin", value)
-    return value
-
-
-@functools.lru_cache(maxsize=None)
-def fin(code: Code) -> bool:
-    """``fin(c)``: ``c`` can reduce to ``skip`` with no method call.
-    Memoized like :func:`step`."""
     if isinstance(code, Skip):
-        return True
-    if isinstance(code, Call):
-        return False
-    if isinstance(code, Seq):
-        return fin(code.first) and fin(code.second)
-    if isinstance(code, Choice):
-        return fin(code.left) or fin(code.right)
-    if isinstance(code, Star):
-        return True
-    if isinstance(code, Tx):
-        return fin(code.body)
-    raise LanguageError(f"unknown code node {code!r}")
+        result = True
+    elif isinstance(code, Call):
+        result = False
+    elif isinstance(code, Seq):
+        result = fin(code.first) and fin(code.second)
+    elif isinstance(code, Choice):
+        result = fin(code.left) or fin(code.right)
+    elif isinstance(code, Star):
+        result = True
+    elif isinstance(code, Tx):
+        result = fin(code.body)
+    else:
+        raise LanguageError(f"unknown code node {code!r}")
+    object.__setattr__(code, "_fin", result)
+    return result
 
 
 # ---------------------------------------------------------------------------

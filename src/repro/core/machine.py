@@ -63,7 +63,7 @@ from repro.core.language import (
     SKIP,
     Star,
     Tx,
-    fin_cached,
+    fin,
     seq_cont,
     sorted_choices,
     step,
@@ -751,7 +751,7 @@ class Machine:
         * criterion (iv):  ``cmt(G, L, G')`` — own pushed operations flip
           to ``gCmt`` (the construction, always possible under I_LG).
         """
-        if not fin_cached(thread.code):
+        if not fin(thread.code):
             return lambda: CriterionViolation(
                 "CMT", "i", f"no method-free path to skip in {thread.code!r}"
             )

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import threading
 from os import getpid
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Iterable, Optional, Tuple
 
 
@@ -128,31 +128,6 @@ def make_op(
 
 _MODULE_IDS = IdGenerator(start=1_000_000)
 
-
-@dataclass(frozen=True)
-class OpClass:
-    """The payload of an operation without its identity.
-
-    Mover/commutativity relations are functions of payloads, not ids, so the
-    precongruence machinery memoises on :class:`OpClass` keys.
-    :meth:`of` interns instances per payload, so repeated queries over the
-    same payloads reuse one object instead of allocating per call.
-    """
-
-    method: str
-    args: Tuple[Any, ...]
-    ret: Any = field(default=None)
-
-    @staticmethod
-    def of(op: Op) -> "OpClass":
-        key = (op.method, op.args, op.ret)
-        cached = _OPCLASS_INTERN.get(key)
-        if cached is None:
-            cached = _OPCLASS_INTERN[key] = OpClass(op.method, op.args, op.ret)
-        return cached
-
-
-_OPCLASS_INTERN: dict = {}
 
 # ---------------------------------------------------------------------------
 # Intern tables (the packed kernel's canonical small-int codes)

@@ -538,6 +538,16 @@ class DenotationCache(SpecDenotations):
     Cache hits/misses are aggregated on the tracer as ``denot.hit`` /
     ``denot.miss`` (one miss per actual ``[[op]]`` application), the
     counters the kernel benchmark and the CI smoke job assert on.
+
+    Resolved queries are also memoised in per-cache slots on the log
+    node, and a slot must not outlive its cache.  A node normally dies
+    with the machine states, hence the caches, that hold it; the empty
+    logs are the exception: every thread starts from ``EMPTY_LOCAL`` and
+    every machine from ``EMPTY_GLOBAL``, process-wide singletons, so slots
+    parked there would keep every cache's results (per serve rollover, a
+    rebased spec's whole state) alive for good.  All empty logs denote
+    the same thing, so their slots live in the cache's own ``_empty``
+    dict instead, picked by one inline length check per lookup.
     """
 
     caching = True
@@ -557,6 +567,8 @@ class DenotationCache(SpecDenotations):
         token = next(_CACHE_TOKENS)
         self._slot = ("den", token)
         self._token = token
+        # The slots of every empty log (see the class docstring).
+        self._empty: dict = {}
 
     # -- the core lookup ---------------------------------------------------
 
@@ -607,7 +619,7 @@ class DenotationCache(SpecDenotations):
         revisits (the overwhelmingly common case: criteria re-probe the
         same immutable logs across states) the lookup is one dict hit with
         no payload-key tuple hash at all."""
-        proj = log._proj
+        proj = log._proj if log._entries else self._empty
         if proj is None:
             proj = log._proj = {}
         slot = self._slot
@@ -640,7 +652,7 @@ class DenotationCache(SpecDenotations):
         return self.allows_pid(log, payload_class_id(op))
 
     def allows_pid(self, log, pid: int) -> bool:
-        proj = log._proj
+        proj = log._proj if log._entries else self._empty
         if proj is None:
             proj = log._proj = {}
         akey = (self._token, pid)
@@ -668,7 +680,7 @@ class DenotationCache(SpecDenotations):
         return ret
 
     def result_log(self, log, method: str, args: Tuple[Any, ...]) -> Any:
-        proj = log._proj
+        proj = log._proj if log._entries else self._empty
         if proj is None:
             proj = log._proj = {}
         rkey = ("res", self._token, method, args)
@@ -716,6 +728,8 @@ class NondetDenotationCache(SpecDenotations):
         token = next(_CACHE_TOKENS)
         self._slot = ("den", token)
         self._token = token
+        # The slots of every empty log (see DenotationCache).
+        self._empty: dict = {}
 
     def denote(self, ops: Sequence[Op]) -> FrozenSet[Any]:
         key = tuple(payload_class_id(op) for op in ops)
@@ -728,7 +742,7 @@ class NondetDenotationCache(SpecDenotations):
         return self._fill(ops, key)
 
     def denote_log(self, log) -> FrozenSet[Any]:
-        proj = log._proj
+        proj = log._proj if log._entries else self._empty
         if proj is None:
             proj = log._proj = {}
         slot = self._slot
@@ -785,7 +799,7 @@ class NondetDenotationCache(SpecDenotations):
         return self.allows_pid(log, payload_class_id(op))
 
     def allows_pid(self, log, pid: int) -> bool:
-        proj = log._proj
+        proj = log._proj if log._entries else self._empty
         if proj is None:
             proj = log._proj = {}
         akey = (self._token, pid)

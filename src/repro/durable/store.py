@@ -154,7 +154,8 @@ def load_snapshot(directory: str) -> Optional[Dict[str, Any]]:
     for name in candidates:
         path = os.path.join(directory, name)
         try:
-            document = json.loads(open(path, encoding="utf-8").read())
+            with open(path, encoding="utf-8") as handle:
+                document = json.loads(handle.read())
         except (OSError, ValueError):
             continue
         state_json = json.dumps(

@@ -54,6 +54,8 @@ TINY_SCOPES = ("mem-ww", "counter", "counter-sym")
 #: the POR canonicalizer's memo misses, recorded per scope (``por.<name>``)
 POR_MEMO_COUNTERS = ("t_cache_misses", "g_cache_misses", "sym_minimizations")
 SERVE_REQUESTS = 400
+#: single-transaction waves of the serve tier's memory soak row
+SOAK_WAVES = 2000
 FAULT_PLANS = 20
 #: wall-clock parallelism rows need this many usable cores
 MIN_PARALLEL_CORES = 4
@@ -257,19 +259,43 @@ def measure_kernel(tiny: bool, seed: int) -> Dict[str, Any]:
     """Untraced POR-off exploration (best of :data:`KERNEL_REPEAT`) plus
     one rule-traced pass for the kernel's memo counters.  POR stays off:
     this tier isolates per-state kernel cost, and the reduced state space
-    is the por tier's."""
+    is the por tier's.
+
+    ``gc_collections`` counts the cyclic collections that start while
+    the untraced explores run, through a ``gc.callbacks`` hook armed
+    around each call only.  A full collection first empties the young
+    generation, so no collection already due when ``explore`` starts is
+    charged to it; the one due when it restores the caller's thresholds
+    fires after it returns and is the caller's."""
+    import gc
+
     from repro.checking.model_checker import ExploreOptions, explore
     from repro.cli import SCOPES
     from repro.obs import RecordingTracer
+
+    collections = 0
+
+    def count_collection(phase: str, info: Dict[str, int]) -> None:
+        nonlocal collections
+        if phase == "start":
+            collections += 1
 
     baselines = {}
     for scope in ("mem-ww",) if tiny else ("kvmap-branch", "mem-ww"):
         spec_cls, programs = SCOPES[scope]
         best = float("inf")
+        collections = 0
         for _ in range(KERNEL_REPEAT):
-            start = time.perf_counter()
-            report = explore(spec_cls(), programs, ExploreOptions(por=False))
-            best = min(best, time.perf_counter() - start)
+            spec, options = spec_cls(), ExploreOptions(por=False)
+            gc.collect()
+            gc.callbacks.append(count_collection)
+            try:
+                start = time.perf_counter()
+                report = explore(spec, programs, options)
+                elapsed = time.perf_counter() - start
+            finally:
+                gc.callbacks.remove(count_collection)
+            best = min(best, elapsed)
         tracer = RecordingTracer()
         explore(
             spec_cls(), programs,
@@ -286,6 +312,7 @@ def measure_kernel(tiny: bool, seed: int) -> Dict[str, Any]:
         traced.update({k: gauges[k] for k in ("packed.recipes", "packed.plans")})
         baselines[scope] = {
             "states_per_sec": round(report.states / best, 1),
+            "gc_collections": collections,
             "verdict": {
                 "states": report.states,
                 "transitions": report.transitions,
@@ -390,7 +417,7 @@ def measure_serve_tier(tiny: bool, seed: int) -> Dict[str, Any]:
     fork-free) and the process-mode matrix (one forked worker per shard,
     the deployment shape), of which ``--tiny`` runs one row, plus the
     shard-scaling row.  Inline and process rows are not comparable."""
-    from repro.serve.bench import measure_serve
+    from repro.serve.bench import measure_serve, measure_soak
 
     def row(strategy: str, shards: int, mode: str, cross: float = 0.0):
         return measure_serve(
@@ -439,6 +466,7 @@ def measure_serve_tier(tiny: bool, seed: int) -> Dict[str, Any]:
                 cross_ratio=0.2, seed=seed, max_inflight=1, durable=durable,
             )
         }
+    document["soak"] = measure_soak(seed, SOAK_WAVES)
     return document
 
 
@@ -549,6 +577,10 @@ TIERS: Dict[str, Tier] = {tier.name: tier for tier in (
             # every counter present: a silent tracing regression would
             # otherwise make the ceilings unfalsifiable
             Gate("baselines.*.traced", "floor", bound=1, unit="count"),
+            # explore pauses automatic collection; outside ``traced``,
+            # whose floor of 1 would forbid the 0 this row must read
+            Gate("baselines.*.gc_collections", "ceiling", bound=0,
+                 unit="collections"),
         ),
         "--tiny explores mem-ww only",
     ),
@@ -608,12 +640,19 @@ TIERS: Dict[str, Tier] = {tier.name: tier for tier in (
             # a count, not a clock: it fails on any box
             Gate("durable.*.fsyncs_per_txn", "ceiling", 1.0, unit="fsyncs"),
             Gate("durable.*.conformance_ok", "identity", bound=True),
+            # what a rolled-over wave leaves alive: the intern table's
+            # share (~0.4 KB/wave) fits, a per-wave leak does not
+            Gate("soak.retained_bytes_per_wave", "ceiling", bound=1536,
+                 unit="B"),
+            Gate("soak.empty_log_slots_added", "ceiling", bound=0,
+                 unit="slots"),
+            Gate("soak.conformance_ok", "identity", bound=True),
             # 2 shards must beat 1 (speedup is rounded to 0.01)
             Gate("scaling.speedup", "floor", bound=1.01, unit="x",
                  min_cores=MIN_PARALLEL_CORES),
         ),
-        "--tiny runs the gate rows, the durable row and one process-mode "
-        "row",
+        "--tiny runs the gate rows, the durable row, the soak row and one "
+        "process-mode row",
     ),
     Tier(
         "durable", "Durable log", measure_durable_tier,

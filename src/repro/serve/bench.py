@@ -17,16 +17,23 @@ A ``durable`` directory puts the daemon on segment stores and adds
 ``fsyncs_per_txn`` to the row: the shard and coordinator
 ``durable.fsync.calls`` the load caused, per committed transaction, read
 before shutdown (whose close would flush what is still buffered).
+
+:func:`measure_soak` is the tier's memory row: one inline shard fed one
+transaction per wave, measuring what each wave leaves behind.
 """
 
 from __future__ import annotations
 
 import asyncio
+import gc
+import tracemalloc
 from typing import Any, Dict, Optional
 
+from repro.core.logs import EMPTY_GLOBAL, EMPTY_LOCAL
 from repro.serve.client import ServeClient
 from repro.serve.daemon import Daemon, DaemonConfig
-from repro.serve.loadgen import LoadConfig, run_load
+from repro.serve.loadgen import LoadConfig, WorkloadSource, run_load
+from repro.serve.shard import ShardConfig, ShardState
 
 
 async def measure_serve_async(
@@ -120,3 +127,57 @@ async def _fsync_calls(client: ServeClient) -> int:
 def measure_serve(strategy: str, shards: int, **kwargs: Any) -> Dict[str, Any]:
     """Synchronous wrapper around :func:`measure_serve_async`."""
     return asyncio.run(measure_serve_async(strategy, shards, **kwargs))
+
+
+def measure_soak(seed: int, waves: int) -> Dict[str, Any]:
+    """Drive one inline encounter shard through ``waves`` single-
+    transaction waves of the ``mixed`` workload, each followed by
+    ``maybe_checkpoint`` (so every wave is gated and rolled over), and
+    report what the run keeps alive.
+
+    ``retained_bytes_per_wave`` is tracemalloc's traced memory after a
+    full collection at the last wave minus that at the middle wave,
+    divided by the waves between: the first half warms every memo and
+    table that has a fixed size.  ``empty_log_slots_added`` is how many
+    memo entries the run added to the shared empty-log singletons; it is
+    a difference, not a size, because earlier runs in the same process
+    may have filled them."""
+    state = ShardState(ShardConfig(strategy="encounter"))
+    source = WorkloadSource(LoadConfig(workload="mixed", seed=seed), shards=1)
+
+    def slots() -> int:
+        return len(EMPTY_LOCAL._proj or ()) + len(EMPTY_GLOBAL._proj or ())
+
+    slots_before = slots()
+    half = waves // 2
+    traced = {}
+    was_tracing = tracemalloc.is_tracing()
+    if not was_tracing:
+        tracemalloc.start()
+    try:
+        for wave in range(1, waves + 1):
+            state.execute_wave(
+                [{"id": f"s{wave}", "ops": source.next_txn(), "attempts": 0}]
+            )
+            state.maybe_checkpoint()
+            if wave in (half, waves):
+                gc.collect()
+                traced[wave] = tracemalloc.get_traced_memory()[0]
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+    return {
+        "strategy": "encounter",
+        "shards": 1,
+        "workload": "mixed",
+        "seed": seed,
+        "waves": waves,
+        "committed": dict(state.registry.counter_values()).get(
+            "serve.txn.committed", 0
+        ),
+        "conformance_ok": not state.conformance_failure_log,
+        "retained_bytes_per_wave": round(
+            (traced[waves] - traced[half]) / (waves - half), 1
+        ),
+        "empty_log_slots_added": slots() - slots_before,
+    }

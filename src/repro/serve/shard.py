@@ -59,6 +59,7 @@ from repro.core.errors import TMAbort
 from repro.core.history import TxRecord
 from repro.core.language import call, tx
 from repro.core.machine import Machine
+from repro.core.ops import intern_stats
 from repro.core.spec import RebasedStateSpec, StateSpec
 from repro.faults.conformance import conformance_failures
 from repro.faults.recovery import make_policy
@@ -589,6 +590,10 @@ class ShardState:
     def metrics_snapshot(self) -> Dict[str, Any]:
         self.registry.gauge("serve.machine.threads").set(len(self.runtime.machine.threads))
         self.registry.gauge("serve.prepared").set(len(self.prepared))
+        # The process-wide intern tables: the one structure that still
+        # grows with the distinct payloads a shard has served.
+        for name, size in intern_stats().items():
+            self.registry.gauge(name).set(size)
         return {
             "counters": dict(self.registry.counter_values()),
             "gauges": {

@@ -5,9 +5,11 @@ under random segment mutation (``src/repro/durable/records.py``,
 ``src/repro/durable/store.py``, ``src/repro/fuzz/mutators.py``).
 """
 
+import gc
 import json
 import os
 import random
+import warnings
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -237,6 +239,19 @@ class TestSegmentStore:
         (tmp_path / "log" / snaps[0]).write_text("{torn", encoding="utf-8")
         assert load_snapshot(d) is None
         SegmentStore(d).close()  # still opens; segments carry the data
+
+    def test_load_snapshot_closes_the_file_it_reads(self, tmp_path):
+        d = str(tmp_path / "log")
+        store = SegmentStore(d)
+        store.append(commit(0))
+        store.sync()
+        store.write_snapshot(encode_state("s"), meta={})
+        store.close()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            assert load_snapshot(d) is not None
+            gc.collect()
+        assert not [w for w in caught if w.category is ResourceWarning]
 
     def test_torn_tail_truncated_once_on_open(self, tmp_path):
         d = str(tmp_path / "log")

@@ -1,5 +1,8 @@
 """The transaction language: step/fin (Example 1), well-formedness."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.core.errors import LanguageError
@@ -150,3 +153,34 @@ class TestHashability:
         p = tx(call("a", 1), call("b"))
         text = repr(p)
         assert "a(1)" in text and "b()" in text
+
+
+class TestNodeMemo:
+    """``step`` and ``fin`` memoize on the (immutable) node itself, so
+    the memo lives exactly as long as the program it describes."""
+
+    def test_repeated_calls_on_one_node_return_the_same_object(self):
+        program = tx(call("a", 1), choice(call("b"), Star(call("c"))))
+        first = step(program)
+        assert step(program) is first
+        assert fin(program) is fin(program) is False
+        (_, rest), = [pair for pair in first if pair[0] == call("a", 1)]
+        assert step(rest) is step(rest)
+
+    def test_structurally_equal_nodes_get_equal_results(self):
+        def build():
+            return tx(choice(call("m", 1), SKIP), Star(call("n")))
+
+        one, two = build(), build()
+        assert one is not two
+        assert step(one) == step(two)
+        assert fin(one) == fin(two) is True
+
+    def test_the_memo_dies_with_its_node(self):
+        program = tx(call("a", 1), call("b", 2))
+        ((_, rest),) = step(program)
+        assert not fin(program)
+        refs = [weakref.ref(program), weakref.ref(rest)]
+        del program, rest
+        gc.collect()
+        assert [ref() for ref in refs] == [None, None]

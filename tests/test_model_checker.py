@@ -1,9 +1,12 @@
 """The small-scope model checker — Theorem 5.17 executed exhaustively."""
 
+import gc
+
 import pytest
 
 from repro.checking import check_serializability_small_scope, explore
 from repro.checking.model_checker import ExplorationReport, ExploreOptions
+from repro.cli import SCOPES
 from repro.core.errors import SerializabilityViolation
 from repro.core.language import call, choice, tx
 from repro.specs import CounterSpec, KVMapSpec, MemorySpec, SetSpec
@@ -109,6 +112,61 @@ class TestExplore:
             ExploreOptions(check_every_state_cover=True),
         )
         assert report.ok
+
+
+class TestCollectorPause:
+    """``explore`` pauses automatic cyclic collection for the whole call
+    and hands the caller's thresholds back on every exit."""
+
+    PROGRAMS = [tx(call("write", "x", 1), call("read", "x")),
+                tx(call("write", "x", 2))]
+
+    def test_explore_runs_no_cyclic_collection(self):
+        spec_cls, programs = SCOPES["counter"]
+        spec = spec_cls()
+        started = []
+
+        def hook(phase, info):
+            if phase == "start":
+                started.append(info["generation"])
+
+        gc.collect()  # nothing already due is charged to the explore
+        gc.callbacks.append(hook)
+        try:
+            report = explore(spec, programs, ExploreOptions(por=False))
+        finally:
+            gc.callbacks.remove(hook)
+        assert report.states > 700  # enough allocation to trigger one
+        assert started == []
+
+    def test_restores_a_custom_threshold_after_return_and_memory_error(self):
+        saved = gc.get_threshold()
+        try:
+            gc.set_threshold(500, 7, 9)
+            explore(MemorySpec(), self.PROGRAMS)
+            assert gc.get_threshold() == (500, 7, 9)
+            with pytest.raises(MemoryError):
+                explore(MemorySpec(), self.PROGRAMS,
+                        ExploreOptions(max_states=10))
+            assert gc.get_threshold() == (500, 7, 9)
+        finally:
+            gc.set_threshold(*saved)
+
+    @pytest.mark.parametrize("name,por", [
+        (name, por)
+        for name in SCOPES
+        for por in ((True, False) if name != "counter-sym" else (True,))
+    ])
+    def test_exploration_leaves_no_cyclic_garbage(self, name, por):
+        """Pausing the collector costs no memory only if the exploration
+        makes no cycles for it to find: everything it drops, refcounting
+        frees at once."""
+        spec_cls, programs = SCOPES[name]
+        spec = spec_cls()
+        gc.collect()
+        report = explore(spec, programs, ExploreOptions(por=por))
+        assert report.ok
+        assert gc.collect() == 0
 
 
 class TestCheckSerializabilitySmallScope:

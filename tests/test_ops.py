@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.errors import LogError
-from repro.core.ops import IdGenerator, Op, OpClass, make_op
+from repro.core.ops import IdGenerator, Op, make_op
 
 
 class TestOp:
@@ -99,15 +99,3 @@ class TestMakeOp:
         gen = IdGenerator(start=500)
         op = make_op("inc", ids=gen)
         assert op.op_id == 500
-
-
-class TestOpClass:
-    def test_of_strips_identity(self):
-        a = Op("put", ("k",), 1, 10)
-        b = Op("put", ("k",), 1, 20)
-        assert OpClass.of(a) == OpClass.of(b)
-
-    def test_distinguishes_payloads(self):
-        a = Op("put", ("k",), 1, 10)
-        b = Op("put", ("k",), 2, 10)
-        assert OpClass.of(a) != OpClass.of(b)

@@ -8,6 +8,8 @@ import weakref
 
 import pytest
 
+from repro.core.logs import EMPTY_GLOBAL, EMPTY_LOCAL
+from repro.core.ops import intern_stats
 from repro.core.spec import RebasedStateSpec, shared_movers
 from repro.durable.recovery import open_durable_shard
 from repro.serve.shard import (
@@ -183,13 +185,33 @@ def test_mover_pairs_evaluated_before_a_rollover_hit_after_it():
     assert evaluated == []
 
 
-def test_rollovers_free_rebased_specs_and_denotation_caches():
+def _empty_log_slots():
+    return len(EMPTY_LOCAL._proj or ()) + len(EMPTY_GLOBAL._proj or ())
+
+
+def test_rollovers_free_rebased_specs_and_denotation_caches(monkeypatch):
     """Each rollover replaces the spec and its denotation cache; the old
     ones must be collectable, or a per-wave rollover leaks one of each
-    per wave.  ``conformance_window=1`` rolls over every wave either way."""
+    per wave.  Nor may what they computed outlive them: no memo entry
+    piles up on the shared empty-log singletons, and no wave's program
+    stays reachable once its wave has rolled over.
+    ``conformance_window=1`` rolls over every wave either way."""
+    programs = []
+    build = ShardState._program
+
+    def capture(self, ops):
+        program = build(self, ops)
+        # the machine steps the body, not the ``tx`` node around it
+        programs.extend((weakref.ref(program), weakref.ref(program.body)))
+        return program
+
+    monkeypatch.setattr(ShardState, "_program", capture)
     state = _state(conformance_window=1)
     specs, caches = [], []
     for value in range(30):
+        if value == 15:
+            gc.collect()
+            slots_at_15 = _empty_log_slots()
         _wave(state, [["kvmap", "put", "k", value]], [["counter", "inc"]])
         assert state.maybe_checkpoint()["ok"]
         specs.append(weakref.ref(state.runtime.spec))
@@ -197,8 +219,20 @@ def test_rollovers_free_rebased_specs_and_denotation_caches():
     gc.collect()
     assert sum(ref() is not None for ref in specs) <= 2
     assert sum(ref() is not None for ref in caches) <= 2
+    assert _empty_log_slots() == slots_at_15
+    assert len(programs) == 120
+    assert [i for i, ref in enumerate(programs) if ref() is not None] == []
     (read,) = _wave(state, [["kvmap", "get", "k"], ["counter", "get"]])
     assert read.results == (29, 30)
+
+
+def test_metrics_snapshot_reports_the_intern_tables():
+    state = _state()
+    _wave(state, [["kvmap", "put", "k", 1]])
+    gauges = state.metrics_snapshot()["gauges"]
+    assert gauges["intern.payload_classes"] == intern_stats()["intern.payload_classes"]
+    assert gauges["intern.code_states"] == intern_stats()["intern.code_states"]
+    assert gauges["intern.payload_classes"] >= 1
 
 
 @pytest.mark.parametrize("seed", [1, 2])

@@ -7,11 +7,17 @@ and verify end-state consistency against independently tracked ground
 truth.
 """
 
+import gc
+import weakref
+
 import pytest
 
+from repro.core.language import call, tx
+from repro.core.logs import EMPTY_GLOBAL, EMPTY_LOCAL
 from repro.runtime import WorkloadConfig, make_workload, run_experiment
 from repro.specs import BankSpec, CounterSpec, MemorySpec
 from repro.tm import BoostingTM, EncounterTM, PessimisticTM, TL2TM
+from repro.tm.base import Runtime, StepStatus, TxStepper
 
 
 @pytest.mark.slow
@@ -83,3 +89,35 @@ class TestSoak:
         assert result.runtime.spec.replay(
             result.runtime.machine.global_log.committed_ops()
         ) is not None
+
+
+def test_compaction_frees_each_epochs_memos_and_programs():
+    """Every ``Runtime.maybe_compact`` rebases the spec, so the next
+    machine gets a fresh denotation cache.  What the old caches computed
+    must not pile up on the shared empty-log singletons, and a committed
+    transaction's program must not outlive its run."""
+
+    def slots():
+        return len(EMPTY_LOCAL._proj or ()) + len(EMPTY_GLOBAL._proj or ())
+
+    rt = Runtime(MemorySpec(), compact_every=1)
+    algorithm = TL2TM()
+    programs = []
+    for value in range(40):
+        if value == 20:
+            gc.collect()
+            slots_at_20 = slots()
+        program = tx(call("write", "x", value), call("read", "x"))
+        # the machine steps the body, not the ``tx`` node around it
+        programs.extend((weakref.ref(program), weakref.ref(program.body)))
+        stepper = TxStepper(algorithm, rt, program)
+        while stepper.step() is StepStatus.RUNNING:
+            pass
+        assert stepper.status is StepStatus.COMMITTED
+        del program, stepper
+    gc.collect()
+    assert len(rt.machine.global_log) == 0  # compacted after every commit
+    assert slots() == slots_at_20
+    assert [i for i, ref in enumerate(programs) if ref() is not None] == []
+    # the rebased spec carries the last write across every epoch
+    assert rt.spec.perform(rt.spec.initial_state(), "read", ("x",))[0] == 39

@@ -2,8 +2,8 @@
 
 Claims regenerated:
 
-* the no-uncommitted-PULL fragment is opaque: every TL2/boosting run
-  passes the final-state opacity view check (aborted views included);
+* the no-uncommitted-PULL fragment is opaque: a TL2 run's history,
+  aborted views included, linearizes against TMS2;
 * the commutative relaxation: pulls of uncommitted operations are safe
   exactly when every reachable method of the puller commutes with them —
   measured as the acceptance rate of :func:`may_pull_uncommitted` across
@@ -16,7 +16,8 @@ import pytest
 
 from benchmarks.conftest import run_quiet, series_line
 from repro.core import Machine, call, tx
-from repro.core.opacity import OpaqueMachine, check_history_opaque, may_pull_uncommitted
+from repro.checking.tms2 import decide_history_opaque_tms2
+from repro.core.opacity import OpaqueMachine, may_pull_uncommitted
 from repro.runtime import WorkloadConfig, make_workload
 from repro.specs import CounterSpec, MemorySpec
 from repro.tm import TL2TM
@@ -31,10 +32,10 @@ def test_sec61_opaque_fragment_passes_opacity_check(benchmark):
     def run_and_check():
         result = run_quiet(TL2TM(), MemorySpec(), programs, concurrency=3,
                            verify=True)
-        violations = check_history_opaque(
-            MemorySpec(), result.runtime.history, result.runtime.machine
+        verdict = decide_history_opaque_tms2(
+            MemorySpec(), result.runtime.history
         )
-        return result, violations
+        return result, verdict.violations
 
     result, violations = benchmark.pedantic(run_and_check, rounds=1,
                                             iterations=1)

@@ -6,11 +6,14 @@ checkpoint, elastic) with ad-hoc witnesses; this module turns that folk
 knowledge into a *registered ladder* of chaos scopes — ordered smallest
 to largest — and a deterministic probe: run the strategy once per rung
 under the nemesis scheduler with a seeded fault plan, then judge the
-recorded history with **both** opacity checkers (the bounded
-view-consistency search and the TMS2 linearizability reduction,
-:mod:`repro.checking.tms2`).  A strategy's **frontier** is the first
-rung where the TMS2 checker rejects; a strategy with no frontier on the
-ladder is opaque as far as the registered scopes can tell.
+recorded history with the TMS2 decision (:mod:`repro.checking.tms2`),
+once exhaustively and once through the commit-order witness alone.  A
+strategy's **frontier** is the first rung where the exhaustive decision
+rejects; a strategy with no frontier on the ladder is opaque as far as
+the registered scopes can tell.  Every probe also records whether the
+witness-only verdict equals the exhaustive one — the evidence that the
+gate's witness walk, which decides every window past six commits,
+agrees with the full search where both can run.
 
 Everything is a pure function of the rung (workload seed, run seed and
 fault plan all live in the rung tuple), so the committed
@@ -34,13 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.core.errors import OpacityViolation
-from repro.core.opacity import check_history_opaque
-from repro.checking.tms2 import check_history_opaque_tms2
-
-#: commit bound shared with the chaos gate: every ladder rung keeps the
-#: committed count at or below this, so the checkers stay exhaustive
-FRONTIER_OPACITY_LIMIT = 6
+from repro.checking.tms2 import decide_history_opaque_tms2
 
 
 @dataclass(frozen=True)
@@ -89,15 +86,17 @@ RUNGS_BY_NAME: Dict[str, ScopeRung] = {r.name: r for r in FRONTIER_LADDER}
 
 @dataclass
 class ScopeProbe:
-    """Both checkers' verdicts for one (strategy, rung) run."""
+    """The TMS2 verdicts for one (strategy, rung) run."""
 
     strategy: str
     rung: ScopeRung
     commits: int = 0
-    bounded_violations: List[str] = field(default_factory=list)
+    #: the exhaustive decision's violations (every rung stays within the
+    #: exhaustive bound)
     tms2_violations: List[str] = field(default_factory=list)
-    #: False when the run escaped the commit bound (or crashed) and the
-    #: checkers could not judge it — never the case on the ladder
+    #: the commit-order witness alone reaches the exhaustive verdict
+    witness_agrees: bool = True
+    #: False when the run crashed and there was no history to judge
     checked: bool = True
     error: Optional[str] = None
 
@@ -105,21 +104,11 @@ class ScopeProbe:
     def tms2_opaque(self) -> bool:
         return self.checked and not self.tms2_violations
 
-    @property
-    def sound(self) -> bool:
-        """The soundness direction of the reduction: anything the
-        bounded checker rejects, TMS2 must reject too (TMS2 is complete;
-        the bounded checker only reports real violations)."""
-        return not self.checked or not (
-            self.bounded_violations and not self.tms2_violations
-        )
 
-
-def probe_scope(
-    strategy: str, rung: ScopeRung, max_exhaustive: int = FRONTIER_OPACITY_LIMIT
-) -> ScopeProbe:
-    """Run ``strategy`` on ``rung`` and judge the history with both
-    checkers.  Deterministic: every seed comes from the rung."""
+def probe_scope(strategy: str, rung: ScopeRung) -> ScopeProbe:
+    """Run ``strategy`` on ``rung`` and judge the history, exhaustively
+    and by the witness alone.  Deterministic: every seed comes from the
+    rung."""
     from repro.faults.conformance import chaos_setup
     from repro.faults.plan import FaultInjector, FaultPlan
     from repro.runtime.harness import run_experiment
@@ -156,18 +145,12 @@ def probe_scope(
         probe.checked = False
         probe.error = f"{type(exc).__name__}: {exc}"
         return probe
-    runtime = result.runtime
-    probe.commits = runtime.history.commit_count()
-    try:
-        probe.bounded_violations = check_history_opaque(
-            spec, runtime.history, runtime.machine, max_exhaustive=max_exhaustive
-        )
-        probe.tms2_violations = check_history_opaque_tms2(
-            spec, runtime.history, runtime.machine, max_exhaustive=max_exhaustive
-        )
-    except OpacityViolation as exc:  # pragma: no cover - ladder stays bounded
-        probe.checked = False
-        probe.error = str(exc)
+    history = result.runtime.history
+    probe.commits = history.commit_count()
+    exhaustive = decide_history_opaque_tms2(spec, history)
+    witness = decide_history_opaque_tms2(spec, history, max_exhaustive=0)
+    probe.tms2_violations = exhaustive.violations
+    probe.witness_agrees = witness.opaque == exhaustive.opaque
     return probe
 
 
@@ -204,9 +187,6 @@ class FrontierResult:
             "opaque": self.opaque,
             "frontier_index": index,
             "frontier": None if witness is None else witness.rung.name,
-            "frontier_bounded_violations": (
-                None if witness is None else len(witness.bounded_violations)
-            ),
             "frontier_tms2_violations": (
                 None if witness is None else len(witness.tms2_violations)
             ),

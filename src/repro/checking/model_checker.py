@@ -101,16 +101,19 @@ class ExploreOptions:
     #: threads run syntactically identical programs (no-op otherwise).
     por_symmetry: bool = True
     #: opacity oracle over terminal states (final and stuck): ``None`` —
-    #: off; ``"bounded"`` — the view-consistency search of
-    #: :func:`repro.core.opacity.check_history_opaque`; ``"tms2"`` — the
-    #: TMS2 linearizability decision procedure
-    #: (:func:`repro.checking.tms2.check_history_opaque_tms2`);
-    #: ``"both"`` — run both and additionally record any verdict
-    #: divergence (which fails the run and, when a flight recorder is
-    #: armed, dumps its black box).
+    #: off; ``"tms2"`` — the TMS2 linearizability decision
+    #: (:func:`repro.checking.tms2.decide_history_opaque_tms2`)
     opacity_checker: Optional[str] = None
-    #: commit-count bound forwarded to the opacity checkers
+    #: commits up to which the TMS2 decision is exhaustive (past it, the
+    #: commit-order witness alone decides)
     opacity_bound: int = 8
+
+    def __post_init__(self) -> None:
+        if self.opacity_checker not in (None, "tms2"):
+            raise ValueError(
+                f"unknown opacity checker {self.opacity_checker!r} "
+                "(expected 'tms2' or None)"
+            )
 
 
 @dataclass
@@ -132,8 +135,6 @@ class ExplorationReport:
     #: opacity-oracle findings over terminal states (only populated when
     #: ``ExploreOptions.opacity_checker`` is set)
     opacity_violations: List[str] = field(default_factory=list)
-    #: bounded-vs-TMS2 verdict disagreements (``opacity_checker="both"``)
-    opacity_divergences: List[str] = field(default_factory=list)
     #: terminal states the opacity oracle examined
     opacity_terminals: int = 0
     #: whether the mover-guided reduction was active for this run
@@ -156,7 +157,6 @@ class ExplorationReport:
             or self.cover_violations
             or self.cmtpres_violations
             or self.opacity_violations
-            or self.opacity_divergences
         )
 
 
@@ -185,7 +185,6 @@ def verdict_fingerprint(report: "ExplorationReport") -> Tuple:
         tuple(sorted({normalize_witness(m) for m in report.cover_violations})),
         tuple(sorted({normalize_witness(m) for m in report.cmtpres_violations})),
         tuple(sorted({normalize_witness(m) for m in report.opacity_violations})),
-        tuple(sorted({normalize_witness(m) for m in report.opacity_divergences})),
     )
 
 
@@ -579,49 +578,15 @@ def _check_opacity(
     options: ExploreOptions,
     report: ExplorationReport,
 ) -> None:
-    """The terminal-state opacity oracle (``ExploreOptions.opacity_checker``).
+    """The terminal-state opacity oracle (``ExploreOptions.opacity_checker``):
+    the TMS2 decision over this terminal state's synthetic history."""
+    from repro.checking.tms2 import decide_history_opaque_tms2
 
-    Builds the synthetic history for this terminal state and consults the
-    requested checker(s); under ``"both"`` a verdict disagreement is
-    recorded as its own violation class (the reduction says the TMS2
-    verdict is authoritative, so its violations populate
-    ``opacity_violations`` either way)."""
-    from repro.checking.tms2 import TMS2_STATS, check_history_opaque_tms2
-    from repro.core.errors import OpacityViolation
-    from repro.core.opacity import check_history_opaque
-
-    checker = options.opacity_checker
-    history = _terminal_history(node)
     report.opacity_terminals += 1
-    bounded = tms2 = None
-    try:
-        if checker in ("bounded", "both"):
-            bounded = check_history_opaque(
-                spec, history, node.machine, max_exhaustive=options.opacity_bound
-            )
-        if checker in ("tms2", "both"):
-            tms2 = check_history_opaque_tms2(
-                spec, history, node.machine, max_exhaustive=options.opacity_bound
-            )
-    except OpacityViolation as exc:
-        report.opacity_violations.append(f"opacity bound exceeded: {exc}")
-        return
-    authoritative = tms2 if tms2 is not None else bounded
-    report.opacity_violations.extend(authoritative or ())
-    if checker != "both":
-        return
-    TMS2_STATS["opacity.agreement.checks"] += 1
-    if bool(bounded) != bool(tms2):
-        TMS2_STATS["opacity.agreement.divergences"] += 1
-        committed_payloads = sorted(
-            op.pretty() for ops in node.committed_ops for op in ops
-        )
-        report.opacity_divergences.append(
-            "opacity checkers disagree at a terminal state: "
-            f"bounded={'reject' if bounded else 'accept'} "
-            f"tms2={'reject' if tms2 else 'accept'} "
-            f"(committed {committed_payloads})"
-        )
+    verdict = decide_history_opaque_tms2(
+        spec, _terminal_history(node), max_exhaustive=options.opacity_bound
+    )
+    report.opacity_violations.extend(verdict.violations)
 
 
 def _check_cover(

@@ -1,13 +1,5 @@
 """Opacity decided by linearizability against a TMS2-style automaton.
 
-The bounded checker (:func:`repro.core.opacity.check_history_opaque`)
-quantifies, *per viewer*, over serial executions of arbitrary subsets of
-the committed transactions — no shared witness order, no real-time
-constraints, and a viewer's pulled-uncommitted operations ride along in
-its view where they can self-justify a dirty read.  That is sound enough
-to catch gross inconsistencies on model-checker scopes but it is not a
-decision procedure: it can accept histories no serialization justifies.
-
 This module implements the reduction of Armstrong, Dongol & Doherty
 (arXiv:1610.01004, PAPERS.md): a history is opaque iff it linearizes
 against a TMS2-style specification automaton.  Concretely
@@ -37,14 +29,26 @@ placement freedom of the linearization point.
 
 The search is a DFS over linear extensions of the committed records'
 real-time order, pruned by prefix-closedness (a serial prefix that is
-not ``allowed`` cannot be repaired by any extension).  Aborted/active
-viewers never change the memory and never constrain *each other's*
-feasible memory versions beyond monotonicity, so for each complete
-committed order they are placed by a greedy monotone assignment (their
-mutual real-time order is an interval order whose feasibility windows
-nest; smallest-feasible-point-first is optimal), which keeps the
-procedure polynomial in the number of aborted attempts and factorial
-only in the (bounded) number of commits.
+not ``allowed`` cannot be repaired by any extension).  The committed
+records are sorted by end time, so the DFS's first descent is the
+**commit-order witness** — the order every §6 strategy serializes in.
+Up to :data:`MAX_EXHAUSTIVE` committed transactions the DFS backtracks
+over every extension and the verdict is exact; past it, the decision
+takes the witness alone (one commit step per transaction, no
+backtracking) and marks its verdict non-exhaustive.  A witness accept
+is a linearization, so it is an accept of the full search too; a
+witness reject may in principle be a history that linearizes only in
+some other order, which is why callers file it under its own kind.
+
+Aborted/active viewers never change the memory and never constrain
+*each other's* feasible memory versions beyond monotonicity, so for each
+complete committed order they are placed by a greedy monotone assignment
+(their mutual real-time order is an interval order whose feasibility
+windows nest; smallest-feasible-point-first is optimal).  Every
+real-time window comes from bisecting the sorted end and begin times,
+and each ``allowed`` judgement goes through the spec's shared
+denotation cache, which resumes from the longest prefix already judged
+— so the witness walk is linear in the window, not quadratic.
 
 A viewer's *own* operations are the entries of its recorded view that
 are neither committed operations (those are justified by the serial
@@ -56,13 +60,21 @@ never-committed write fails ``allowed`` at every memory version).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from bisect import bisect_left, bisect_right
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Set, Tuple
 
-from repro.core.errors import OpacityViolation
 from repro.core.history import History, TxRecord, TxStatus
 from repro.core.ops import Op
-from repro.core.spec import SequentialSpec
+from repro.core.spec import SequentialSpec, shared_denotations
+
+#: committed transactions (with operations) up to which the decision
+#: backtracks over every committed linear extension; past it, the
+#: commit-order witness alone decides
+MAX_EXHAUSTIVE = 6
+
+#: end time of a still-active record: it precedes nothing
+_NEVER = float("inf")
 
 #: process-wide aggregate counters (the ``opacity.*`` family documented
 #: in OBSERVABILITY.md).
@@ -70,8 +82,7 @@ TMS2_STATS: Dict[str, int] = {
     "opacity.tms2.checks": 0,
     "opacity.tms2.steps": 0,
     "opacity.tms2.allowed_calls": 0,
-    "opacity.agreement.checks": 0,
-    "opacity.agreement.divergences": 0,
+    "opacity.tms2.witness_only": 0,
 }
 
 
@@ -82,7 +93,8 @@ class Tms2Automaton:
     transactions committed so far, in witness order; the full TMS2 memory
     *sequence* is recoverable as its prefixes at commit boundaries.  The
     three judgements mirror TMS2's ``DoCommit``/``DoRead`` validation,
-    with ``spec.allowed`` standing in for register-file lookup:
+    with ``allowed`` (through the spec's shared denotation cache)
+    standing in for register-file lookup:
 
     * :meth:`commit` — an updating commit: legal iff the memory extended
       by the transaction's own operations is allowed; returns the new
@@ -93,10 +105,10 @@ class Tms2Automaton:
     * :meth:`initial` — the empty memory.
     """
 
-    __slots__ = ("spec", "allowed_calls")
+    __slots__ = ("denots", "allowed_calls")
 
     def __init__(self, spec: SequentialSpec):
-        self.spec = spec
+        self.denots = shared_denotations(spec)
         self.allowed_calls = 0
 
     def initial(self) -> Tuple[Op, ...]:
@@ -107,13 +119,13 @@ class Tms2Automaton:
     ) -> Optional[Tuple[Op, ...]]:
         candidate = memory + own
         self.allowed_calls += 1
-        if not self.spec.allowed(candidate):
+        if not self.denots.allowed(candidate):
             return None
         return candidate
 
     def observe(self, memory: Tuple[Op, ...], own: Tuple[Op, ...]) -> bool:
         self.allowed_calls += 1
-        return self.spec.allowed(memory + own)
+        return self.denots.allowed(memory + own)
 
 
 def own_view(record: TxRecord, committed_ids: Set[int]) -> Tuple[Op, ...]:
@@ -135,16 +147,19 @@ def own_view(record: TxRecord, committed_ids: Set[int]) -> Tuple[Op, ...]:
 
 @dataclass
 class Tms2Verdict:
-    """The full result of one TMS2 decision (``violations`` is the
-    bounded-checker-shaped surface most callers use)."""
+    """The full result of one TMS2 decision."""
 
     violations: List[str]
     #: DFS nodes expanded over committed linear extensions
     steps: int = 0
-    #: ``spec.allowed`` judgements issued by the automaton
+    #: ``allowed`` judgements issued by the automaton
     allowed_calls: int = 0
     #: a witness serialization (tx_ids in witness order) when opaque
     witness: Optional[Tuple[int, ...]] = None
+    #: False when the commit count exceeded the exhaustive bound and the
+    #: commit-order witness alone decided (a reject may then be a false
+    #: alarm; an accept never is)
+    exhaustive: bool = True
 
     @property
     def opaque(self) -> bool:
@@ -154,22 +169,14 @@ class Tms2Verdict:
 def decide_history_opaque_tms2(
     spec: SequentialSpec,
     history: History,
-    machine=None,
-    max_exhaustive: int = 6,
+    max_exhaustive: int = MAX_EXHAUSTIVE,
 ) -> Tms2Verdict:
     """Decide final-state opacity of ``history`` by TMS2 linearizability.
 
-    ``machine`` is accepted (and ignored) for signature compatibility
-    with :func:`repro.core.opacity.check_history_opaque`.  Raises
-    :class:`~repro.core.errors.OpacityViolation` past the commit bound,
-    mirroring the bounded checker's contract.
-    """
+    Exhaustive up to ``max_exhaustive`` committed transactions; past
+    that, the commit-order witness alone decides and the verdict says
+    so (``exhaustive=False``)."""
     committed = history.committed_records()
-    if len(committed) > max_exhaustive:
-        raise OpacityViolation(
-            f"TMS2 opacity check is bounded to {max_exhaustive} committed "
-            f"transactions (got {len(committed)})"
-        )
     committed_ids = {op.op_id for r in committed for op in r.ops}
     automaton = Tms2Automaton(spec)
 
@@ -177,10 +184,14 @@ def decide_history_opaque_tms2(
     # placeable at any point (``allowed`` of the unchanged memory holds
     # by the search invariant), and dropping it cannot hide an ordering
     # conflict — the real-time interval order restricted to the rest has
-    # the same linear extensions up to re-insertion.
-    committers: List[Tuple[TxRecord, Tuple[Op, ...]]] = [
-        (r, r.ops) for r in committed if r.ops
-    ]
+    # the same linear extensions up to re-insertion.  Committers sort by
+    # end time (the commit-order witness, a linear extension of real
+    # time); viewers too (active = never), which topologically sorts
+    # their interval order.
+    committers: List[Tuple[TxRecord, Tuple[Op, ...]]] = sorted(
+        ((r, r.ops) for r in committed if r.ops),
+        key=lambda item: item[0].end_time,
+    )
     viewers: List[Tuple[TxRecord, Tuple[Op, ...]]] = []
     for record in history.records:
         if record.status is TxStatus.COMMITTED:
@@ -188,115 +199,153 @@ def decide_history_opaque_tms2(
         own = own_view(record, committed_ids)
         if own:
             viewers.append((record, own))
-    # Interval orders topologically sort by end time (active = never).
-    viewers.sort(
-        key=lambda item: (
-            item[0].end_time if item[0].end_time is not None else 1 << 60
-        )
-    )
+    viewers.sort(key=lambda item: _end(item[0]))
 
     k = len(committers)
-    # committed-committed real-time predecessors, as bitmasks
-    pred_mask = [0] * k
-    for i, (a, _) in enumerate(committers):
-        for j, (b, _) in enumerate(committers):
-            if i != j and history.precedes(a, b):
-                pred_mask[j] |= 1 << i
     full = (1 << k) - 1
+    exhaustive = k <= max_exhaustive
+    # Real-time windows by bisection.  Committers that end before a
+    # record begins are an end-rank prefix; committers that begin after
+    # a record ends are a begin-rank suffix; viewers that end before a
+    # viewer begins are a prefix of the viewer order.
+    ends = [r.end_time for r, _ in committers]
+    by_begin = sorted(range(k), key=lambda i: committers[i][0].begin_time)
+    begins = [committers[i][0].begin_time for i in by_begin]
+    viewer_ends = [_end(r) for r, _ in viewers]
+    # pred_mask[j]: the committers that must precede committer j
+    pred_mask = [
+        (1 << bisect_left(ends, r.begin_time)) - 1 for r, _ in committers
+    ]
+    windows = [
+        (
+            bisect_left(ends, r.begin_time),
+            bisect_right(begins, _end(r)),
+            bisect_left(viewer_ends, r.begin_time),
+        )
+        for r, _ in viewers
+    ]
 
     # Diagnostics: was this record ever legal at any explored placement?
     committer_ok = [False] * k
     viewer_ok = [False] * len(viewers)
-    steps = 0
 
-    def viewers_placeable(order: Sequence[int]) -> bool:
+    def misplaced_viewer(
+        order: List[int], memories: List[Tuple[Op, ...]]
+    ) -> Optional[TxRecord]:
         """Greedy monotone placement of the viewers against one complete
-        committed witness order.
+        committed witness order; returns the first viewer no feasible
+        point fits, or ``None`` when every viewer is placed.
 
-        Point ``p`` means "after the first ``p`` committed transactions".
-        Each viewer's real-time constraints against committed records
-        give a window ``[lo, hi]``; constraints among viewers demand the
-        assignment be monotone along their interval order, for which
-        smallest-feasible-point-first (in end-time order) is optimal:
-        it pointwise-minimizes the assignment, so any feasible
-        assignment dominates it.
+        Point ``p`` means "after the first ``p`` committed transactions"
+        (``memories[p]``).  Each viewer's real-time constraints against
+        committed records give a window ``[lo, hi]``; constraints among
+        viewers demand the assignment be monotone along their interval
+        order, for which smallest-feasible-point-first (in end-time
+        order) is optimal: it pointwise-minimizes the assignment, so any
+        feasible assignment dominates it.
         """
-        memories: List[Tuple[Op, ...]] = [()]
-        for index in order:
-            memories.append(memories[-1] + committers[index][1])
-        position = {index: pos for pos, index in enumerate(order)}
-        assigned: List[int] = []
-        for v, (record, own) in enumerate(viewers):
-            lo, hi = 0, k
-            for i, (c, _) in enumerate(committers):
-                if history.precedes(c, record):
-                    lo = max(lo, position[i] + 1)
-                elif history.precedes(record, c):
-                    hi = min(hi, position[i])
-            for w in range(v):
-                if history.precedes(viewers[w][0], record):
-                    lo = max(lo, assigned[w])
-            point = None
-            for p in range(lo, hi + 1):
-                if automaton.observe(memories[p], own):
+        position = [0] * k
+        for pos, index in enumerate(order):
+            position[index] = pos
+        # lo_at[j]: the first point after every committer of end rank < j
+        lo_at = [0]
+        for index in range(k):
+            lo_at.append(max(lo_at[-1], position[index] + 1))
+        # hi_from[j]: the last point before every committer of begin rank >= j
+        hi_from = [k] * (k + 1)
+        for rank in range(k - 1, -1, -1):
+            hi_from[rank] = min(hi_from[rank + 1], position[by_begin[rank]])
+        # floor[w]: the latest point assigned to viewers[:w]
+        floor = [0]
+        for v, (before, after, prior) in enumerate(windows):
+            own = viewers[v][1]
+            lo = max(lo_at[before], floor[prior])
+            for point in range(lo, hi_from[after] + 1):
+                if automaton.observe(memories[point], own):
                     viewer_ok[v] = True
-                    point = p
+                    floor.append(max(floor[-1], point))
                     break
-            if point is None:
-                return False
-            assigned.append(point)
-        return True
+            else:
+                return viewers[v][0]
+        return None
 
-    witness: Optional[Tuple[int, ...]] = None
-
-    def dfs(mask: int, memory: Tuple[Op, ...], order: List[int]) -> bool:
-        nonlocal steps, witness
+    # Iterative DFS (a window may hold more commits than the recursion
+    # limit).  ``resume[d]`` is the next candidate to try at depth d.
+    steps = 0
+    order: List[int] = []
+    memories = [automaton.initial()]
+    resume = [0]
+    mask = 0
+    opaque = False
+    stuck: Optional[TxRecord] = None  # the record the last failing step judged
+    while True:
         if mask == full:
-            if viewers_placeable(order):
-                witness = tuple(committers[i][0].tx_id for i in order)
-                return True
-            return False
-        for i in range(k):
-            if mask >> i & 1 or pred_mask[i] & ~mask:
-                continue
+            stuck = misplaced_viewer(order, memories)
+            if stuck is None:
+                opaque = True
+                break
+        index = resume[-1]
+        while index < k and (mask >> index & 1 or pred_mask[index] & ~mask):
+            index += 1
+        if index < k:
+            resume[-1] = index + 1
             steps += 1
-            extended = automaton.commit(memory, committers[i][1])
-            if extended is None:
-                # prefix-closed: no extension of this serial prefix can
-                # become allowed again — prune the whole subtree
+            extended = automaton.commit(memories[-1], committers[index][1])
+            if extended is not None:
+                committer_ok[index] = True
+                order.append(index)
+                memories.append(extended)
+                mask |= 1 << index
+                # every index below the lowest free bit is placed
+                resume.append((~mask & (mask + 1)).bit_length() - 1)
                 continue
-            committer_ok[i] = True
-            order.append(i)
-            if dfs(mask | 1 << i, extended, order):
-                return True
-            order.pop()
-        return False
+            # prefix-closed: no extension of this serial prefix can
+            # become allowed again — prune the whole subtree
+            stuck = committers[index][0]
+            if exhaustive:
+                continue
+        # backtrack (the witness-only walk never does: it takes one order)
+        if not order or not exhaustive:
+            break
+        mask &= ~(1 << order.pop())
+        memories.pop()
+        resume.pop()
 
-    opaque = dfs(0, automaton.initial(), [])
     TMS2_STATS["opacity.tms2.checks"] += 1
     TMS2_STATS["opacity.tms2.steps"] += steps
     TMS2_STATS["opacity.tms2.allowed_calls"] += automaton.allowed_calls
+    if not exhaustive:
+        TMS2_STATS["opacity.tms2.witness_only"] += 1
+    verdict = Tms2Verdict(
+        [], steps=steps, allowed_calls=automaton.allowed_calls,
+        exhaustive=exhaustive,
+    )
     if opaque:
-        return Tms2Verdict(
-            [], steps=steps, allowed_calls=automaton.allowed_calls,
-            witness=witness,
+        verdict.witness = tuple(committers[i][0].tx_id for i in order)
+        return verdict
+    if not exhaustive:
+        # the walk stopped at its first failing record
+        verdict.violations.append(
+            _violation(stuck) + " in the commit-order witness"
         )
-    violations: List[str] = []
+        return verdict
     for i, (record, _) in enumerate(committers):
         if not committer_ok[i]:
-            violations.append(_violation(record))
+            verdict.violations.append(_violation(record))
     for v, (record, _) in enumerate(viewers):
         if not viewer_ok[v]:
-            violations.append(_violation(record))
-    if not violations:
+            verdict.violations.append(_violation(record))
+    if not verdict.violations:
         total = k + len(viewers)
-        violations.append(
+        verdict.violations.append(
             f"no serialization of {total} transactions satisfies both "
             f"real-time order and TMS2 validation"
         )
-    return Tms2Verdict(
-        violations, steps=steps, allowed_calls=automaton.allowed_calls
-    )
+    return verdict
+
+
+def _end(record: TxRecord) -> float:
+    return _NEVER if record.end_time is None else record.end_time
 
 
 def _violation(record: TxRecord) -> str:
@@ -304,75 +353,6 @@ def _violation(record: TxRecord) -> str:
         f"tx {record.tx_id} ({record.status.value}) observed an "
         f"inconsistent view of {len(record.observed)} operations"
     )
-
-
-def check_history_opaque_tms2(
-    spec: SequentialSpec,
-    history: History,
-    machine=None,
-    max_exhaustive: int = 6,
-) -> List[str]:
-    """Drop-in peer of :func:`repro.core.opacity.check_history_opaque`:
-    same signature, same violation-string shape, but a sound *and*
-    complete (final-state) verdict on bounded scopes."""
-    return decide_history_opaque_tms2(
-        spec, history, machine, max_exhaustive
-    ).violations
-
-
-@dataclass
-class OpacityAgreement:
-    """One differential run of both opacity oracles over one history."""
-
-    bounded: List[str] = field(default_factory=list)
-    tms2: List[str] = field(default_factory=list)
-    #: both checkers ran to completion inside their bounds
-    checked: bool = False
-
-    @property
-    def agree(self) -> bool:
-        return bool(self.bounded) == bool(self.tms2)
-
-    @property
-    def divergent(self) -> bool:
-        return self.checked and not self.agree
-
-    def describe(self) -> str:
-        return (
-            f"bounded={'reject' if self.bounded else 'accept'} "
-            f"tms2={'reject' if self.tms2 else 'accept'}"
-        )
-
-
-def check_opacity_agreement(
-    spec: SequentialSpec,
-    history: History,
-    machine=None,
-    max_exhaustive: int = 6,
-) -> OpacityAgreement:
-    """Run the bounded checker and the TMS2 decision procedure over the
-    same history and compare verdicts.  Disagreement is meaningful in one
-    direction only — the bounded checker accepting a history TMS2 rejects
-    witnesses its known incompleteness; the converse would be a bug in
-    one of the two.  Histories past either bound report ``checked=False``
-    and never count as divergent."""
-    from repro.core.opacity import check_history_opaque
-
-    result = OpacityAgreement()
-    try:
-        result.bounded = check_history_opaque(
-            spec, history, machine, max_exhaustive
-        )
-        result.tms2 = check_history_opaque_tms2(
-            spec, history, machine, max_exhaustive
-        )
-    except OpacityViolation:
-        return result
-    result.checked = True
-    TMS2_STATS["opacity.agreement.checks"] += 1
-    if not result.agree:
-        TMS2_STATS["opacity.agreement.divergences"] += 1
-    return result
 
 
 def tms2_stats_snapshot() -> Dict[str, int]:

@@ -255,7 +255,6 @@ def _print_scope_report(
         report.invariant_violations
         + report.cover_violations
         + report.opacity_violations
-        + report.opacity_divergences
     )[:3]:
         print("   !!", violation)
     return 1
@@ -289,7 +288,6 @@ def cmd_modelcheck(args: argparse.Namespace) -> int:
             por=por,
             tracer=tracer,
             opacity_checker=getattr(args, "opacity_checker", None),
-            opacity_bound=getattr(args, "opacity_bound", 8),
             # profiling wants the span-per-rule stream, not just the
             # periodic counters
             trace_rules=bool(
@@ -476,7 +474,6 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
         jobs=args.jobs,
         shrink=not args.no_shrink,
         profile=profile,
-        opacity_differential=getattr(args, "opacity_differential", False),
     )
     print(
         f"fuzz: corpus={args.corpus_dir} budget={budget} seed={args.seed} "
@@ -841,20 +838,11 @@ def build_parser() -> argparse.ArgumentParser:
                             help="record exploration stats to PATH "
                                  "(.json = Chrome trace, else JSONL)")
     modelcheck.add_argument("--opacity-checker", dest="opacity_checker",
-                            default=None,
-                            choices=["bounded", "tms2", "both"],
-                            help="judge every terminal history with an "
-                                 "opacity oracle: the bounded "
-                                 "view-consistency search, the TMS2 "
-                                 "linearizability reduction, or both "
-                                 "(asserting agreement; a divergence "
+                            default=None, choices=["tms2"],
+                            help="judge every terminal history with the "
+                                 "TMS2 opacity decision (a rejection "
                                  "fails the scope and dumps the flight "
                                  "recorder)")
-    modelcheck.add_argument("--opacity-bound", dest="opacity_bound",
-                            type=int, default=8,
-                            help="max committed transactions per terminal "
-                                 "history the opacity oracles search "
-                                 "exhaustively (default 8)")
     _add_obs_flags(modelcheck)
     modelcheck.set_defaults(func=cmd_modelcheck)
 
@@ -893,7 +881,7 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=["readwrite", "map", "set", "counter", "bank"])
     chaos.add_argument("--transactions", type=int, default=5,
                        help="small by default so the gate's serializability "
-                            "search stays exhaustive and opacity checkable")
+                            "and opacity searches stay exhaustive")
     chaos.add_argument("--ops", type=int, default=3)
     chaos.add_argument("--keys", type=int, default=4,
                        help="few keys = high contention for the nemesis")
@@ -947,13 +935,6 @@ def build_parser() -> argparse.ArgumentParser:
                            "for any value)")
     fuzz.add_argument("--max-retries", type=int, default=20,
                       help="per-transaction retry budget in the oracle")
-    fuzz.add_argument("--opacity-differential", dest="opacity_differential",
-                      action="store_true",
-                      help="cross-check the bounded and TMS2 opacity "
-                           "checkers on every run; a disagreement in the "
-                           "soundness direction files its own "
-                           "opacity-divergence failure with a shrunk "
-                           "artifact")
     fuzz.add_argument("--no-shrink", action="store_true",
                       help="skip ddmin minimisation of failures")
     fuzz.add_argument("--coverage-out", metavar="PATH",

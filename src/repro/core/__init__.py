@@ -10,8 +10,9 @@ Public surface:
 * the PUSH/PULL machine — :mod:`repro.core.machine`
 * §5's invariants and rewind relations — :mod:`repro.core.invariants`,
   :mod:`repro.core.rewind`
-* serializability and opacity checkers — :mod:`repro.core.serializability`,
-  :mod:`repro.core.opacity`
+* the serializability checker — :mod:`repro.core.serializability`
+* §6.1's opaque fragment — :mod:`repro.core.opacity` (histories are
+  judged for opacity by :mod:`repro.checking.tms2`)
 """
 
 from repro.core.errors import (

@@ -129,7 +129,8 @@ def inspect_directory(directory: str) -> Dict[str, Any]:
     lock: Dict[str, Any] = {"present": os.path.exists(lock_path)}
     if lock["present"]:
         try:
-            lock["pid"] = open(lock_path, encoding="utf-8").read().strip() or None
+            with open(lock_path, encoding="utf-8") as handle:
+                lock["pid"] = handle.read().strip() or None
         except OSError:
             lock["pid"] = None
     return {

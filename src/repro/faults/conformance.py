@@ -10,13 +10,12 @@ the opaque fragment) promises even under injected hostility:
    :class:`~repro.core.errors.MachineError` is a driver bug, not an abort;
 2. the committed history passes :func:`~repro.core.serializability.
    check_history` (strict, real-time order respected);
-3. for opaque strategies, every recorded view passes
-   :func:`~repro.core.opacity.check_history_opaque` *and* the TMS2
-   linearizability reduction
-   (:func:`~repro.checking.tms2.check_history_opaque_tms2`) — two
-   independent oracles, each filing under its own check kind, plus an
-   ``opacity-divergence`` failure if they ever disagree in the
-   direction that would indicate a checker bug;
+3. for opaque strategies, every recorded view — committed and aborted —
+   linearizes against TMS2
+   (:func:`~repro.checking.tms2.decide_history_opaque_tms2`) at every
+   window size: exhaustively up to six commits (``opacity-tms2``), and
+   through the commit-order witness alone past that
+   (``opacity-witness``);
 4. every aborted attempt is a *clean* abort (structured
    :class:`~repro.core.errors.AbortKind`, never a missing one);
 5. the machine and runtime end quiescent: no uncommitted global-log
@@ -34,9 +33,7 @@ import time
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.checking.tms2 import check_history_opaque_tms2
-from repro.core.errors import OpacityViolation
-from repro.core.opacity import check_history_opaque
+from repro.checking.tms2 import decide_history_opaque_tms2
 from repro.core.serializability import check_history
 from repro.core.spec import SequentialSpec
 from repro.faults.nemesis import ReplayScheduler
@@ -50,17 +47,15 @@ from repro.runtime.scheduler import Scheduler, make_scheduler
 from repro.runtime.workload import WorkloadConfig, make_workload
 from repro.tm import ALL_ALGORITHMS, TMAlgorithm
 
-#: opacity's exhaustive view check is bounded; chaos workloads default to
-#: few enough transactions that the bound is never exceeded
-OPACITY_LIMIT = 6
-
 
 @dataclass(frozen=True)
 class ChaosFailure:
     """One conformance-gate violation."""
 
-    #: exception | serializability | opacity | opacity-tms2 |
-    #: opacity-divergence | dirty-abort | state
+    #: the gate's kinds: exception | serializability | opacity-tms2 |
+    #: opacity-witness | dirty-abort | state.  The fuzz oracle adds
+    #: opacity (an opaque strategy PULLed an uncommitted entry) |
+    #: divergence | liveness.
     check: str
     detail: str
 
@@ -85,7 +80,6 @@ class ChaosResult:
     recovery: Dict[str, int] = field(default_factory=dict)
     #: recorded scheduler choice log (replay witness)
     choices: Tuple[Optional[int], ...] = ()
-    opacity_checked: bool = False
     elapsed_sec: float = 0.0
     #: path of the flight-recorder dump auto-written on a gate failure
     #: (``None`` when the run passed or no recorder was armed)
@@ -104,7 +98,6 @@ class ChaosResult:
             "total_steps": self.total_steps,
             "injected": dict(self.injected),
             "recovery": dict(self.recovery),
-            "opacity_checked": self.opacity_checked,
             "elapsed_sec": round(self.elapsed_sec, 4),
             "flight_dump": self.flight_dump,
         }
@@ -114,10 +107,8 @@ def conformance_failures(
     algorithm: TMAlgorithm,
     spec: SequentialSpec,
     result: ExperimentResult,
-    opacity_limit: int = OPACITY_LIMIT,
-) -> Tuple[List[ChaosFailure], bool]:
-    """Gate checks 2–5 over a finished run.  Returns ``(failures,
-    opacity_checked)``."""
+) -> List[ChaosFailure]:
+    """Gate checks 2–5 over a finished run."""
     failures: List[ChaosFailure] = []
     runtime = result.runtime
     history = runtime.history
@@ -135,38 +126,13 @@ def conformance_failures(
             )
         )
 
-    # 3. opacity for the opaque fragment, adjudicated by *two* independent
-    # oracles: the bounded view-consistency search and the TMS2
-    # linearizability reduction (sound and complete on these scopes).
-    # Each files under its own check kind, so killing one oracle leaves
-    # the other firing — the zoo sensitivity test pins exactly that.
-    opacity_checked = False
-    if algorithm.opaque and history.commit_count() <= opacity_limit:
-        try:
-            bounded = check_history_opaque(
-                spec, history, machine, max_exhaustive=opacity_limit
-            )
-            for violation in bounded:
-                failures.append(ChaosFailure("opacity", violation))
-            tms2 = check_history_opaque_tms2(
-                spec, history, machine, max_exhaustive=opacity_limit
-            )
-            for violation in tms2:
-                failures.append(ChaosFailure("opacity-tms2", violation))
-            # the reduction's soundness direction: the bounded checker
-            # only reports real violations, so TMS2 (complete) must
-            # agree whenever the bounded checker fires
-            if bounded and not tms2:
-                failures.append(
-                    ChaosFailure(
-                        "opacity-divergence",
-                        f"bounded checker reports {len(bounded)} "
-                        f"violation(s) but TMS2 accepts the history",
-                    )
-                )
-            opacity_checked = True
-        except OpacityViolation as exc:  # pragma: no cover - bound guard
-            failures.append(ChaosFailure("opacity", str(exc)))
+    # 3. opacity for the opaque fragment, at every window size.  Past the
+    # exhaustive bound only the commit-order witness is tried, so its
+    # rejection files under its own kind.
+    if algorithm.opaque:
+        verdict = decide_history_opaque_tms2(spec, history)
+        kind = "opacity-tms2" if verdict.exhaustive else "opacity-witness"
+        failures.extend(ChaosFailure(kind, v) for v in verdict.violations)
 
     # 4. clean aborts: every aborted attempt carries a structured kind
     for record in history.aborted_records():
@@ -210,7 +176,7 @@ def conformance_failures(
         failures.append(
             ChaosFailure("state", f"active tids after run: {sorted(runtime.active_tids)}")
         )
-    return failures, opacity_checked
+    return failures
 
 
 def run_chaos(
@@ -295,7 +261,7 @@ def run_chaos(
                 meta={"seed": seed, "error": f"{type(exc).__name__}: {exc}"},
             ),
         )
-    failures, opacity_checked = conformance_failures(algorithm, spec, result)
+    failures = conformance_failures(algorithm, spec, result)
     _finish_profile()
     flight_dump = None
     if failures:
@@ -318,7 +284,6 @@ def run_chaos(
         injected=dict(injector.stats),
         recovery=policy.snapshot(),
         choices=tuple(sched.choices),
-        opacity_checked=opacity_checked,
         elapsed_sec=time.perf_counter() - started,
         flight_dump=flight_dump,
     )

@@ -44,16 +44,11 @@ def write_artifact(
         "fingerprint": run.fingerprint(),
         "choices": list(run.choices),
         "entry": run.entry.to_dict(),
-        "opacity_differential": run.opacity_differential_checked,
         "shrunk_entry": None,
         "shrunk_fingerprint": None,
     }
     if shrunk is not None:
-        shrunk_run = run_entry(
-            shrunk,
-            run.strategy,
-            opacity_differential=run.opacity_differential_checked,
-        )
+        shrunk_run = run_entry(shrunk, run.strategy)
         data["shrunk_entry"] = shrunk.to_dict()
         data["shrunk_fingerprint"] = shrunk_run.fingerprint()
     os.makedirs(directory, exist_ok=True)
@@ -101,11 +96,7 @@ def replay_artifact(path: str, max_retries: int = MAX_RETRIES) -> ReplayResult:
         data = json.load(handle)
     strategy = data["strategy"]
     entry = CorpusEntry.from_dict(data["entry"])
-    differential = bool(data.get("opacity_differential", False))
-    run = run_entry(
-        entry, strategy, max_retries=max_retries,
-        opacity_differential=differential,
-    )
+    run = run_entry(entry, strategy, max_retries=max_retries)
     expected = data["fingerprint"]
     actual = run.fingerprint()
     reproduced = actual == expected and not run.ok
@@ -113,10 +104,7 @@ def replay_artifact(path: str, max_retries: int = MAX_RETRIES) -> ReplayResult:
     shrunk_reproduced: Optional[bool] = None
     if data.get("shrunk_entry") is not None:
         shrunk = CorpusEntry.from_dict(data["shrunk_entry"])
-        shrunk_run = run_entry(
-            shrunk, strategy, max_retries=max_retries,
-            opacity_differential=differential,
-        )
+        shrunk_run = run_entry(shrunk, strategy, max_retries=max_retries)
         shrunk_reproduced = (
             shrunk_run.fingerprint() == data.get("shrunk_fingerprint")
             and not shrunk_run.ok

@@ -61,8 +61,6 @@ def _summarize_run(run, entry_name: str) -> Dict:
         "aborts": run.aborts,
         "permanently_aborted": run.permanently_aborted,
         "divergence_checked": run.divergence_checked,
-        "opacity_checked": run.opacity_checked,
-        "opacity_differential_checked": run.opacity_differential_checked,
     }
 
 
@@ -77,10 +75,7 @@ def _run_payload(payload: Dict) -> Dict:
     """
     entry = CorpusEntry.from_dict(payload["entry"])
     run = run_entry(
-        entry,
-        payload["strategy"],
-        max_retries=payload["max_retries"],
-        opacity_differential=payload.get("opacity_differential", False),
+        entry, payload["strategy"], max_retries=payload["max_retries"]
     )
     return _summarize_run(run, entry.name)
 
@@ -185,7 +180,6 @@ class Fuzzer:
         jobs: int = 1,
         shrink: bool = True,
         profile: Optional[Profile] = None,
-        opacity_differential: bool = False,
     ) -> None:
         self.corpus_dir = corpus_dir
         self.strategies = (
@@ -196,8 +190,6 @@ class Fuzzer:
         self.artifacts_dir = artifacts_dir
         self.jobs = max(1, jobs)
         self.shrink = shrink
-        #: arm the bounded-vs-TMS2 checker cross-check on every run
-        self.opacity_differential = opacity_differential
         #: when set, every sweep runs in-process and its span attribution
         #: accumulates here (``--jobs`` is ignored: worker processes
         #: cannot ship their event streams back affordably)
@@ -216,8 +208,7 @@ class Fuzzer:
             for entry, strategy in pairs:
                 tracer = RecordingTracer()
                 run = run_entry(
-                    entry, strategy, max_retries=self.max_retries, tracer=tracer,
-                    opacity_differential=self.opacity_differential,
+                    entry, strategy, max_retries=self.max_retries, tracer=tracer
                 )
                 self.profile.add_tracer(tracer)
                 out.append(_summarize_run(run, entry.name))
@@ -227,7 +218,6 @@ class Fuzzer:
                 "entry": entry.to_dict(),
                 "strategy": strategy,
                 "max_retries": self.max_retries,
-                "opacity_differential": self.opacity_differential,
             }
             for entry, strategy in pairs
         ]
@@ -251,10 +241,7 @@ class Fuzzer:
         if self.artifacts_dir is None:
             return
         # re-run in-process for the full StrategyRun (events, choices)
-        run = run_entry(
-            entry, summary["strategy"], max_retries=self.max_retries,
-            opacity_differential=self.opacity_differential,
-        )
+        run = run_entry(entry, summary["strategy"], max_retries=self.max_retries)
         if run.ok:  # pragma: no cover - determinism violation guard
             return
         # ... and once more through the bounded flight recorder: the
@@ -262,8 +249,7 @@ class Fuzzer:
         # pure functions of (entry, strategy), so this replays exactly).
         flight = FlightRecorder(auto_dump_dir=self.artifacts_dir)
         run_entry(
-            entry, summary["strategy"], max_retries=self.max_retries, tracer=flight,
-            opacity_differential=self.opacity_differential,
+            entry, summary["strategy"], max_retries=self.max_retries, tracer=flight
         )
         dump = maybe_dump(
             flight,
@@ -281,7 +267,6 @@ class Fuzzer:
                     summary["strategy"],
                     check=run.failure_checks[0],
                     max_retries=self.max_retries,
-                    opacity_differential=self.opacity_differential,
                 )
             except ValueError:  # pragma: no cover
                 shrunk = None

@@ -31,10 +31,6 @@ strategy under test:
    by the normalized event stream and the verdict fingerprint (the
    replay regression test compares both).
 
-An optional sixth referee (``opacity_differential``) cross-checks the
-two opacity *checkers* against each other on every history — see
-:func:`run_entry`.
-
 Scheduling: a :class:`PrefixScheduler` spends the entry's recorded
 choice prefix first (skipping choices that are not currently runnable —
 mutated prefixes must guide, not wedge), then hands over to the seeded
@@ -50,12 +46,9 @@ import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.checking.tms2 import check_history_opaque_tms2
 from repro.core.atomic import payloads
-from repro.core.errors import OpacityViolation
-from repro.core.opacity import check_history_opaque
 from repro.core.serializability import atomic_cover_exists
-from repro.faults.conformance import OPACITY_LIMIT, ChaosFailure, conformance_failures
+from repro.faults.conformance import ChaosFailure, conformance_failures
 from repro.faults.nemesis import NemesisScheduler
 from repro.faults.plan import FaultInjector
 from repro.faults.recovery import make_policy
@@ -166,10 +159,6 @@ class StrategyRun:
     normalized_events: Tuple[Tuple, ...] = ()
     committed_payloads: Tuple = ()
     divergence_checked: bool = False
-    opacity_checked: bool = False
-    #: the bounded-vs-TMS2 cross-check ran on this history (only with
-    #: ``opacity_differential`` and a history inside the commit bound)
-    opacity_differential_checked: bool = False
 
     @property
     def failure_checks(self) -> List[str]:
@@ -201,21 +190,12 @@ def run_entry(
     strategy: str,
     max_retries: int = MAX_RETRIES,
     tracer=None,
-    opacity_differential: bool = False,
 ) -> StrategyRun:
     """Run ``entry`` under ``strategy`` and judge it.
 
     Deterministic from its arguments: the spec is rebuilt from the
     registry, the scheduler/recovery/injector all derive from the entry,
     and no ambient state leaks in.
-
-    ``opacity_differential`` arms a sixth referee that judges the
-    *checkers* rather than the strategy: both opacity oracles run on
-    every history (opaque label or not, real or zoo), and a history the
-    bounded checker rejects but TMS2 accepts files an
-    ``opacity-divergence`` failure — the bounded checker is sound and
-    TMS2 is complete, so that direction of disagreement is always a
-    checker bug, worth a shrunk artifact of its own.
 
     ``tracer`` may be any recorder exposing ``.events`` (a
     :class:`~repro.obs.tracer.RecordingTracer` by default; the engine
@@ -258,15 +238,14 @@ def run_entry(
         run.normalized_events = normalize_events(tracer.events)
         return run
 
-    failures, opacity_checked = conformance_failures(algorithm, spec, result)
+    failures = conformance_failures(algorithm, spec, result)
     runtime = result.runtime
 
     # 2b. the opaque fragment, §6.1 form (1): a strategy claiming
-    # ``opaque`` must never PULL an uncommitted entry.  The final-state
-    # view check alone cannot see this — a foreign uncommitted operation
-    # in the view is indistinguishable from an own one, so a dirty read
-    # self-justifies — but the stepper records ``pulled_uncommitted`` on
-    # every abort, which is exactly the fragment's syntactic criterion.
+    # ``opaque`` must never PULL an uncommitted entry.  The TMS2 decision
+    # judges responses, so a dirty pull no response depended on passes
+    # it — but the stepper records ``pulled_uncommitted`` on every
+    # abort, which is exactly the fragment's syntactic criterion.
     if algorithm.opaque:
         for record in runtime.history.records:
             if record.pulled_uncommitted:
@@ -305,34 +284,6 @@ def run_entry(
                 )
             )
 
-    # 3b. the opacity differential: bounded vs TMS2 on the same history
-    opacity_differential_checked = False
-    if (
-        opacity_differential
-        and runtime.history.commit_count() <= OPACITY_LIMIT
-    ):
-        try:
-            bounded = check_history_opaque(
-                spec, runtime.history, runtime.machine,
-                max_exhaustive=OPACITY_LIMIT,
-            )
-            tms2 = check_history_opaque_tms2(
-                spec, runtime.history, runtime.machine,
-                max_exhaustive=OPACITY_LIMIT,
-            )
-            opacity_differential_checked = True
-            if bounded and not tms2:
-                failures.append(
-                    ChaosFailure(
-                        "opacity-divergence",
-                        f"bounded checker reports {len(bounded)} opacity "
-                        f"violation(s) but TMS2 accepts the history "
-                        f"({runtime.history.commit_count()} commits)",
-                    )
-                )
-        except OpacityViolation:  # pragma: no cover - bound guard
-            pass
-
     # 4. liveness: fault-free starvation is a bug
     if (
         result.permanently_aborted > 0
@@ -358,8 +309,6 @@ def run_entry(
         choices=tuple(scheduler.choices),
         committed_payloads=tuple(payloads(committed_ops)),
         divergence_checked=divergence_checked,
-        opacity_checked=opacity_checked,
-        opacity_differential_checked=opacity_differential_checked,
     )
     run.coverage = coverage_from_events(strategy, tracer.events, run.injected)
     run.normalized_events = normalize_events(tracer.events)

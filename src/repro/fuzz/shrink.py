@@ -31,18 +31,12 @@ from repro.tm.base import TMAlgorithm
 
 
 def _failing(
-    strategy: str,
-    check: Optional[str],
-    max_retries: int,
-    opacity_differential: bool = False,
+    strategy: str, check: Optional[str], max_retries: int
 ) -> Callable[[CorpusEntry], bool]:
     def predicate(entry: CorpusEntry) -> bool:
         if not entry.programs:
             return False
-        run = run_entry(
-            entry, strategy, max_retries=max_retries,
-            opacity_differential=opacity_differential,
-        )
+        run = run_entry(entry, strategy, max_retries=max_retries)
         if run.ok:
             return False
         return check is None or check in run.failure_checks
@@ -124,18 +118,15 @@ def shrink_failure(
     strategy: str,
     check: Optional[str] = None,
     max_retries: int = MAX_RETRIES,
-    opacity_differential: bool = False,
 ) -> CorpusEntry:
     """Minimise ``entry`` while ``strategy`` keeps failing with ``check``
-    (any failure if ``check`` is ``None``).  ``opacity_differential``
-    must mirror the failing run's setting — a divergence witness only
-    reproduces with the cross-check armed.
+    (any failure if ``check`` is ``None``).
 
     Raises ``ValueError`` if the entry does not fail to begin with — a
     shrinker that silently "shrinks" a green run would hand the triage
     workflow a fabricated witness.
     """
-    predicate = _failing(strategy, check, max_retries, opacity_differential)
+    predicate = _failing(strategy, check, max_retries)
     if not predicate(entry):
         raise ValueError(
             f"entry {entry.name!r} does not fail under {strategy!r}"

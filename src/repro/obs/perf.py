@@ -492,9 +492,9 @@ def _declared_opaque(strategy: str) -> bool:
 
 
 def measure_opacity(tiny: bool, seed: int) -> Dict[str, Any]:
-    """Every strategy walked up the registered frontier ladder under both
-    opacity oracles, plus bounded-vs-TMS2 agreement on every
-    model-checker scope."""
+    """Every strategy walked up the registered frontier ladder under the
+    TMS2 decision (exhaustive and witness-only), plus the TMS2 verdict on
+    every model-checker scope."""
     from repro.checking import explore
     from repro.checking.frontier import FRONTIER_LADDER, find_frontier
     from repro.checking.model_checker import ExploreOptions
@@ -514,29 +514,27 @@ def measure_opacity(tiny: bool, seed: int) -> Dict[str, Any]:
             {
                 "rung": probe.rung.name,
                 "commits": probe.commits,
-                "bounded_violations": len(probe.bounded_violations),
                 "tms2_violations": len(probe.tms2_violations),
-                "sound": probe.sound,
+                "witness_agrees": probe.witness_agrees,
             }
             for probe in result.probes
         ]
         strategies[strategy] = row
-    agreement = {}
+    scopes = {}
     for name, (spec_cls, programs) in SCOPES.items():
         report = explore(
-            spec_cls(), programs, ExploreOptions(opacity_checker="both")
+            spec_cls(), programs, ExploreOptions(opacity_checker="tms2")
         )
-        agreement[name] = {
+        scopes[name] = {
             "terminals": report.opacity_terminals,
             "violations": len(report.opacity_violations),
-            "divergences": len(report.opacity_divergences),
             "ok": report.ok,
         }
     return {
         "elapsed_sec": round(time.perf_counter() - started, 3),
         "ladder": [rung.to_dict() for rung in FRONTIER_LADDER],
         "mode": "tiny" if tiny else "full",
-        "scope_agreement": agreement,
+        "scopes": scopes,
         "stats": {
             name: count - before.get(name, 0)
             for name, count in tms2_stats_snapshot().items()
@@ -676,11 +674,12 @@ TIERS: Dict[str, Tier] = {tier.name: tier for tier in (
             Gate("strategies.*.frontier", "identity"),
             Gate("strategies.*.frontier_index", "identity"),
             Gate("strategies.*.matches_declared_label", "identity", bound=True),
-            # bounded rejects but TMS2 accepts is always a checker bug
-            Gate("strategies.*.probes.*.sound", "identity", bound=True),
-            Gate("scope_agreement.*.violations", "ceiling", bound=0),
-            Gate("scope_agreement.*.divergences", "ceiling", bound=0),
-            Gate("scope_agreement.*.ok", "identity", bound=True),
+            # the commit-order witness, which decides every gate window
+            # past six commits, reaches the exhaustive verdict
+            Gate("strategies.*.probes.*.witness_agrees", "identity",
+                 bound=True),
+            Gate("scopes.*.violations", "ceiling", bound=0),
+            Gate("scopes.*.ok", "identity", bound=True),
         ),
     ),
 )}

@@ -496,7 +496,7 @@ class ShardState:
         ``snapshot`` makes a clean rollover checkpoint a durable shard
         even before ``conformance_window`` commits have accumulated."""
         rt = self.runtime
-        failures, opacity_checked = conformance_failures(
+        failures = conformance_failures(
             self.algorithm, rt.spec, self._result_shim()
         )
         window_commits = rt.history.commit_count()
@@ -508,7 +508,6 @@ class ShardState:
             "window_commits": window_commits,
             "windows_checked": self.windows_checked,
             "commits_gated": self.commits_gated,
-            "opacity_checked": opacity_checked,
             "failures": [str(f) for f in failures],
             "sticky_failures": list(self.conformance_failure_log),
         }

@@ -129,8 +129,11 @@ class BrokenStalePullTM(TL2TM):
 
     The partial commit is self-consistent: the recorded history contains
     exactly the committed prefix, the global log matches it, and the
-    serializability/opacity/state gates all pass.  Only the differential
-    oracle catches it, by demanding the committed effects be coverable by
+    serializability/opacity/state gates pass on the seed corpus (the
+    TMS2 decision does reject some runs' stale *aborted* views —
+    ``tests/test_broken_zoo.py`` pins one — but never sees the lost
+    effects themselves).  Only the differential oracle catches the
+    partial commit, by demanding the committed effects be coverable by
     an atomic execution of the *original* programs (the strategy keeps
     ``atomic_reference = True`` — that claim is the lie).  The program is
     prepared in the elastic shape (``skip`` choice at every boundary) so
@@ -236,10 +239,12 @@ class BrokenDirtyReadTM(EncounterTM):
     Two ways to die: an attempt that aborts after observing the dirty
     value leaves a non-opaque aborted view (CMT criterion (iii) refuses
     to commit with an uncommitted pull outstanding, so the abort path is
-    forced) — the opacity gate flags it because the class *claims*
-    ``opaque = True``; or the un-tracked producer aborts first and its
-    rollback finds a consumer it never knew about, surfacing as a raw
-    machine-level exception.
+    forced) — because the class *claims* ``opaque = True``, the §6.1
+    no-uncommitted-PULL check flags the pull itself (**opacity**) and
+    the TMS2 decision flags the view no serialization justifies
+    (**opacity-tms2**, or **opacity-witness** past six commits); or the
+    un-tracked producer aborts first and its rollback finds a consumer
+    it never knew about, surfacing as a raw machine-level exception.
     """
 
     name = "broken-dirty-read"

@@ -73,14 +73,15 @@ class TestZooSensitivity:
 
 
 class TestTms2Independence:
-    """Kill one oracle and the other still fires.
+    """The TMS2 decision catches the zoo's two observation bugs on its own.
 
-    The zoo's two observation bugs are each caught by the TMS2 peer on
-    its own: ``broken-dirty-read`` trips the dedicated ``opacity-tms2``
-    check kind on the seed corpus (it would still be caught with the
-    bounded view-consistency check deleted), and ``broken-stale-pull``
-    has a deterministic chaos witness that *only* TMS2 rejects — the
-    bounded checker accepts the very same history."""
+    ``broken-dirty-read`` trips the ``opacity-tms2`` check kind on the
+    seed corpus, beside the §6.1 no-uncommitted-PULL check that files
+    its designed ``opacity`` kind; ``broken-stale-pull`` has a
+    deterministic chaos witness — an aborted view no serialization
+    justifies — that TMS2 rejects, exhaustively and through the
+    commit-order witness alone, although the divergence check is what
+    the zoo pins it to."""
 
     def test_dirty_read_caught_by_tms2_check_kind(self, corpus):
         tms2_hits = []
@@ -94,8 +95,7 @@ class TestTms2Independence:
         )
 
     def test_stale_pull_caught_by_tms2_only(self):
-        from repro.checking.tms2 import check_history_opaque_tms2
-        from repro.core.opacity import check_history_opaque
+        from repro.checking.tms2 import decide_history_opaque_tms2
         from repro.faults.conformance import chaos_setup
         from repro.faults.plan import FaultInjector, FaultPlan
         from repro.runtime.harness import run_experiment
@@ -122,18 +122,15 @@ class TestTms2Independence:
             max_retries=12,
             injector=injector,
         )
-        runtime = result.runtime
-        bounded = check_history_opaque(
-            spec, runtime.history, runtime.machine, max_exhaustive=6
-        )
-        tms2 = check_history_opaque_tms2(
-            spec, runtime.history, runtime.machine, max_exhaustive=6
-        )
-        assert bounded == [], "witness drifted: bounded checker now rejects"
-        assert tms2, (
+        history = result.runtime.history
+        exhaustive = decide_history_opaque_tms2(spec, history)
+        assert exhaustive.exhaustive and exhaustive.violations, (
             "the stale pull's inconsistent aborted view must be rejected "
             "by the TMS2 reduction"
         )
+        assert decide_history_opaque_tms2(
+            spec, history, max_exhaustive=0
+        ).violations
 
 
 class TestRealStrategiesStayGreen:

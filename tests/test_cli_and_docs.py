@@ -22,6 +22,13 @@ class TestCLIParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
 
+    @pytest.mark.parametrize("value", ["both", "bounded"])
+    def test_modelcheck_rejects_retired_opacity_checkers(self, value, capsys):
+        with pytest.raises(SystemExit) as exited:
+            build_parser().parse_args(["modelcheck", "--opacity-checker", value])
+        assert exited.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
 
 class TestCLIRuns:
     def test_compare_bank(self, capsys):
@@ -63,6 +70,18 @@ class TestCLIRuns:
         assert "traceEvents" in doc
 
     @pytest.mark.slow
+    def test_modelcheck_with_the_tms2_opacity_checker(self, capsys):
+        from repro.cli import SCOPES
+
+        assert cli_main(["modelcheck", "--opacity-checker", "tms2"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        for name in SCOPES:
+            (row,) = [line for line in lines if line.startswith(name + " ")]
+            assert row.split()[-2] == "OK", row
+        (counters,) = [line for line in lines if line.startswith("opacity: ")]
+        assert "opacity.tms2.checks=" in counters
+        assert "opacity.tms2.witness_only=" in counters
+
     def test_evaluate(self, capsys):
         exit_code = cli_main(["evaluate"])
         out = capsys.readouterr().out

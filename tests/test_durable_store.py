@@ -253,6 +253,24 @@ class TestSegmentStore:
             gc.collect()
         assert not [w for w in caught if w.category is ResourceWarning]
 
+    def test_inspect_closes_the_lock_file_it_reads(self, tmp_path):
+        from repro.durable.inspect import inspect_directory
+
+        d = str(tmp_path / "log")
+        store = SegmentStore(d)
+        store.append(commit(0))
+        store.sync()
+        store.crash()
+        # a SIGKILLed owner leaves its lock file behind
+        with open(os.path.join(d, "LOCK"), "w", encoding="utf-8") as handle:
+            handle.write("4242\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            report = inspect_directory(d)
+            gc.collect()
+        assert report["lock"] == {"present": True, "pid": "4242"}
+        assert not [w for w in caught if w.category is ResourceWarning]
+
     def test_torn_tail_truncated_once_on_open(self, tmp_path):
         d = str(tmp_path / "log")
         store = SegmentStore(d)

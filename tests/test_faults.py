@@ -276,19 +276,16 @@ class TestConformanceGate:
         )
         algorithm, spec, programs = chaos_setup("earlyrelease", config)
         assert algorithm.opaque is False
-        from repro.core.opacity import check_history_opaque
+        from repro.checking.tms2 import decide_history_opaque_tms2
 
         result = run_experiment(
             algorithm, spec, programs, concurrency=4,
             scheduler=NemesisScheduler(3), seed=3, verify=False, compact=False,
         )
-        violations = check_history_opaque(
-            spec, result.runtime.history, result.runtime.machine
-        )
-        assert violations  # the inconsistent aborted view is real
+        verdict = decide_history_opaque_tms2(spec, result.runtime.history)
+        assert verdict.violations  # the inconsistent aborted view is real
         # ... but the committed history still serializes: the gate holds.
-        failures, _ = conformance_failures(algorithm, spec, result)
-        assert failures == []
+        assert conformance_failures(algorithm, spec, result) == []
 
 
 # -- the known-bug fixture: a strategy that mishandles a crash ----------------

@@ -4,10 +4,10 @@ between all three serializability checkers."""
 
 import pytest
 
+from repro.checking.tms2 import decide_history_opaque_tms2
 from repro.core import Machine, call, tx
 from repro.core.conflictgraph import conflict_serializable
 from repro.core.errors import CriterionViolation, MachineError
-from repro.core.opacity import check_history_opaque
 from repro.core.serializability import check_history
 from repro.core.spec import RebasedStateSpec
 from repro.runtime import WorkloadConfig, run_experiment
@@ -137,12 +137,12 @@ class TestCheckersConsistency:
         cg_ok, order, _ = conflict_serializable(
             MemorySpec(), result.runtime.history, result.runtime.machine
         )
-        opacity = check_history_opaque(
-            MemorySpec(), result.runtime.history, result.runtime.machine
+        opacity = decide_history_opaque_tms2(
+            MemorySpec(), result.runtime.history
         )
         assert exact.serializable
         assert cg_ok
-        assert opacity == []
+        assert opacity.violations == []
 
     def test_boosting_abstract_vs_word_level_graph(self):
         """The same boosted counter run: conflict graph at the abstract

@@ -1,17 +1,13 @@
-"""Opacity as a PUSH/PULL fragment (§6.1)."""
+"""Opacity as a PUSH/PULL fragment (§6.1), and the facts about opacity
+the TMS2 decision must respect on hand-built histories."""
 
 import pytest
 
+from repro.checking.tms2 import decide_history_opaque_tms2
 from repro.core import Machine, call, tx
 from repro.core.errors import OpacityViolation
 from repro.core.history import History
-from repro.core.opacity import (
-    OpacityMonitor,
-    OpaqueMachine,
-    check_history_opaque,
-    check_view_consistent,
-    may_pull_uncommitted,
-)
+from repro.core.opacity import OpaqueMachine, may_pull_uncommitted
 from repro.core.ops import make_op
 from repro.specs import BankSpec, CounterSpec, KVMapSpec, MemorySpec
 
@@ -115,54 +111,11 @@ class TestMayPullUncommitted:
         assert may_pull_uncommitted(machine, consumer, op)
 
 
-class TestOpacityMonitor:
-    def test_flags_noncommuting_app_after_uncommitted_pull(self):
-        spec = CounterSpec()
-        machine = Machine(spec)
-        machine, producer = machine.spawn(tx(call("inc")))
-        machine, consumer = machine.spawn(tx(call("get")))
-        monitor = OpacityMonitor(machine)
-        machine = machine.app(producer)
-        op = machine.thread(producer).local[0].op
-        machine = machine.push(producer, op)
-        machine = machine.pull(consumer, op)
-        monitor.note_pull(consumer, op, machine)
-        machine = machine.app(consumer)  # get: does not commute with inc
-        new_op = machine.thread(consumer).local[-1].op
-        with pytest.raises(OpacityViolation):
-            monitor.note_app(consumer, new_op, machine)
-
-    def test_commuting_apps_pass(self):
-        spec = CounterSpec()
-        machine = Machine(spec)
-        machine, producer = machine.spawn(tx(call("inc")))
-        machine, consumer = machine.spawn(tx(call("inc")))
-        monitor = OpacityMonitor(machine)
-        machine = machine.app(producer)
-        op = machine.thread(producer).local[0].op
-        machine = machine.push(producer, op)
-        machine = machine.pull(consumer, op)
-        monitor.note_pull(consumer, op, machine)
-        machine = machine.app(consumer)
-        monitor.note_app(consumer, machine.thread(consumer).local[-1].op, machine)
-
-    def test_committed_producer_clears_tracking(self):
-        spec = CounterSpec()
-        machine = Machine(spec)
-        machine, producer = machine.spawn(tx(call("inc")))
-        machine, consumer = machine.spawn(tx(call("get")))
-        monitor = OpacityMonitor(machine)
-        machine = machine.app(producer)
-        op = machine.thread(producer).local[0].op
-        machine = machine.push(producer, op)
-        machine = machine.pull(consumer, op)
-        monitor.note_pull(consumer, op, machine)
-        machine = machine.cmt(producer)  # committed before consumer APPs
-        machine = machine.app(consumer)
-        monitor.note_app(consumer, machine.thread(consumer).local[-1].op, machine)
-
-
 class TestViewConsistency:
+    """Final-state view consistency, stated as TMS2 histories: a viewer's
+    responses must be those of some memory version in one shared witness
+    order of the committed transactions."""
+
     spec = MemorySpec()
 
     def w(self, loc, v):
@@ -171,73 +124,96 @@ class TestViewConsistency:
     def r(self, loc, v):
         return make_op("read", (loc,), v)
 
+    def decide(self, history, **kwargs):
+        return decide_history_opaque_tms2(self.spec, history, **kwargs)
+
     def test_consistent_view(self):
+        history = History()
+        writer = history.begin(0)
         w = self.w("x", 1)
-        committed = [(w,)]
-        view = (w, self.r("x", 1))
-        assert check_view_consistent(self.spec, committed, view)
+        history.commit(writer, (w,))
+        viewer = history.begin(1)
+        history.abort(viewer, "zombie", observed=(w, self.r("x", 1)))
+        assert self.decide(history).opaque
 
     def test_snapshot_before_later_commit(self):
-        w1 = self.w("x", 1)
-        w2 = self.w("x", 2)
-        committed = [(w1,), (w2,)]
-        # viewer pulled only w1 and read 1: serialize it between the two.
-        view = (w1, self.r("x", 1))
-        assert check_view_consistent(self.spec, committed, view)
+        # the viewer pulled only w1 and read 1, while w2 committed
+        # concurrently: it linearizes between the two commits.
+        history = History()
+        first = history.begin(0)
+        w1, w2 = self.w("x", 1), self.w("x", 2)
+        history.commit(first, (w1,))
+        viewer = history.begin(1)
+        second = history.begin(2)
+        history.commit(second, (w2,))
+        history.abort(viewer, "zombie", observed=(w1, self.r("x", 1)))
+        assert self.decide(history).opaque
 
     def test_mixed_snapshot_rejected(self):
-        wx = self.w("x", 1)
-        wy = self.w("y", 1)
         # the two writes belong to ONE transaction; a viewer that *read*
         # x=1 together with y=0 observed half of it — the classic opacity
-        # violation (no serial prefix assigns that pair of responses).
-        committed = [(wx, wy)]
-        view = (self.r("x", 1), self.r("y", 0))
-        assert not check_view_consistent(self.spec, committed, view)
+        # violation (no memory version assigns that pair of responses).
+        history = History()
+        writer = history.begin(0)
+        viewer = history.begin(1)
+        history.commit(writer, (self.w("x", 1), self.w("y", 1)))
+        history.abort(
+            viewer, "zombie", observed=(self.r("x", 1), self.r("y", 0))
+        )
+        verdict = self.decide(history)
+        assert not verdict.opaque and verdict.exhaustive
 
     def test_pulled_entries_are_not_observations(self):
         # pulling one write of a committed transaction without ever
         # *reading* through it observes nothing inconsistent.
-        wx = self.w("x", 1)
-        wy = self.w("y", 1)
-        committed = [(wx, wy)]
-        view = (wx, self.r("y", 0))  # wx pulled, only y actually read
-        assert check_view_consistent(self.spec, committed, view)
+        history = History()
+        writer = history.begin(0)
+        viewer = history.begin(1)
+        wx, wy = self.w("x", 1), self.w("y", 1)
+        history.commit(writer, (wx, wy))
+        history.abort(viewer, "zombie", observed=(wx, self.r("y", 0)))
+        assert self.decide(history).opaque
 
-    def test_too_many_transactions_raises(self):
-        committed = [(self.w("x", i),) for i in range(9)]
-        with pytest.raises(OpacityViolation):
-            check_view_consistent(self.spec, committed, (self.r("x", 0),),
-                                  max_exhaustive=6)
+    def test_too_many_transactions_take_the_witness(self):
+        """Past the exhaustive bound the decision walks the commit order
+        alone: a serial chain of nine writes is accepted through it, and
+        a chain committed in the reverse of its only serial order is
+        rejected although that order linearizes it — which is why the
+        verdict says it was not exhaustive."""
+        history = History()
+        for i in range(9):
+            record = history.begin(i)
+            history.commit(record, (self.w("x", i),))
+        verdict = self.decide(history, max_exhaustive=6)
+        assert verdict.opaque and not verdict.exhaustive
+        assert verdict.witness == tuple(range(9))
+
+        chain = History()
+        records = [chain.begin(i) for i in range(8)]
+        # tx i reads i and writes i + 1; they commit in reverse
+        for i in reversed(range(8)):
+            chain.commit(records[i], (self.r("x", i), self.w("x", i + 1)))
+        verdict = decide_history_opaque_tms2(self.spec, chain, max_exhaustive=6)
+        assert not verdict.opaque and not verdict.exhaustive
+        assert len(verdict.violations) == 1
 
     def test_prefix_pruning_bounds_the_search(self):
-        """Timing-free size bound on the DFS: the chained workload below
-        admits exactly one serial order (tx_i must read ``i-1`` before
-        writing ``i``), so every wrong first transaction dies at its own
-        prefix judgement.  Enumerating every permutation of every subset
-        of 6 transactions would issue well over
-        ``sum(C(6,k)·k! for k) = 1957`` ``allowed`` calls; the pruned
-        DFS needs at most one own-extension plus one candidate probe per
-        (depth, remaining-tx) pair — under 60 — and the bound is on the
-        *call counter*, not the clock."""
-
-        class CountingSpec:
-            def __init__(self, inner):
-                self.inner = inner
-                self.allowed_calls = 0
-
-            def allowed(self, log):
-                self.allowed_calls += 1
-                return self.inner.allowed(log)
-
-        committed = [
-            (self.r("x", i), self.w("x", i + 1)) for i in range(6)
-        ]
-        view = (self.r("x", 6),)
-        spec = CountingSpec(self.spec)
-        assert check_view_consistent(spec, committed, view)
-        assert spec.allowed_calls <= 60, (
-            f"prefix pruning regressed: {spec.allowed_calls} allowed() "
+        """Timing-free size bound on the DFS: the chained history below
+        admits exactly one serial order (tx_i must read ``i`` before
+        writing ``i + 1``) and commits in the reverse of it, so the
+        commit-order first descent is wrong at every depth.  Every wrong
+        candidate dies at its own prefix judgement: the search issues
+        one ``allowed`` call per (depth, remaining-tx) pair —
+        6 + 5 + ... + 1 = 21 — instead of enumerating 720 orders."""
+        history = History()
+        records = [history.begin(i) for i in range(6)]
+        for i in reversed(range(6)):
+            history.commit(records[i], (self.r("x", i), self.w("x", i + 1)))
+        verdict = self.decide(history, max_exhaustive=6)
+        assert verdict.opaque and verdict.exhaustive
+        assert verdict.witness == tuple(record.tx_id for record in records)
+        assert verdict.allowed_calls <= 21, (
+            f"prefix pruning regressed: {verdict.allowed_calls} allowed() "
             "calls for the 6-transaction chain"
         )
 
@@ -252,7 +228,7 @@ class TestHistoryOpacity:
         result = run_experiment(
             TL2TM(), MemorySpec(), programs, concurrency=3, seed=5
         )
-        violations = check_history_opaque(
-            MemorySpec(), result.runtime.history, result.runtime.machine
+        verdict = decide_history_opaque_tms2(
+            MemorySpec(), result.runtime.history
         )
-        assert violations == []
+        assert verdict.violations == []

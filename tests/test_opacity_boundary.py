@@ -1,7 +1,7 @@
 """The opacity boundary, empirically (§6.1 vs §6.5).
 
-Opaque disciplines must pass the final-state view-consistency check on
-every run; the dependent (non-opaque) discipline produces — on some
+Opaque disciplines must pass the TMS2 opacity decision on every run;
+the dependent (non-opaque) discipline produces — on some
 schedules — views that no serial execution justifies (a transaction
 observed uncommitted values whose producer then died).  Both directions
 are pinned here: the opaque side as a sweep, the non-opaque side as a
@@ -10,7 +10,7 @@ concrete seeded witness plus a fuzz search.
 
 import pytest
 
-from repro.core.opacity import check_history_opaque
+from repro.checking.tms2 import decide_history_opaque_tms2
 from repro.runtime import WorkloadConfig, make_workload, run_experiment
 from repro.specs import MemorySpec
 from repro.tm import (BoostingTM, DependentTM, EncounterTM, HTM,
@@ -30,9 +30,9 @@ class TestOpaqueSideAlwaysPasses:
         programs = make_workload("readwrite", config)
         result = run_experiment(factory(), MemorySpec(), programs,
                                 concurrency=4, seed=seed)
-        violations = check_history_opaque(
-            MemorySpec(), result.runtime.history, result.runtime.machine
-        )
+        violations = decide_history_opaque_tms2(
+            MemorySpec(), result.runtime.history
+        ).violations
         assert violations == [], (factory.name, seed)
 
 
@@ -45,9 +45,9 @@ class TestNonOpaqueSideCanFail:
         programs = make_workload("readwrite", config)
         result = run_experiment(DependentTM(), MemorySpec(), programs,
                                 concurrency=4, seed=4)
-        violations = check_history_opaque(
-            MemorySpec(), result.runtime.history, result.runtime.machine
-        )
+        violations = decide_history_opaque_tms2(
+            MemorySpec(), result.runtime.history
+        ).violations
         assert violations  # non-opacity, caught by the checker
         # ... while the committed history is still serializable — the
         # model's whole point: serializability without opacity.
@@ -63,9 +63,9 @@ class TestNonOpaqueSideCanFail:
             programs = make_workload("readwrite", config)
             result = run_experiment(DependentTM(), MemorySpec(), programs,
                                     concurrency=4, seed=seed)
-            violations = check_history_opaque(
-                MemorySpec(), result.runtime.history, result.runtime.machine
-            )
+            violations = decide_history_opaque_tms2(
+                MemorySpec(), result.runtime.history
+            ).violations
             found += bool(violations)
             assert result.serialization.serializable  # always serializable
         assert found >= 1

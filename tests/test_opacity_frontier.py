@@ -30,12 +30,12 @@ from repro.obs.perf import baseline_path
 
 BASELINE_PATH = baseline_path("opacity")
 
-#: strategy -> (frontier rung name, ladder index, bounded count, tms2 count)
+#: strategy -> (frontier rung name, ladder index, tms2 count)
 EXPECTED_FRONTIERS = {
-    "dependent": ("rw3-quiet", 0, 1, 3),
-    "elastic": ("rw4-quiet-s4", 2, 1, 3),
-    "checkpoint": ("rw4-faults", 3, 1, 2),
-    "earlyrelease": ("rw4-wide-s3", 4, 1, 2),
+    "dependent": ("rw3-quiet", 0, 3),
+    "elastic": ("rw4-quiet-s4", 2, 3),
+    "checkpoint": ("rw4-faults", 3, 2),
+    "earlyrelease": ("rw4-wide-s3", 4, 2),
 }
 
 #: honestly opaque strategies re-probed on every frontier rung
@@ -45,7 +45,7 @@ CONTROL_STRATEGIES = ("tl2", "globallock", "pessimistic")
 class TestFalsifiedFrontiers:
     @pytest.mark.parametrize("strategy", sorted(EXPECTED_FRONTIERS))
     def test_minimal_separating_scope(self, strategy):
-        name, index, bounded, tms2 = EXPECTED_FRONTIERS[strategy]
+        name, index, tms2 = EXPECTED_FRONTIERS[strategy]
         result = find_frontier(strategy, stop_at_first=True)
         assert not result.opaque, f"{strategy} must be separated from opacity"
         assert result.frontier is not None
@@ -59,31 +59,31 @@ class TestFalsifiedFrontiers:
             )
         witness = result.probes[index]
         assert len(witness.tms2_violations) == tms2
-        assert len(witness.bounded_violations) == bounded
-        assert witness.sound  # bounded rejections are a subset in kind
         assert witness.checked and witness.error is None
+        # the commit-order witness reaches the same verdicts on the walk
+        assert all(probe.witness_agrees for probe in result.probes)
 
     def test_dependent_frontier_is_a_tms2_only_catch(self):
-        """On the rung above dependent's frontier the bounded checker goes
-        quiet while TMS2 keeps rejecting — the completeness gain of the
-        reduction, visible inside the committed ladder."""
+        """On the rung above dependent's frontier TMS2 keeps rejecting —
+        a dirty read no view-consistency check that lets pulled entries
+        ride along could see — and the witness alone rejects it too."""
         probe = probe_scope("dependent", RUNGS_BY_NAME["rw3-quiet-s1"])
         assert probe.checked
-        assert not probe.bounded_violations
         assert probe.tms2_violations
+        assert probe.witness_agrees
 
 
 class TestOpaqueControls:
     @pytest.mark.parametrize("strategy", CONTROL_STRATEGIES)
     @pytest.mark.parametrize(
         "rung_name",
-        sorted({name for name, _, _, _ in EXPECTED_FRONTIERS.values()}),
+        sorted({name for name, _, _ in EXPECTED_FRONTIERS.values()}),
     )
     def test_clean_on_separating_scopes(self, strategy, rung_name):
         probe = probe_scope(strategy, RUNGS_BY_NAME[rung_name])
         assert probe.checked and probe.error is None
         assert probe.tms2_violations == []
-        assert probe.bounded_violations == []
+        assert probe.witness_agrees
         assert probe.commits >= 1  # the probe actually exercised commits
 
 
@@ -95,7 +95,7 @@ class TestCommittedBaseline:
     def test_baseline_frontiers_match_pins(self):
         document = json.loads(BASELINE_PATH.read_text(encoding="utf-8"))
         assert document["ladder"] == [r.to_dict() for r in FRONTIER_LADDER]
-        for strategy, (name, index, _, _) in EXPECTED_FRONTIERS.items():
+        for strategy, (name, index, _) in EXPECTED_FRONTIERS.items():
             row = document["strategies"][strategy]
             assert row["opaque"] is False
             assert row["frontier"] == name

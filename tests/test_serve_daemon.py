@@ -231,7 +231,7 @@ def test_wave_replies_are_written_before_its_gate_runs(monkeypatch):
 
 
 def _forced_gate_failure(*_args, **_kwargs):
-    return ["forced gate failure"], False
+    return ["forced gate failure"]
 
 
 def _snapshots(durable):

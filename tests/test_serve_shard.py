@@ -266,6 +266,48 @@ def test_concurrent_enq_and_size_waves_serialize_in_commit_order(seed, tmp_path)
     recovered.durable.close()
 
 
+@pytest.mark.parametrize("strategy", ["encounter", "tl2"])
+def test_hot_key_windows_are_opacity_checked(strategy):
+    """Contention the uniform loadgen never makes: 256 get+put
+    transactions over 2 hot keys in waves of 32, requeued items
+    resubmitted.  Every gate window holds far more than six commits, so
+    each one is decided through the commit-order witness — and an
+    opaque strategy passes it."""
+    from repro.checking.tms2 import tms2_stats_snapshot
+
+    rng = random.Random(0)
+    state = _state(strategy=strategy)
+    queue = [
+        {"id": f"t{i}", "attempts": 0,
+         "ops": [["kvmap", "get", rng.choice("ab")],
+                 ["kvmap", "put", rng.choice("ab"), i]]}
+        for i in range(256)
+    ]
+    before = tms2_stats_snapshot()
+    verdicts, committed = [], 0
+    while queue:
+        batch, queue = queue[:32], queue[32:]
+        by_id = {item["id"]: item for item in batch}
+        for outcome in state.execute_wave(batch):
+            committed += outcome.ok
+            if outcome.retry:
+                queue.append({**by_id[outcome.id], "attempts": outcome.attempts})
+        verdict = state.maybe_checkpoint()
+        if verdict is not None:
+            verdicts.append(verdict)
+    after = tms2_stats_snapshot()
+    assert committed == 256
+    assert sum(v["window_commits"] for v in verdicts) == 256
+    assert all(v["ok"] for v in verdicts), [v["failures"] for v in verdicts]
+    delta = {name: after[name] - before[name] for name in after}
+    assert delta["opacity.tms2.checks"] == len(verdicts)
+    assert delta["opacity.tms2.witness_only"] == sum(
+        v["window_commits"] > 6 for v in verdicts
+    ) >= 1
+    # aborted attempts were validated too, not just the commits
+    assert delta["opacity.tms2.allowed_calls"] > delta["opacity.tms2.steps"]
+
+
 def test_wave_dispatch_via_shard_request():
     state = _state(conformance_window=2)
     reply = handle_shard_request(

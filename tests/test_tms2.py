@@ -1,16 +1,15 @@
 """Property suite for the TMS2 opacity decision procedure.
 
-Three families, per the reduction's soundness/completeness contract:
+Four families, per the decision's soundness/completeness contract:
 
-(a) **agreement** — on random small histories (terminal states of seeded
-    random walks over every registered model-checker scope, via the
-    packed-check harness) a bounded-checker rejection implies a TMS2
-    rejection.  The bounded view-consistency checker is sound (it only
-    reports real final-state violations) and TMS2 is complete, so
-    ``bounded rejects ∧ TMS2 accepts`` is always a checker bug.  The
-    converse is *not* asserted: walks under ``pull_policy="all"`` can
-    leave the opaque fragment, and there TMS2 legitimately rejects
-    histories the bounded checker cannot see through.
+(a) **witness vs DFS** — on random small histories (terminal states of
+    seeded random walks over every registered model-checker scope, via
+    the packed-check harness) the commit-order witness alone
+    (``max_exhaustive=0``) never accepts a history the exhaustive DFS
+    rejects: a witness accept *is* a linearization.  The converse is
+    asserted only inside the opaque fragment (``pull_policy="committed"``);
+    under ``pull_policy="all"`` a history may linearize in an order other
+    than its commit order.
 
 (b) **serial soundness** — histories produced by running workload
     transactions one at a time on the atomic (Figure 3) semantics are
@@ -20,8 +19,11 @@ Three families, per the reduction's soundness/completeness contract:
 (c) **fragment 1** — a PULL of a ``gUCmt`` entry is rejected at both
     levels: the :class:`~repro.core.opacity.OpaqueMachine` wrapper raises
     before the move happens (checked live, during the same random walks),
-    and a history recording such a dirty read is TMS2-rejected even when
-    the bounded checker's own-view projection is blind to it.
+    and a history recording such a dirty read is TMS2-rejected.
+
+(d) **past the exhaustive bound** — the conformance gate decides chaos
+    windows of more than six commits through the witness: a dirty reader
+    files ``opacity-witness`` and an opaque strategy passes.
 """
 
 from __future__ import annotations
@@ -38,16 +40,12 @@ from repro.checking.model_checker import (
     _terminal_history,
 )
 from repro.checking.packedcheck import initial_node
-from repro.checking.tms2 import (
-    TMS2_STATS,
-    check_history_opaque_tms2,
-    decide_history_opaque_tms2,
-)
+from repro.checking.tms2 import TMS2_STATS, decide_history_opaque_tms2
 from repro.cli import SCOPES
 from repro.core.atomic import run_transaction_atomically
 from repro.core.errors import OpacityViolation
 from repro.core.history import History
-from repro.core.opacity import OpaqueMachine, check_history_opaque
+from repro.core.opacity import OpaqueMachine
 from repro.core.ops import IdGenerator, Op
 from repro.runtime.workload import WorkloadConfig, make_workload
 from repro.specs.memory import MemorySpec
@@ -75,8 +73,18 @@ def _walk(scope_name: str, policy: str, seed: int, steps: int = 48):
     return node
 
 
+def _witness_and_dfs(scope: str, policy: str, seed: int):
+    node = _walk(scope, policy, seed)
+    history = _terminal_history(node)
+    spec_cls, _ = SCOPES[scope]
+    spec = spec_cls()
+    dfs = decide_history_opaque_tms2(spec, history, max_exhaustive=OPACITY_BOUND)
+    witness = decide_history_opaque_tms2(spec, history, max_exhaustive=0)
+    return history, dfs, witness
+
+
 class TestAgreementOnRandomHistories:
-    """(a): bounded rejection implies TMS2 rejection, every scope."""
+    """(a): the witness never accepts what the DFS rejects, every scope."""
 
     @TMS2_SETTINGS
     @given(
@@ -84,24 +92,14 @@ class TestAgreementOnRandomHistories:
         policy=st.sampled_from(["committed", "all"]),
         seed=st.integers(min_value=0, max_value=10**6),
     )
-    def test_bounded_reject_implies_tms2_reject(self, scope, policy, seed):
-        node = _walk(scope, policy, seed)
-        history = _terminal_history(node)
+    def test_witness_accept_implies_dfs_accept(self, scope, policy, seed):
+        history, dfs, witness = _witness_and_dfs(scope, policy, seed)
         if history.commit_count() > OPACITY_BOUND:
             return
-        spec_cls, _ = SCOPES[scope]
-        spec = spec_cls()
-        bounded = check_history_opaque(
-            spec, history, node.machine, max_exhaustive=OPACITY_BOUND
-        )
-        tms2 = check_history_opaque_tms2(
-            spec, history, node.machine, max_exhaustive=OPACITY_BOUND
-        )
-        # Soundness direction of the differential: the bounded checker
-        # never rejects a history the complete checker accepts.
-        assert not (bounded and not tms2), (
-            f"divergence on {scope}/{policy}/seed={seed}: "
-            f"bounded={bounded} tms2={tms2}"
+        assert dfs.exhaustive
+        assert not (witness.opaque and not dfs.opaque), (
+            f"unsound witness on {scope}/{policy}/seed={seed}: "
+            f"dfs={dfs.violations}"
         )
 
     @TMS2_SETTINGS
@@ -112,20 +110,12 @@ class TestAgreementOnRandomHistories:
     def test_committed_policy_walks_agree_exactly(self, scope, seed):
         """Inside the opaque fragment (``pull_policy="committed"``) the
         two verdicts coincide on these scopes — nothing tentative is ever
-        observed, so completeness buys no extra rejections."""
-        node = _walk(scope, "committed", seed)
-        history = _terminal_history(node)
+        observed, so the commit order is always a witness when any
+        order is."""
+        history, dfs, witness = _witness_and_dfs(scope, "committed", seed)
         if history.commit_count() > OPACITY_BOUND:
             return
-        spec_cls, _ = SCOPES[scope]
-        spec = spec_cls()
-        bounded = check_history_opaque(
-            spec, history, node.machine, max_exhaustive=OPACITY_BOUND
-        )
-        tms2 = check_history_opaque_tms2(
-            spec, history, node.machine, max_exhaustive=OPACITY_BOUND
-        )
-        assert bool(bounded) == bool(tms2)
+        assert witness.opaque == dfs.opaque
 
 
 class TestSerialHistoriesAccepted:
@@ -206,11 +196,11 @@ class TestUncommittedPullRejected:
 
     def test_dirty_read_history_rejected_by_tms2_only(self):
         """A committed consumer justified only by an aborted producer's
-        write: TMS2 rejects it (no serial execution of committed
-        transactions returns 1 for an unwritten location), while the
-        bounded checker's own-view projection — which treats the foreign
-        write as part of the view — is structurally blind to it.  This is
-        the completeness gap the differential exists for."""
+        write: no serial execution of committed transactions returns 1
+        for an unwritten location, so TMS2 rejects it — exhaustively and
+        through the witness alone.  The pulled-uncommitted write is a
+        foreign tentative effect and never rides along to self-justify
+        the read."""
         spec = MemorySpec()
         history = History()
         producer = history.begin(0)
@@ -222,14 +212,10 @@ class TestUncommittedPullRejected:
             consumer, ops=(read,), observed=(write, read),
             pulled_uncommitted=(write,),
         )
-        tms2 = check_history_opaque_tms2(spec, history)
-        assert tms2, "TMS2 must reject the dirty read"
-        bounded = check_history_opaque(spec, history, None)
-        assert not bounded, (
-            "expected the bounded checker to accept this history — if it "
-            "now rejects it, the blind spot closed and this pin should be "
-            "updated"
-        )
+        assert decide_history_opaque_tms2(spec, history).violations
+        assert decide_history_opaque_tms2(
+            spec, history, max_exhaustive=0
+        ).violations
 
 
 class TestStatsCounters:
@@ -239,5 +225,54 @@ class TestStatsCounters:
         record = history.begin(0)
         history.commit(record, (Op("write", (("k", 0), 7), None, op_id=1),))
         before = TMS2_STATS["opacity.tms2.checks"]
-        assert check_history_opaque_tms2(spec, history) == []
+        assert decide_history_opaque_tms2(spec, history).violations == []
         assert TMS2_STATS["opacity.tms2.checks"] == before + 1
+
+    def test_witness_only_counts_decisions_past_the_bound(self):
+        spec = MemorySpec()
+        history = History()
+        for i in range(OPACITY_BOUND + 1):
+            record = history.begin(i)
+            history.commit(
+                record, (Op("write", (("k", 0), i), None, op_id=i + 1),)
+            )
+        before = TMS2_STATS["opacity.tms2.witness_only"]
+        verdict = decide_history_opaque_tms2(spec, history)
+        assert verdict.opaque and not verdict.exhaustive
+        assert TMS2_STATS["opacity.tms2.witness_only"] == before + 1
+        decide_history_opaque_tms2(spec, history, max_exhaustive=OPACITY_BOUND + 1)
+        assert TMS2_STATS["opacity.tms2.witness_only"] == before + 1
+
+
+def _chaos(strategy: str, seed: int, events: int):
+    """A seeded eight-transaction chaos run, gated."""
+    from repro.faults.conformance import chaos_setup, run_chaos
+    from repro.faults.plan import FaultPlan
+    from repro.tm.broken import BROKEN_ALGORITHMS
+
+    config = WorkloadConfig(
+        transactions=8, ops_per_tx=3, keys=2, read_ratio=0.5, seed=seed
+    )
+    algorithm, spec, programs = chaos_setup(
+        "tl2" if strategy in BROKEN_ALGORITHMS else strategy, config
+    )
+    if strategy in BROKEN_ALGORITHMS:
+        algorithm = BROKEN_ALGORITHMS[strategy]()
+    plan = FaultPlan.generate(seed, events=events, jobs=len(programs))
+    return run_chaos(algorithm, spec, programs, plan, seed=seed)
+
+
+class TestGateWitnessPastTheBound:
+    """(d): windows of more than six commits are opacity-checked."""
+
+    def test_dirty_reader_files_opacity_witness(self):
+        result = _chaos("broken-dirty-read", seed=0, events=0)
+        assert result.commits > OPACITY_BOUND
+        checks = {failure.check for failure in result.failures}
+        assert "opacity-witness" in checks, result.failures
+
+    def test_opaque_strategy_passes_the_witness_gate(self):
+        result = _chaos("encounter", seed=1, events=3)
+        assert result.commits > OPACITY_BOUND
+        assert result.aborts > 0  # aborted viewers were placed too
+        assert result.ok, [str(f) for f in result.failures]

@@ -16,7 +16,7 @@ import pytest
 
 from benchmarks.conftest import run_quiet, series_line
 from repro.core import Machine, call, tx
-from repro.checking.tms2 import decide_history_opaque_tms2
+from repro.checking.tms2 import decide_history
 from repro.core.opacity import OpaqueMachine, may_pull_uncommitted
 from repro.runtime import WorkloadConfig, make_workload
 from repro.specs import CounterSpec, MemorySpec
@@ -32,9 +32,7 @@ def test_sec61_opaque_fragment_passes_opacity_check(benchmark):
     def run_and_check():
         result = run_quiet(TL2TM(), MemorySpec(), programs, concurrency=3,
                            verify=True)
-        verdict = decide_history_opaque_tms2(
-            MemorySpec(), result.runtime.history
-        )
+        verdict = decide_history(MemorySpec(), result.runtime.history)
         return result, verdict.violations
 
     result, violations = benchmark.pedantic(run_and_check, rounds=1,

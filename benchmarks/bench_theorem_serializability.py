@@ -5,8 +5,8 @@ every interleaving of every rule instance (backward rules included) and
 confirms the simulation with the atomic machine at every terminal state,
 plus the §5.3 invariants everywhere.  The benchmark reports the scope
 sizes (states/transitions) so the cost of exhaustiveness is visible, and
-compares the full model against the opaque fragment (DESIGN.md ablation 2:
-history-level vs simulation-level checking cost).
+compares the full model against the opaque fragment (the simulation-level
+side of DESIGN.md ablation 2).
 """
 
 import pytest

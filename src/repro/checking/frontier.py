@@ -12,7 +12,7 @@ strategy's **frontier** is the first rung where the exhaustive decision
 rejects; a strategy with no frontier on the ladder is opaque as far as
 the registered scopes can tell.  Every probe also records whether the
 witness-only verdict equals the exhaustive one — the evidence that the
-gate's witness walk, which decides every window past six commits,
+gate's witness walk, which decides every window past seven commits,
 agrees with the full search where both can run.
 
 Everything is a pure function of the rung (workload seed, run seed and
@@ -37,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.checking.tms2 import decide_history_opaque_tms2
+from repro.checking.tms2 import decide_history
 
 
 @dataclass(frozen=True)
@@ -147,8 +147,8 @@ def probe_scope(strategy: str, rung: ScopeRung) -> ScopeProbe:
         return probe
     history = result.runtime.history
     probe.commits = history.commit_count()
-    exhaustive = decide_history_opaque_tms2(spec, history)
-    witness = decide_history_opaque_tms2(spec, history, max_exhaustive=0)
+    exhaustive = decide_history(spec, history)
+    witness = decide_history(spec, history, max_exhaustive=0)
     probe.tms2_violations = exhaustive.violations
     probe.witness_agrees = witness.opaque == exhaustive.opaque
     return probe

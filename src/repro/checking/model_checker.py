@@ -102,7 +102,7 @@ class ExploreOptions:
     por_symmetry: bool = True
     #: opacity oracle over terminal states (final and stuck): ``None`` —
     #: off; ``"tms2"`` — the TMS2 linearizability decision
-    #: (:func:`repro.checking.tms2.decide_history_opaque_tms2`)
+    #: (:func:`repro.checking.tms2.decide_history`)
     opacity_checker: Optional[str] = None
     #: commits up to which the TMS2 decision is exhaustive (past it, the
     #: commit-order witness alone decides)
@@ -580,10 +580,10 @@ def _check_opacity(
 ) -> None:
     """The terminal-state opacity oracle (``ExploreOptions.opacity_checker``):
     the TMS2 decision over this terminal state's synthetic history."""
-    from repro.checking.tms2 import decide_history_opaque_tms2
+    from repro.checking.tms2 import decide_history
 
     report.opacity_terminals += 1
-    verdict = decide_history_opaque_tms2(
+    verdict = decide_history(
         spec, _terminal_history(node), max_exhaustive=options.opacity_bound
     )
     report.opacity_violations.extend(verdict.violations)

@@ -1,9 +1,24 @@
-"""Opacity decided by linearizability against a TMS2-style automaton.
+"""One walk over a history decides serializability and opacity.
 
-This module implements the reduction of Armstrong, Dongol & Doherty
-(arXiv:1610.01004, PAPERS.md): a history is opaque iff it linearizes
-against a TMS2-style specification automaton.  Concretely
-(final-state opacity, Guerraoui & Kapalka):
+Theorem 5.17 (serializability) and §6.1 (opacity) both claim that a
+serial order of the committed transactions exists; they differ only in
+what that order must justify.  :func:`decide_history` searches the real-
+time linear extensions of the committed records once and judges, at
+each complete order, whichever verdicts were asked for:
+
+* **serializability** — the order's serial log is ``allowed`` and, when
+  the machine's committed global log ``⌊G⌋_gCmt`` is given, covers it
+  under ``≼`` (the simulation relation's ``⌊G⌋_gCmt ≼ ℓ``);
+* **opacity** — the order also justifies every aborted and active
+  view, by the reduction of Armstrong, Dongol & Doherty
+  (arXiv:1610.01004, PAPERS.md): a history is opaque iff it linearizes
+  against a TMS2-style specification automaton.
+
+The walk backtracks until each requested verdict has its own witness
+order or the tree is exhausted, so neither verdict is tied to the
+other's order.
+
+Concretely (final-state opacity, Guerraoui & Kapalka):
 
 * the automaton's state is the *memory sequence* — here generalized from
   read/write registers to an arbitrary prefix-closed
@@ -29,16 +44,17 @@ placement freedom of the linearization point.
 
 The search is a DFS over linear extensions of the committed records'
 real-time order, pruned by prefix-closedness (a serial prefix that is
-not ``allowed`` cannot be repaired by any extension).  The committed
-records are sorted by end time, so the DFS's first descent is the
-**commit-order witness** — the order every §6 strategy serializes in.
-Up to :data:`MAX_EXHAUSTIVE` committed transactions the DFS backtracks
-over every extension and the verdict is exact; past it, the decision
-takes the witness alone (one commit step per transaction, no
-backtracking) and marks its verdict non-exhaustive.  A witness accept
-is a linearization, so it is an accept of the full search too; a
-witness reject may in principle be a history that linearizes only in
-some other order, which is why callers file it under its own kind.
+not ``allowed`` cannot be repaired by any extension — for either
+verdict).  The committed records are sorted by end time, so the DFS's
+first descent is the **commit-order witness** — the order every §6
+strategy serializes in.  Up to :data:`MAX_EXHAUSTIVE` committed
+transactions the DFS backtracks over every extension and both verdicts
+are exact; past it, the walk takes the witness alone (one commit step
+per transaction, no backtracking) and marks the verdict non-exhaustive.
+A witness accept is an accept of the full search too; a witness reject
+may in principle be a history that serializes or linearizes only in
+some other order, which is why callers file it under its own kind or
+do not raise on it.
 
 Aborted/active viewers never change the memory and never constrain
 *each other's* feasible memory versions beyond monotonicity, so for each
@@ -62,22 +78,23 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.history import History, TxRecord, TxStatus
 from repro.core.ops import Op
+from repro.core.precongruence import precongruent
 from repro.core.spec import SequentialSpec, shared_denotations
 
-#: committed transactions (with operations) up to which the decision
+#: committed transactions (with operations) up to which the walk
 #: backtracks over every committed linear extension; past it, the
-#: commit-order witness alone decides
-MAX_EXHAUSTIVE = 6
+#: commit-order witness alone decides both verdicts
+MAX_EXHAUSTIVE = 7
 
 #: end time of a still-active record: it precedes nothing
 _NEVER = float("inf")
 
 #: process-wide aggregate counters (the ``opacity.*`` family documented
-#: in OBSERVABILITY.md).
+#: in OBSERVABILITY.md); only walks that judge opacity count.
 TMS2_STATS: Dict[str, int] = {
     "opacity.tms2.checks": 0,
     "opacity.tms2.steps": 0,
@@ -146,16 +163,20 @@ def own_view(record: TxRecord, committed_ids: Set[int]) -> Tuple[Op, ...]:
 
 
 @dataclass
-class Tms2Verdict:
-    """The full result of one TMS2 decision."""
+class HistoryVerdict:
+    """The result of one history walk."""
 
+    #: opacity violations: empty when opaque or when opacity was not judged
     violations: List[str]
     #: DFS nodes expanded over committed linear extensions
     steps: int = 0
     #: ``allowed`` judgements issued by the automaton
     allowed_calls: int = 0
-    #: a witness serialization (tx_ids in witness order) when opaque
+    #: an opacity witness (tx_ids in witness order) when opaque
     witness: Optional[Tuple[int, ...]] = None
+    #: a serial witness (tx_ids of the committed transactions with
+    #: operations) whose log is allowed and covers the committed log
+    serial_witness: Optional[Tuple[int, ...]] = None
     #: False when the commit count exceeded the exhaustive bound and the
     #: commit-order witness alone decided (a reject may then be a false
     #: alarm; an accept never is)
@@ -165,19 +186,28 @@ class Tms2Verdict:
     def opaque(self) -> bool:
         return not self.violations
 
+    @property
+    def serializable(self) -> bool:
+        return self.serial_witness is not None
 
-def decide_history_opaque_tms2(
+
+def decide_history(
     spec: SequentialSpec,
     history: History,
+    committed_log: Optional[Sequence[Op]] = None,
+    opacity: bool = True,
     max_exhaustive: int = MAX_EXHAUSTIVE,
-) -> Tms2Verdict:
-    """Decide final-state opacity of ``history`` by TMS2 linearizability.
+) -> HistoryVerdict:
+    """Decide serializability of ``history`` and, with ``opacity``, its
+    final-state opacity by TMS2 linearizability — in one walk.
 
-    Exhaustive up to ``max_exhaustive`` committed transactions; past
-    that, the commit-order witness alone decides and the verdict says
-    so (``exhaustive=False``)."""
+    The serial verdict asks for a real-time-respecting order of the
+    committed transactions whose log is allowed and, when
+    ``committed_log`` (the machine's ``⌊G⌋_gCmt``) is given, covers it
+    under ``≼``.  Exhaustive up to ``max_exhaustive`` committed
+    transactions; past that, the commit-order witness alone decides and
+    the verdict says so (``exhaustive=False``)."""
     committed = history.committed_records()
-    committed_ids = {op.op_id for r in committed for op in r.ops}
     automaton = Tms2Automaton(spec)
 
     # Non-trivial records only: a record with no own operations is
@@ -187,19 +217,21 @@ def decide_history_opaque_tms2(
     # the same linear extensions up to re-insertion.  Committers sort by
     # end time (the commit-order witness, a linear extension of real
     # time); viewers too (active = never), which topologically sorts
-    # their interval order.
+    # their interval order.  Serializability judges no viewer.
     committers: List[Tuple[TxRecord, Tuple[Op, ...]]] = sorted(
         ((r, r.ops) for r in committed if r.ops),
         key=lambda item: item[0].end_time,
     )
     viewers: List[Tuple[TxRecord, Tuple[Op, ...]]] = []
-    for record in history.records:
-        if record.status is TxStatus.COMMITTED:
-            continue
-        own = own_view(record, committed_ids)
-        if own:
-            viewers.append((record, own))
-    viewers.sort(key=lambda item: _end(item[0]))
+    if opacity:
+        committed_ids = {op.op_id for r in committed for op in r.ops}
+        for record in history.records:
+            if record.status is TxStatus.COMMITTED:
+                continue
+            own = own_view(record, committed_ids)
+            if own:
+                viewers.append((record, own))
+        viewers.sort(key=lambda item: _end(item[0]))
 
     k = len(committers)
     full = (1 << k) - 1
@@ -271,18 +303,28 @@ def decide_history_opaque_tms2(
 
     # Iterative DFS (a window may hold more commits than the recursion
     # limit).  ``resume[d]`` is the next candidate to try at depth d.
+    # Each complete order is a leaf judged for every verdict still
+    # without a witness; the walk stops once none is left.
     steps = 0
     order: List[int] = []
     memories = [automaton.initial()]
     resume = [0]
     mask = 0
-    opaque = False
+    serial: Optional[Tuple[int, ...]] = None
+    opaque: Optional[Tuple[int, ...]] = None
     stuck: Optional[TxRecord] = None  # the record the last failing step judged
     while True:
         if mask == full:
-            stuck = misplaced_viewer(order, memories)
-            if stuck is None:
-                opaque = True
+            if serial is None and (
+                committed_log is None
+                or precongruent(spec, committed_log, memories[-1])
+            ):
+                serial = tuple(order)
+            if opacity and opaque is None:
+                stuck = misplaced_viewer(order, memories)
+                if stuck is None:
+                    opaque = tuple(order)
+            if serial is not None and (opaque is not None or not opacity):
                 break
         index = resume[-1]
         while index < k and (mask >> index & 1 or pred_mask[index] & ~mask):
@@ -311,17 +353,21 @@ def decide_history_opaque_tms2(
         memories.pop()
         resume.pop()
 
+    verdict = HistoryVerdict(
+        [], steps=steps, allowed_calls=automaton.allowed_calls,
+        exhaustive=exhaustive,
+    )
+    if serial is not None:
+        verdict.serial_witness = tuple(committers[i][0].tx_id for i in serial)
+    if not opacity:
+        return verdict
     TMS2_STATS["opacity.tms2.checks"] += 1
     TMS2_STATS["opacity.tms2.steps"] += steps
     TMS2_STATS["opacity.tms2.allowed_calls"] += automaton.allowed_calls
     if not exhaustive:
         TMS2_STATS["opacity.tms2.witness_only"] += 1
-    verdict = Tms2Verdict(
-        [], steps=steps, allowed_calls=automaton.allowed_calls,
-        exhaustive=exhaustive,
-    )
-    if opaque:
-        verdict.witness = tuple(committers[i][0].tx_id for i in order)
+    if opaque is not None:
+        verdict.witness = tuple(committers[i][0].tx_id for i in opaque)
         return verdict
     if not exhaustive:
         # the walk stopped at its first failing record

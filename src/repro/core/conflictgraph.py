@@ -1,8 +1,9 @@
 """Conflict-graph serializability (Papadimitriou [29] — the paper's
-serializability reference), as a scalable checker.
+serializability reference), as a polynomial checker.
 
-The permutation search of :mod:`repro.core.serializability` is exact but
-exponential; the classical sufficient condition is *conflict
+The history walk (:func:`repro.checking.tms2.decide_history`) is exact
+only up to seven committed transactions and takes the commit-order
+witness alone past that; the classical sufficient condition is *conflict
 serializability*: build the directed graph whose nodes are committed
 transactions, with an edge ``T1 → T2`` whenever some operation of ``T1``
 precedes a non-commuting operation of ``T2`` in the global log.  If the
@@ -12,8 +13,10 @@ Here "non-commuting" is the specification's mover relation, so this is
 conflict serializability at the *abstract* level — e.g. two bank deposits
 to the same account create no edge, exactly the coarse-grained-
 transactions refinement the paper's line of work advocates.  (Cycles do
-not prove non-serializability — view serializability is strictly larger —
-so the harness escalates cyclic cases to the exact checker.)
+not prove non-serializability — view serializability is strictly larger
+— so a cyclic graph decides nothing.  No run path calls this check: the
+harness and the conformance gate decide with the history walk, and the
+tests compare the two.)
 """
 
 from __future__ import annotations

@@ -4,8 +4,9 @@ The machine itself clears a thread's local log at CMT (Figure 5), so the
 association "this committed transaction consisted of these operations" is
 runtime knowledge.  TM drivers (:mod:`repro.tm`) record a
 :class:`TxRecord` per transaction attempt into a :class:`History`; the
-serializability and opacity checkers then work over the history together
-with the machine's final global log.
+history walk (:func:`repro.checking.tms2.decide_history`) then judges
+serializability and opacity over the history together with the machine's
+final global log.
 
 Timestamps are logical (a shared monotone counter), giving the real-time
 precedence order needed for *strict* serializability checking: if
@@ -18,7 +19,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.errors import AbortKind
 from repro.core.ops import Op
@@ -128,16 +129,3 @@ class History:
 
     def abort_count(self) -> int:
         return len(self.aborted_records())
-
-    def precedes(self, a: TxRecord, b: TxRecord) -> bool:
-        """Real-time precedence: ``a`` ended before ``b`` began."""
-        return a.end_time is not None and a.end_time < b.begin_time
-
-    def real_time_pairs(self) -> Iterable[Tuple[int, int]]:
-        """All (tx_id, tx_id) real-time precedence pairs among committed
-        transactions."""
-        committed = self.committed_records()
-        for a in committed:
-            for b in committed:
-                if a.tx_id != b.tx_id and self.precedes(a, b):
-                    yield a.tx_id, b.tx_id

@@ -8,14 +8,14 @@ the opaque fragment) promises even under injected hostility:
 1. no exception escapes the run — an injected fault that surfaces as a
    :class:`~repro.core.errors.CriterionViolation` or
    :class:`~repro.core.errors.MachineError` is a driver bug, not an abort;
-2. the committed history passes :func:`~repro.core.serializability.
-   check_history` (strict, real-time order respected);
+2. the committed history is serializable: some real-time-respecting
+   serial order is allowed and covers the machine's committed log;
 3. for opaque strategies, every recorded view — committed and aborted —
-   linearizes against TMS2
-   (:func:`~repro.checking.tms2.decide_history_opaque_tms2`) at every
-   window size: exhaustively up to six commits (``opacity-tms2``), and
-   through the commit-order witness alone past that
-   (``opacity-witness``);
+   linearizes against TMS2 at every window size: exhaustively up to
+   seven commits (``opacity-tms2``), and through the commit-order
+   witness alone past that (``opacity-witness``) — checks 2 and 3 are
+   one walk over the history (:func:`~repro.checking.tms2.
+   decide_history`), which finds each verdict its own witness order;
 4. every aborted attempt is a *clean* abort (structured
    :class:`~repro.core.errors.AbortKind`, never a missing one);
 5. the machine and runtime end quiescent: no uncommitted global-log
@@ -33,8 +33,7 @@ import time
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.checking.tms2 import decide_history_opaque_tms2
-from repro.core.serializability import check_history
+from repro.checking.tms2 import decide_history
 from repro.core.spec import SequentialSpec
 from repro.faults.nemesis import ReplayScheduler
 from repro.faults.plan import FaultInjector, FaultPlan
@@ -42,10 +41,11 @@ from repro.faults.recovery import RecoveryPolicy, make_policy
 from repro.obs.flight import FlightRecorder, maybe_dump
 from repro.obs.profiling import Profile
 from repro.obs.tracer import NULL_TRACER, RecordingTracer, Tracer
-from repro.runtime.harness import ExperimentResult, run_experiment
+from repro.runtime.harness import run_experiment
 from repro.runtime.scheduler import Scheduler, make_scheduler
 from repro.runtime.workload import WorkloadConfig, make_workload
 from repro.tm import ALL_ALGORITHMS, TMAlgorithm
+from repro.tm.base import Runtime
 
 
 @dataclass(frozen=True)
@@ -106,33 +106,35 @@ class ChaosResult:
 def conformance_failures(
     algorithm: TMAlgorithm,
     spec: SequentialSpec,
-    result: ExperimentResult,
+    runtime: Runtime,
 ) -> List[ChaosFailure]:
-    """Gate checks 2–5 over a finished run."""
+    """Gate checks 2–5 over a finished run's runtime."""
     failures: List[ChaosFailure] = []
-    runtime = result.runtime
     history = runtime.history
     machine = runtime.machine
 
-    # 2. serializability of the committed history (strict real-time order)
-    serialization = check_history(spec, history, machine, strict=True)
-    if not serialization.serializable:
-        qualifier = "" if serialization.exhaustive else " (search not exhaustive)"
+    # 2–3. one walk: serializability of the committed history (real-time
+    # order respected, covering the committed log) and, for the opaque
+    # fragment, opacity at every window size.  Past the exhaustive bound
+    # only the commit-order witness is tried, so an opacity rejection
+    # there files under its own kind.
+    verdict = decide_history(
+        spec,
+        history,
+        machine.global_log.committed_ops(),
+        opacity=algorithm.opaque,
+    )
+    if not verdict.serializable:
+        qualifier = "" if verdict.exhaustive else " (search not exhaustive)"
         failures.append(
             ChaosFailure(
                 "serializability",
-                f"no serial witness among {serialization.candidates_tried} "
-                f"orders for {history.commit_count()} commits{qualifier}",
+                f"no serial witness in {verdict.steps} serial prefixes for "
+                f"{history.commit_count()} commits{qualifier}",
             )
         )
-
-    # 3. opacity for the opaque fragment, at every window size.  Past the
-    # exhaustive bound only the commit-order witness is tried, so its
-    # rejection files under its own kind.
-    if algorithm.opaque:
-        verdict = decide_history_opaque_tms2(spec, history)
-        kind = "opacity-tms2" if verdict.exhaustive else "opacity-witness"
-        failures.extend(ChaosFailure(kind, v) for v in verdict.violations)
+    kind = "opacity-tms2" if verdict.exhaustive else "opacity-witness"
+    failures.extend(ChaosFailure(kind, v) for v in verdict.violations)
 
     # 4. clean aborts: every aborted attempt carries a structured kind
     for record in history.aborted_records():
@@ -261,7 +263,7 @@ def run_chaos(
                 meta={"seed": seed, "error": f"{type(exc).__name__}: {exc}"},
             ),
         )
-    failures = conformance_failures(algorithm, spec, result)
+    failures = conformance_failures(algorithm, spec, result.runtime)
     _finish_profile()
     flight_dump = None
     if failures:

@@ -27,7 +27,7 @@ from repro.faults.plan import FaultEvent, FaultKind, FaultPlan
 from repro.fuzz.corpus import CorpusEntry
 from repro.tm.base import TMAlgorithm
 
-#: hard size bounds: the oracle's exhaustive checks cap at 6–7 commits
+#: hard size bounds: the oracle's exhaustive checks cap at 7 commits
 MAX_PROGRAMS = 6
 MAX_OPS_PER_PROGRAM = 5
 MAX_PLAN_EVENTS = 6

@@ -238,8 +238,8 @@ def run_entry(
         run.normalized_events = normalize_events(tracer.events)
         return run
 
-    failures = conformance_failures(algorithm, spec, result)
     runtime = result.runtime
+    failures = conformance_failures(algorithm, spec, runtime)
 
     # 2b. the opaque fragment, §6.1 form (1): a strategy claiming
     # ``opaque`` must never PULL an uncommitted entry.  The TMS2 decision

@@ -675,7 +675,7 @@ TIERS: Dict[str, Tier] = {tier.name: tier for tier in (
             Gate("strategies.*.frontier_index", "identity"),
             Gate("strategies.*.matches_declared_label", "identity", bound=True),
             # the commit-order witness, which decides every gate window
-            # past six commits, reaches the exhaustive verdict
+            # past seven commits, reaches the exhaustive verdict
             Gate("strategies.*.probes.*.witness_agrees", "identity",
                  bound=True),
             Gate("scopes.*.violations", "ceiling", bound=0),

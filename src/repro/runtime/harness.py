@@ -2,8 +2,9 @@
 
 :func:`run_experiment` spawns ``concurrency`` transactions at a time from
 the workload queue, interleaves them with the scheduler, and (optionally)
-verifies the committed history against the serializability checker — the
-empirical form of Theorem 5.17 at workload scale.
+verifies the committed history by the serializability half of the history
+walk (:func:`~repro.checking.tms2.decide_history`) — the empirical form of
+Theorem 5.17 at workload scale.
 
 Throughput proxy: committed transactions per scheduler quantum.  The
 simulation has no wall-clock contention, so quanta — machine rule
@@ -18,9 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
+from repro.checking.tms2 import HistoryVerdict, decide_history
 from repro.core.errors import SerializabilityViolation
 from repro.core.language import Code
-from repro.core.serializability import SerializationResult, check_history
 from repro.core.spec import SequentialSpec
 from repro.faults.plan import NULL_INJECTOR, NullInjector
 from repro.faults.recovery import RecoveryPolicy
@@ -44,7 +45,7 @@ class ExperimentResult:
     permanently_aborted: int
     total_steps: int
     rule_counts: Dict[str, int]
-    serialization: Optional[SerializationResult]
+    serialization: Optional[HistoryVerdict]
     runtime: Optional[Runtime] = field(repr=False, default=None)
     steppers: List[TxStepper] = field(repr=False, default_factory=list)
 
@@ -91,7 +92,6 @@ def run_experiment(
     verify: bool = True,
     max_retries: int = 200,
     check_gray_criteria: bool = True,
-    strict: bool = True,
     tracer: Tracer = NULL_TRACER,
     injector: NullInjector = NULL_INJECTOR,
     recovery: Optional[RecoveryPolicy] = None,
@@ -100,8 +100,9 @@ def run_experiment(
     """Run ``programs`` under ``algorithm`` with up to ``concurrency``
     transactions in flight.
 
-    ``verify=True`` keeps the full global log (no compaction) and runs the
-    serializability checker on the committed history; benchmarks that only
+    ``verify=True`` keeps the full global log (no compaction) and decides
+    serializability of the committed history (real-time order respected,
+    covering the machine's committed log); benchmarks that only
     measure throughput pass ``verify=False`` and let the runtime compact.
     ``compact`` overrides that coupling: the chaos harness passes
     ``verify=False, compact=False`` because its conformance gate runs the
@@ -171,10 +172,13 @@ def run_experiment(
 
     serialization = None
     if verify:
-        serialization = check_history(
-            spec, runtime.history, runtime.machine, strict=strict
+        serialization = decide_history(
+            spec,
+            runtime.history,
+            runtime.machine.global_log.committed_ops(),
+            opacity=False,
         )
-        if serialization.conclusive and not serialization.serializable:
+        if serialization.exhaustive and not serialization.serializable:
             # Black box first: if the tracer is a flight recorder with a
             # destination, ship the last-N-events dump with the failure.
             from repro.obs.flight import maybe_dump
@@ -188,7 +192,7 @@ def run_experiment(
             suffix = f" [flight dump: {dump_path}]" if dump_path else ""
             error = SerializabilityViolation(
                 f"{algorithm.name}: committed history is not serializable "
-                f"(tried {serialization.candidates_tried} orders){suffix}"
+                f"(searched {serialization.steps} serial prefixes){suffix}"
             )
             error.flight_dump = dump_path
             raise error

@@ -55,6 +55,7 @@ import time
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from repro.checking.tms2 import tms2_stats_snapshot
 from repro.core.errors import TMAbort
 from repro.core.history import TxRecord
 from repro.core.language import call, tx
@@ -66,7 +67,6 @@ from repro.faults.recovery import make_policy
 from repro.obs.flight import FlightRecorder, maybe_dump
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import NULL_TRACER
-from repro.runtime.harness import ExperimentResult
 from repro.serve.framing import read_frame, write_frame
 from repro.serve.sharding import make_shard_scheduler, shard_seed, validate_op
 from repro.specs import BankSpec, CounterSpec, KVMapSpec, QueueSpec
@@ -455,19 +455,6 @@ class ShardState:
 
     # -- conformance gate + verified rollover -----------------------------------
 
-    def _result_shim(self) -> ExperimentResult:
-        rt = self.runtime
-        return ExperimentResult(
-            algorithm=self.algorithm.name,
-            commits=rt.history.commit_count(),
-            aborts=rt.history.abort_count(),
-            permanently_aborted=0,
-            total_steps=sum(rt.rule_counts.values()),
-            rule_counts=dict(rt.rule_counts),
-            serialization=None,
-            runtime=rt,
-        )
-
     def maybe_checkpoint(self) -> Optional[Dict[str, Any]]:
         """At a quiescent wave boundary — something committed since the
         last rollover, no parked 2PC sub-txn, no live thread — run the
@@ -496,9 +483,12 @@ class ShardState:
         ``snapshot`` makes a clean rollover checkpoint a durable shard
         even before ``conformance_window`` commits have accumulated."""
         rt = self.runtime
-        failures = conformance_failures(
-            self.algorithm, rt.spec, self._result_shim()
-        )
+        # The gate's own share of the process-wide ``opacity.tms2.*``
+        # counters, under this shard's registry (and so its label).
+        before = tms2_stats_snapshot()
+        failures = conformance_failures(self.algorithm, rt.spec, rt)
+        for name, value in tms2_stats_snapshot().items():
+            self._count(name, value - before[name])
         window_commits = rt.history.commit_count()
         self.windows_checked += 1
         self.commits_gated += window_commits

@@ -242,7 +242,7 @@ class BrokenDirtyReadTM(EncounterTM):
     forced) — because the class *claims* ``opaque = True``, the §6.1
     no-uncommitted-PULL check flags the pull itself (**opacity**) and
     the TMS2 decision flags the view no serialization justifies
-    (**opacity-tms2**, or **opacity-witness** past six commits); or the
+    (**opacity-tms2**, or **opacity-witness** past seven commits); or the
     un-tracked producer aborts first and its rollback finds a consumer
     it never knew about, surfacing as a raw machine-level exception.
     """

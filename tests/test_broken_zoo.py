@@ -95,7 +95,7 @@ class TestTms2Independence:
         )
 
     def test_stale_pull_caught_by_tms2_only(self):
-        from repro.checking.tms2 import decide_history_opaque_tms2
+        from repro.checking.tms2 import decide_history
         from repro.faults.conformance import chaos_setup
         from repro.faults.plan import FaultInjector, FaultPlan
         from repro.runtime.harness import run_experiment
@@ -123,12 +123,12 @@ class TestTms2Independence:
             injector=injector,
         )
         history = result.runtime.history
-        exhaustive = decide_history_opaque_tms2(spec, history)
+        exhaustive = decide_history(spec, history)
         assert exhaustive.exhaustive and exhaustive.violations, (
             "the stale pull's inconsistent aborted view must be rejected "
             "by the TMS2 reduction"
         )
-        assert decide_history_opaque_tms2(
+        assert decide_history(
             spec, history, max_exhaustive=0
         ).violations
 

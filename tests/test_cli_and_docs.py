@@ -52,7 +52,8 @@ class TestCLIRuns:
         ])
         assert code == 0
         assert "(jsonl)" in capsys.readouterr().out
-        first = json.loads(open(out, encoding="utf-8").readline())
+        with open(out, encoding="utf-8") as handle:
+            first = json.loads(handle.readline())
         assert "traceEvents" not in first
         assert "name" in first and "ph" in first
 
@@ -66,7 +67,8 @@ class TestCLIRuns:
         ])
         assert code == 0
         assert "(chrome-trace)" in capsys.readouterr().out
-        doc = json.load(open(out, encoding="utf-8"))
+        with open(out, encoding="utf-8") as handle:
+            doc = json.load(handle)
         assert "traceEvents" in doc
 
     @pytest.mark.slow

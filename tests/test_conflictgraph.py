@@ -1,15 +1,15 @@
 """Conflict-graph serializability (Papadimitriou) and its agreement with
-the exact permutation checker."""
+the history walk's exact serial verdict."""
 
 import pytest
 
+from repro.checking.tms2 import decide_history
 from repro.core.conflictgraph import (
     ConflictGraph,
     build_conflict_graph,
     conflict_serializable,
 )
 from repro.core.ops import make_op
-from repro.core.serializability import check_history
 from repro.runtime import WorkloadConfig, make_workload, run_experiment
 from repro.specs import BankSpec, CounterSpec, MemorySpec
 from repro.tm import BoostingTM, EncounterTM, TL2TM
@@ -83,8 +83,9 @@ class TestAgreementWithExactChecker:
         ok, order, graph = conflict_serializable(
             MemorySpec(), result.runtime.history, result.runtime.machine
         )
-        exact = check_history(
-            MemorySpec(), result.runtime.history, result.runtime.machine
+        exact = decide_history(
+            MemorySpec(), result.runtime.history,
+            result.runtime.machine.global_log.committed_ops(), opacity=False,
         )
         # our runs are conflict-serializable AND exactly serializable:
         assert ok

@@ -168,13 +168,15 @@ class TestRecoveryEdges:
         directory = str(tmp_path / "s")
         seg = sorted(n for n in os.listdir(directory) if n.endswith(".seg"))[-1]
         path = os.path.join(directory, seg)
-        result = scan_frames(open(path, "rb").read())
+        with open(path, "rb") as handle:
+            result = scan_frames(handle.read())
         frames = []
         for _off, record in result.records:
             if record.get("t") == "commit" and record["txn"] == "w1":
                 record = {**record, "results": [None, 777]}  # forged ack
             frames.append(encode_record(record))
-        open(path, "wb").write(b"".join(frames))
+        with open(path, "wb") as handle:
+            handle.write(b"".join(frames))
 
         with pytest.raises(RecoveryError, match="divergence"):
             open_durable_shard(cfg)

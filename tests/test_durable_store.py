@@ -330,9 +330,11 @@ class TestMutationProperty:
         seg = sorted(p for p in os.listdir(d) if p.endswith(".seg"))[-1]
         path = os.path.join(d, seg)
         rng = random.Random(seed)
-        data = open(path, "rb").read()
+        with open(path, "rb") as handle:
+            data = handle.read()
         mutated, applied = mutate_segment_bytes(data, rng, kind)
-        open(path, "wb").write(mutated)
+        with open(path, "wb") as handle:
+            handle.write(mutated)
         assert applied == kind
         try:
             reopened = SegmentStore(d)

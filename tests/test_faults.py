@@ -276,16 +276,16 @@ class TestConformanceGate:
         )
         algorithm, spec, programs = chaos_setup("earlyrelease", config)
         assert algorithm.opaque is False
-        from repro.checking.tms2 import decide_history_opaque_tms2
+        from repro.checking.tms2 import decide_history
 
         result = run_experiment(
             algorithm, spec, programs, concurrency=4,
             scheduler=NemesisScheduler(3), seed=3, verify=False, compact=False,
         )
-        verdict = decide_history_opaque_tms2(spec, result.runtime.history)
+        verdict = decide_history(spec, result.runtime.history)
         assert verdict.violations  # the inconsistent aborted view is real
         # ... but the committed history still serializes: the gate holds.
-        assert conformance_failures(algorithm, spec, result) == []
+        assert conformance_failures(algorithm, spec, result.runtime) == []
 
 
 # -- the known-bug fixture: a strategy that mishandles a crash ----------------

@@ -106,7 +106,8 @@ class TestDump:
         recorder.count("sched.quanta", 2)
         path = str(tmp_path / "box.jsonl")
         written = recorder.dump(path, reason="test", meta={"seed": 9})
-        lines = [json.loads(line) for line in open(path, encoding="utf-8")]
+        with open(path, encoding="utf-8") as handle:
+            lines = [json.loads(line) for line in handle]
         # Line 1 is the meta header; then every ring event in order.
         assert lines[0]["name"] == "flight.dump"
         assert lines[0]["args"]["reason"] == "test"

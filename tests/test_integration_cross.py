@@ -1,14 +1,13 @@
 """Cross-cutting integration tests: multi-object transactions, machine ↔
 driver interaction edge cases, spec rebasing, and end-to-end consistency
-between all three serializability checkers."""
+between the history walk and the conflict graph."""
 
 import pytest
 
-from repro.checking.tms2 import decide_history_opaque_tms2
+from repro.checking.tms2 import decide_history
 from repro.core import Machine, call, tx
 from repro.core.conflictgraph import conflict_serializable
 from repro.core.errors import CriterionViolation, MachineError
-from repro.core.serializability import check_history
 from repro.core.spec import RebasedStateSpec
 from repro.runtime import WorkloadConfig, run_experiment
 from repro.runtime.workload import WorkloadConfig as WC, make_workload
@@ -56,7 +55,7 @@ class TestMultiObjectTransactions:
         ]
         algorithm = HybridTM(htm_components=frozenset({"ctr"}))
         result = run_experiment(algorithm, spec, programs, concurrency=4, seed=3)
-        exact = check_history(spec, result.runtime.history, result.runtime.machine)
+        exact = result.serialization
         cg_ok, _, _ = conflict_serializable(
             spec, result.runtime.history, result.runtime.machine
         )
@@ -132,17 +131,16 @@ class TestCheckersConsistency:
         programs = make_workload("readwrite", config)
         result = run_experiment(TL2TM(), MemorySpec(), programs,
                                 concurrency=3, seed=seed)
-        exact = check_history(MemorySpec(), result.runtime.history,
-                              result.runtime.machine)
+        walk = decide_history(
+            MemorySpec(), result.runtime.history,
+            result.runtime.machine.global_log.committed_ops(),
+        )
         cg_ok, order, _ = conflict_serializable(
             MemorySpec(), result.runtime.history, result.runtime.machine
         )
-        opacity = decide_history_opaque_tms2(
-            MemorySpec(), result.runtime.history
-        )
-        assert exact.serializable
+        assert walk.serializable
         assert cg_ok
-        assert opacity.violations == []
+        assert walk.violations == []
 
     def test_boosting_abstract_vs_word_level_graph(self):
         """The same boosted counter run: conflict graph at the abstract

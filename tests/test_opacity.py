@@ -3,7 +3,7 @@ the TMS2 decision must respect on hand-built histories."""
 
 import pytest
 
-from repro.checking.tms2 import decide_history_opaque_tms2
+from repro.checking.tms2 import decide_history
 from repro.core import Machine, call, tx
 from repro.core.errors import OpacityViolation
 from repro.core.history import History
@@ -124,8 +124,8 @@ class TestViewConsistency:
     def r(self, loc, v):
         return make_op("read", (loc,), v)
 
-    def decide(self, history, **kwargs):
-        return decide_history_opaque_tms2(self.spec, history, **kwargs)
+    def decide(self, history):
+        return decide_history(self.spec, history)
 
     def test_consistent_view(self):
         history = History()
@@ -184,7 +184,7 @@ class TestViewConsistency:
         for i in range(9):
             record = history.begin(i)
             history.commit(record, (self.w("x", i),))
-        verdict = self.decide(history, max_exhaustive=6)
+        verdict = self.decide(history)
         assert verdict.opaque and not verdict.exhaustive
         assert verdict.witness == tuple(range(9))
 
@@ -193,7 +193,7 @@ class TestViewConsistency:
         # tx i reads i and writes i + 1; they commit in reverse
         for i in reversed(range(8)):
             chain.commit(records[i], (self.r("x", i), self.w("x", i + 1)))
-        verdict = decide_history_opaque_tms2(self.spec, chain, max_exhaustive=6)
+        verdict = self.decide(chain)
         assert not verdict.opaque and not verdict.exhaustive
         assert len(verdict.violations) == 1
 
@@ -209,7 +209,7 @@ class TestViewConsistency:
         records = [history.begin(i) for i in range(6)]
         for i in reversed(range(6)):
             history.commit(records[i], (self.r("x", i), self.w("x", i + 1)))
-        verdict = self.decide(history, max_exhaustive=6)
+        verdict = self.decide(history)
         assert verdict.opaque and verdict.exhaustive
         assert verdict.witness == tuple(record.tx_id for record in records)
         assert verdict.allowed_calls <= 21, (
@@ -228,7 +228,7 @@ class TestHistoryOpacity:
         result = run_experiment(
             TL2TM(), MemorySpec(), programs, concurrency=3, seed=5
         )
-        verdict = decide_history_opaque_tms2(
+        verdict = decide_history(
             MemorySpec(), result.runtime.history
         )
         assert verdict.violations == []

@@ -10,7 +10,7 @@ concrete seeded witness plus a fuzz search.
 
 import pytest
 
-from repro.checking.tms2 import decide_history_opaque_tms2
+from repro.checking.tms2 import decide_history
 from repro.runtime import WorkloadConfig, make_workload, run_experiment
 from repro.specs import MemorySpec
 from repro.tm import (BoostingTM, DependentTM, EncounterTM, HTM,
@@ -30,7 +30,7 @@ class TestOpaqueSideAlwaysPasses:
         programs = make_workload("readwrite", config)
         result = run_experiment(factory(), MemorySpec(), programs,
                                 concurrency=4, seed=seed)
-        violations = decide_history_opaque_tms2(
+        violations = decide_history(
             MemorySpec(), result.runtime.history
         ).violations
         assert violations == [], (factory.name, seed)
@@ -45,7 +45,7 @@ class TestNonOpaqueSideCanFail:
         programs = make_workload("readwrite", config)
         result = run_experiment(DependentTM(), MemorySpec(), programs,
                                 concurrency=4, seed=4)
-        violations = decide_history_opaque_tms2(
+        violations = decide_history(
             MemorySpec(), result.runtime.history
         ).violations
         assert violations  # non-opacity, caught by the checker
@@ -63,7 +63,7 @@ class TestNonOpaqueSideCanFail:
             programs = make_workload("readwrite", config)
             result = run_experiment(DependentTM(), MemorySpec(), programs,
                                     concurrency=4, seed=seed)
-            violations = decide_history_opaque_tms2(
+            violations = decide_history(
                 MemorySpec(), result.runtime.history
             ).violations
             found += bool(violations)

@@ -14,6 +14,7 @@ import os
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -377,7 +378,7 @@ class TestDashboard:
     def test_report_is_self_contained(self, tmp_path):
         out = str(tmp_path / "report.html")
         assert build_report(out) == out
-        html = open(out, encoding="utf-8").read()
+        html = Path(out).read_text(encoding="utf-8")
         assert html.startswith("<!DOCTYPE html>")
         assert "<svg" in html
         # Single-file: nothing fetched from anywhere.
@@ -402,7 +403,7 @@ class TestDashboard:
         write_jsonl(tracer, trace)
         out = str(tmp_path / "report.html")
         build_report(out, trace_path=trace)
-        html = open(out, encoding="utf-8").read()
+        html = Path(out).read_text(encoding="utf-8")
         assert "flame" in html.lower()
         assert "APP" in html
 
@@ -412,7 +413,7 @@ class TestDashboard:
             out, baselines=tmp_path / "none",
             coverage_path=tmp_path / "nope.json", title="empty board",
         )
-        html = open(out, encoding="utf-8").read()
+        html = Path(out).read_text(encoding="utf-8")
         assert "empty board" in html
         assert "no benchmark baselines" in html
 
@@ -420,4 +421,4 @@ class TestDashboard:
         out = str(tmp_path / "dash.html")
         code = cli_main(["report", "--out", out, "--title", "ci board"])
         assert code == 0
-        assert "ci board" in open(out, encoding="utf-8").read()
+        assert "ci board" in Path(out).read_text(encoding="utf-8")

@@ -82,7 +82,8 @@ class TestExports:
         path = str(tmp_path / "flame.txt")
         count = self._profile().write_collapsed(path)
         assert count == 2
-        assert open(path, encoding="utf-8").read().endswith("\n")
+        with open(path, encoding="utf-8") as handle:
+            assert handle.read().endswith("\n")
 
     def test_top_table_ranked_by_self_time(self):
         table = self._profile().top_table()

@@ -4,7 +4,6 @@ always serializable, always state-consistent with a serial replay."""
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.core.serializability import check_history
 from repro.runtime import WorkloadConfig, make_workload, run_experiment
 from repro.specs import BankSpec, CounterSpec, KVMapSpec, MemorySpec
 from repro.tm import (
@@ -123,22 +122,3 @@ def test_concurrency_level_never_breaks_serializability(seed, concurrency):
         BoostingTM(), KVMapSpec(), programs, concurrency=concurrency, seed=seed
     )
     assert result.serialization.serializable
-
-
-@TM_SETTINGS
-@given(seed=st.integers(min_value=0, max_value=99_999))
-def test_strict_vs_plain_serializability(seed):
-    """Every run that passes the strict (real-time-constrained) check also
-    passes the unconstrained one."""
-    config = WorkloadConfig(
-        transactions=10, ops_per_tx=3, keys=3, read_ratio=0.5, seed=seed
-    )
-    programs = make_workload("readwrite", config)
-    result = run_experiment(
-        TL2TM(), MemorySpec(), programs, concurrency=3, seed=seed, strict=True
-    )
-    plain = check_history(
-        MemorySpec(), result.runtime.history, result.runtime.machine,
-        strict=False,
-    )
-    assert plain.serializable

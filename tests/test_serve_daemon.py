@@ -174,6 +174,27 @@ def test_metrics_flow_through_registry_to_prometheus():
     with_daemon(scenario)
 
 
+@pytest.mark.parametrize("mode", ["inline", "process"])
+def test_shards_report_their_own_gate_counters(mode):
+    """Each shard's gate adds its own share of the process-wide
+    ``opacity.tms2.*`` counters to the shard's registry, so the daemon's
+    metrics show them under the ``shard`` label: for an opaque strategy,
+    one TMS2 decision per gated window, inline and in a forked worker."""
+    async def scenario(daemon, client):
+        for n in range(6):
+            await client.txn([["kvmap", "put", shard_key("kvmap", n % 2), n]])
+        await client.conformance()
+        return await client.metrics()
+
+    metrics = with_daemon(scenario, mode=mode, strategy="encounter")
+    for shard in (0, 1):
+        label = f'{{shard="{shard}"}}'
+        windows = metrics[f"serve.conformance.windows{label}"]["value"]
+        assert windows > 1
+        assert metrics[f"opacity.tms2.checks{label}"]["value"] == windows
+        assert metrics[f"opacity.tms2.steps{label}"]["value"] > 0
+
+
 # -- the gate runs after the replies -------------------------------------------
 
 

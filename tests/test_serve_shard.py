@@ -270,7 +270,7 @@ def test_concurrent_enq_and_size_waves_serialize_in_commit_order(seed, tmp_path)
 def test_hot_key_windows_are_opacity_checked(strategy):
     """Contention the uniform loadgen never makes: 256 get+put
     transactions over 2 hot keys in waves of 32, requeued items
-    resubmitted.  Every gate window holds far more than six commits, so
+    resubmitted.  Every gate window holds far more than seven commits, so
     each one is decided through the commit-order witness — and an
     opaque strategy passes it."""
     from repro.checking.tms2 import tms2_stats_snapshot

@@ -22,7 +22,7 @@ Four families, per the decision's soundness/completeness contract:
     and a history recording such a dirty read is TMS2-rejected.
 
 (d) **past the exhaustive bound** — the conformance gate decides chaos
-    windows of more than six commits through the witness: a dirty reader
+    windows of more than seven commits through the witness: a dirty reader
     files ``opacity-witness`` and an opaque strategy passes.
 """
 
@@ -40,7 +40,7 @@ from repro.checking.model_checker import (
     _terminal_history,
 )
 from repro.checking.packedcheck import initial_node
-from repro.checking.tms2 import TMS2_STATS, decide_history_opaque_tms2
+from repro.checking.tms2 import MAX_EXHAUSTIVE, TMS2_STATS, decide_history
 from repro.cli import SCOPES
 from repro.core.atomic import run_transaction_atomically
 from repro.core.errors import OpacityViolation
@@ -51,7 +51,6 @@ from repro.runtime.workload import WorkloadConfig, make_workload
 from repro.specs.memory import MemorySpec
 
 TMS2_SETTINGS = settings(max_examples=40, deadline=None)
-OPACITY_BOUND = 6
 
 
 def _walk(scope_name: str, policy: str, seed: int, steps: int = 48):
@@ -78,8 +77,8 @@ def _witness_and_dfs(scope: str, policy: str, seed: int):
     history = _terminal_history(node)
     spec_cls, _ = SCOPES[scope]
     spec = spec_cls()
-    dfs = decide_history_opaque_tms2(spec, history, max_exhaustive=OPACITY_BOUND)
-    witness = decide_history_opaque_tms2(spec, history, max_exhaustive=0)
+    dfs = decide_history(spec, history)
+    witness = decide_history(spec, history, max_exhaustive=0)
     return history, dfs, witness
 
 
@@ -94,7 +93,7 @@ class TestAgreementOnRandomHistories:
     )
     def test_witness_accept_implies_dfs_accept(self, scope, policy, seed):
         history, dfs, witness = _witness_and_dfs(scope, policy, seed)
-        if history.commit_count() > OPACITY_BOUND:
+        if history.commit_count() > MAX_EXHAUSTIVE:
             return
         assert dfs.exhaustive
         assert not (witness.opaque and not dfs.opaque), (
@@ -113,7 +112,7 @@ class TestAgreementOnRandomHistories:
         observed, so the commit order is always a witness when any
         order is."""
         history, dfs, witness = _witness_and_dfs(scope, "committed", seed)
-        if history.commit_count() > OPACITY_BOUND:
+        if history.commit_count() > MAX_EXHAUSTIVE:
             return
         assert witness.opaque == dfs.opaque
 
@@ -149,9 +148,7 @@ class TestSerialHistoriesAccepted:
             )
             history.commit(record, full[len(log):])
             log = full
-        verdict = decide_history_opaque_tms2(
-            spec, history, max_exhaustive=OPACITY_BOUND
-        )
+        verdict = decide_history(spec, history)
         assert verdict.opaque, verdict.violations
         # The serial order itself is a witness, so the committed
         # linearization the automaton found has full coverage.
@@ -212,8 +209,8 @@ class TestUncommittedPullRejected:
             consumer, ops=(read,), observed=(write, read),
             pulled_uncommitted=(write,),
         )
-        assert decide_history_opaque_tms2(spec, history).violations
-        assert decide_history_opaque_tms2(
+        assert decide_history(spec, history).violations
+        assert decide_history(
             spec, history, max_exhaustive=0
         ).violations
 
@@ -225,22 +222,22 @@ class TestStatsCounters:
         record = history.begin(0)
         history.commit(record, (Op("write", (("k", 0), 7), None, op_id=1),))
         before = TMS2_STATS["opacity.tms2.checks"]
-        assert decide_history_opaque_tms2(spec, history).violations == []
+        assert decide_history(spec, history).violations == []
         assert TMS2_STATS["opacity.tms2.checks"] == before + 1
 
     def test_witness_only_counts_decisions_past_the_bound(self):
         spec = MemorySpec()
         history = History()
-        for i in range(OPACITY_BOUND + 1):
+        for i in range(MAX_EXHAUSTIVE + 1):
             record = history.begin(i)
             history.commit(
                 record, (Op("write", (("k", 0), i), None, op_id=i + 1),)
             )
         before = TMS2_STATS["opacity.tms2.witness_only"]
-        verdict = decide_history_opaque_tms2(spec, history)
+        verdict = decide_history(spec, history)
         assert verdict.opaque and not verdict.exhaustive
         assert TMS2_STATS["opacity.tms2.witness_only"] == before + 1
-        decide_history_opaque_tms2(spec, history, max_exhaustive=OPACITY_BOUND + 1)
+        decide_history(spec, history, max_exhaustive=MAX_EXHAUSTIVE + 1)
         assert TMS2_STATS["opacity.tms2.witness_only"] == before + 1
 
 
@@ -263,16 +260,16 @@ def _chaos(strategy: str, seed: int, events: int):
 
 
 class TestGateWitnessPastTheBound:
-    """(d): windows of more than six commits are opacity-checked."""
+    """(d): windows of more than seven commits are opacity-checked."""
 
     def test_dirty_reader_files_opacity_witness(self):
         result = _chaos("broken-dirty-read", seed=0, events=0)
-        assert result.commits > OPACITY_BOUND
+        assert result.commits > MAX_EXHAUSTIVE
         checks = {failure.check for failure in result.failures}
         assert "opacity-witness" in checks, result.failures
 
     def test_opaque_strategy_passes_the_witness_gate(self):
         result = _chaos("encounter", seed=1, events=3)
-        assert result.commits > OPACITY_BOUND
+        assert result.commits > MAX_EXHAUSTIVE
         assert result.aborts > 0  # aborted viewers were placed too
         assert result.ok, [str(f) for f in result.failures]

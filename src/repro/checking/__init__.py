@@ -8,22 +8,20 @@ simulation with the atomic machine (Theorem 5.17) and the opacity
 conditions of §6.1.  This is the strongest empirical evidence a
 reproduction of a proof can offer: the theorem holds on the full reachable
 state space of every scope we can enumerate.
+
+Names resolve on first access (:mod:`repro.lazy`), so a process that only
+judges histories through :mod:`.tms2` never imports the explorer.
 """
 
-from repro.checking.model_checker import (
-    ExplorationReport,
-    ExploreOptions,
-    explore,
-    check_serializability_small_scope,
-    verdict_fingerprint,
-)
-from repro.checking.reduction import Reducer
+from repro.lazy import lazy_exports
 
-__all__ = [
-    "ExplorationReport",
-    "ExploreOptions",
-    "explore",
-    "check_serializability_small_scope",
-    "verdict_fingerprint",
-    "Reducer",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    "repro.checking.model_checker": (
+        "ExplorationReport",
+        "ExploreOptions",
+        "explore",
+        "check_serializability_small_scope",
+        "verdict_fingerprint",
+    ),
+    "repro.checking.reduction": ("Reducer",),
+})

@@ -55,6 +55,10 @@ profiler table) and ``--flame PATH`` (collapsed stacks); ``compare``,
 flight recorder, whose replayable JSONL dumps are emitted automatically
 when a run fails (``chaos`` arms it by default, ``fuzz`` dumps into its
 ``--artifacts-dir``).
+
+Each command imports the layers it runs when it runs; only what
+:data:`SCOPES` is built from is imported with this module (DESIGN.md
+"Cold start").
 """
 
 from __future__ import annotations
@@ -64,28 +68,8 @@ import sys
 import time
 from typing import List, Optional
 
-from repro.checking import explore
-from repro.checking.model_checker import ExploreOptions
 from repro.core.language import call, choice, tx
-from repro.obs import (
-    NULL_TRACER,
-    FlightRecorder,
-    Profile,
-    RecordingTracer,
-    summary_table,
-    write_chrome_trace,
-    write_jsonl,
-)
-from repro.obs.profiling import logical_profile, profile_report_table
-from repro.runtime import (
-    WorkloadConfig,
-    make_scheduler,
-    make_workload,
-    run_experiment,
-    summarize,
-)
-from repro.specs import CounterSpec, KVMapSpec, MemorySpec, get_spec
-from repro.tm import ALL_ALGORITHMS
+from repro.specs import CounterSpec, KVMapSpec, MemorySpec
 
 
 def _spec_for(workload: str):
@@ -98,9 +82,11 @@ def _spec_for(workload: str):
     }[workload]
 
 
-def _export_trace(tracer: RecordingTracer, path: str) -> None:
+def _export_trace(tracer, path: str) -> None:
     """Write ``tracer``'s events to ``path`` — Chrome ``trace_event`` JSON
     for ``.json`` paths, JSONL otherwise."""
+    from repro.obs import write_chrome_trace, write_jsonl
+
     if path.endswith(".json"):
         count = write_chrome_trace(tracer, path)
         fmt = "chrome-trace"
@@ -115,6 +101,8 @@ def _pick_tracer(args: argparse.Namespace):
     ``--trace``/``--profile``/``--flame`` need the full recording tracer,
     ``--flight-dir`` alone arms the bounded (near-free) flight recorder,
     and with none of them the run stays on the null tracer."""
+    from repro.obs import NULL_TRACER, FlightRecorder, RecordingTracer
+
     if (
         getattr(args, "trace", None)
         or getattr(args, "profile", False)
@@ -131,6 +119,8 @@ def _emit_profile(args: argparse.Namespace, tracer) -> None:
     """Print the top-table and/or write collapsed stacks when asked."""
     if not (getattr(args, "profile", False) or getattr(args, "flame", None)):
         return
+    from repro.obs import Profile
+
     profile = Profile()
     profile.add_tracer(tracer)
     if getattr(args, "profile", False):
@@ -143,6 +133,10 @@ def _emit_profile(args: argparse.Namespace, tracer) -> None:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
+    from repro.runtime import WorkloadConfig, make_scheduler, make_workload, run_experiment
+    from repro.specs import get_spec
+    from repro.tm import ALL_ALGORITHMS
+
     config = WorkloadConfig(
         transactions=args.transactions,
         ops_per_tx=args.ops,
@@ -176,6 +170,17 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 def cmd_trace(args: argparse.Namespace) -> int:
     """One traced run: workload × strategy → event-stream export."""
+    from repro.obs import RecordingTracer, summary_table, write_chrome_trace, write_jsonl
+    from repro.runtime import (
+        WorkloadConfig,
+        make_scheduler,
+        make_workload,
+        run_experiment,
+        summarize,
+    )
+    from repro.specs import get_spec
+    from repro.tm import ALL_ALGORITHMS
+
     config = WorkloadConfig(
         transactions=args.transactions,
         ops_per_tx=args.ops,
@@ -275,6 +280,8 @@ def _por_baselines() -> dict:
 
 
 def cmd_modelcheck(args: argparse.Namespace) -> int:
+    from repro.checking import ExploreOptions, explore
+
     failures = 0
     por = getattr(args, "por", True)
     do_profile = getattr(args, "profile", False)
@@ -302,6 +309,8 @@ def cmd_modelcheck(args: argparse.Namespace) -> int:
         if report.flight_dump:
             print(f"   flight dump -> {report.flight_dump}")
         if do_profile:
+            from repro.obs.profiling import logical_profile
+
             profiles.append((name, logical_profile(report)))
     if getattr(args, "opacity_checker", None):
         from repro.checking.tms2 import tms2_stats_snapshot
@@ -314,6 +323,8 @@ def cmd_modelcheck(args: argparse.Namespace) -> int:
     if tracer.enabled and getattr(args, "trace", None):
         _export_trace(tracer, args.trace)
     if do_profile:
+        from repro.obs.profiling import profile_report_table
+
         print()
         print(profile_report_table(profiles))
     _emit_profile(args, tracer)
@@ -326,6 +337,9 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     import json
 
     from repro.faults.conformance import chaos_setup, run_chaos, run_suite, shrink_plan
+    from repro.obs import Profile
+    from repro.runtime import WorkloadConfig
+    from repro.tm import ALL_ALGORITHMS
 
     if getattr(args, "durable", False):
         from repro.durable.chaos import run_durable_chaos
@@ -434,6 +448,7 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
     import os
 
     from repro.fuzz.engine import Fuzzer
+    from repro.obs import Profile
 
     def _ensure_parent(path: str) -> str:
         parent = os.path.dirname(path)
@@ -798,6 +813,8 @@ def _add_obs_flags(
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from repro.tm import ALL_ALGORITHMS  # its keys cost no strategy import
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Push/Pull transactions (PLDI 2015) — reproduction CLI",
@@ -973,7 +990,7 @@ def build_parser() -> argparse.ArgumentParser:
     perf.add_argument("--tier", action="append", dest="tiers",
                       help="run only this tier (repeatable; default: all of "
                            "kernel, por, faults, packed, serve, durable, "
-                           "opacity)")
+                           "opacity, startup)")
     perf.add_argument("--seed", type=int, default=0,
                       help="root seed for the seeded tiers")
     perf.add_argument("--baselines", metavar="DIR", default=None,

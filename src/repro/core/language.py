@@ -143,16 +143,19 @@ def step(code: Code) -> FrozenSet[Tuple[Call, Code]]:
     node itself, so the memo lives exactly as long as the program: the
     machine re-queries ``step`` of the same residual programs on every APP
     probe, and a global table would keep every program ever stepped.  The
-    result is structural, so a pickled node may carry it.
+    result is structural, so a pickled node may carry it.  A :class:`Call`
+    is the exception: its result holds the node itself, so memoizing it
+    would make a cycle that only the cyclic collector frees, and it is
+    trivial to rebuild.
     """
+    if isinstance(code, Call):
+        return frozenset({(code, SKIP)})
     try:
         return code._step  # type: ignore[attr-defined]
     except AttributeError:
         pass
     if isinstance(code, Skip):
         result: FrozenSet[Tuple[Call, Code]] = frozenset()
-    elif isinstance(code, Call):
-        result = frozenset({(code, SKIP)})
     elif isinstance(code, Seq):
         result = frozenset(
             (m, seq_cont(cont, code.second)) for m, cont in step(code.first)
@@ -184,7 +187,10 @@ def sorted_choices(code: Code) -> Tuple[Tuple[Call, Code], ...]:
     """``step(code)`` in a deterministic order, cached on the (immutable)
     code node like :func:`step` itself: the model checker resolves every
     APP instance through this on every visit of every state, and ``repr``
-    of program ASTs is recursive."""
+    of program ASTs is recursive.  Not memoized on a :class:`Call`, for the
+    reason :func:`step` gives."""
+    if isinstance(code, Call):
+        return ((code, SKIP),)
     try:
         return code._schoices  # type: ignore[attr-defined]
     except AttributeError:

@@ -1,54 +1,28 @@
 """repro.faults — fault-injection nemesis, recovery, and chaos conformance.
 
-The package is imported *by* :mod:`repro.tm.base` (the hook points take a
-:class:`~repro.faults.plan.NullInjector`), so this ``__init__`` must not
-import its own submodules eagerly: ``nemesis`` and ``conformance`` import
-the tm/runtime layers right back.  PEP 562 lazy attributes keep the
-public surface flat without the cycle.
+Every public name resolves on first access through the shared
+:func:`repro.lazy.lazy_exports` helper, like the other package
+``__init__`` modules.  Here it also breaks a cycle: :mod:`repro.tm.base`
+imports this package (its hook points take a
+:class:`~repro.faults.plan.NullInjector`), while ``nemesis`` and
+``conformance`` import the tm/runtime layers right back.
 """
 
 from __future__ import annotations
 
-_EXPORTS = {
-    # plan
-    "FaultKind": "repro.faults.plan",
-    "FaultEvent": "repro.faults.plan",
-    "FaultPlan": "repro.faults.plan",
-    "FaultInjector": "repro.faults.plan",
-    "InjectedFault": "repro.faults.plan",
-    "NullInjector": "repro.faults.plan",
-    "NULL_INJECTOR": "repro.faults.plan",
-    "INJECTABLE_RULES": "repro.faults.plan",
-    # recovery
-    "RecoveryPolicy": "repro.faults.recovery",
-    "make_policy": "repro.faults.recovery",
-    "POLICY_NAMES": "repro.faults.recovery",
-    "RECOVERY_TOKEN": "repro.faults.recovery",
-    # nemesis
-    "NemesisScheduler": "repro.faults.nemesis",
-    "ReplayScheduler": "repro.faults.nemesis",
-    # conformance
-    "ChaosFailure": "repro.faults.conformance",
-    "ChaosResult": "repro.faults.conformance",
-    "SuiteReport": "repro.faults.conformance",
-    "conformance_failures": "repro.faults.conformance",
-    "run_chaos": "repro.faults.conformance",
-    "run_suite": "repro.faults.conformance",
-    "chaos_setup": "repro.faults.conformance",
-    "shrink_plan": "repro.faults.conformance",
-}
+from repro.lazy import lazy_exports
 
-__all__ = sorted(_EXPORTS)
-
-
-def __getattr__(name: str):
-    module_name = _EXPORTS.get(name)
-    if module_name is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    import importlib
-
-    return getattr(importlib.import_module(module_name), name)
-
-
-def __dir__():
-    return sorted(set(globals()) | set(_EXPORTS))
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    "repro.faults.plan": (
+        "FaultKind", "FaultEvent", "FaultPlan", "FaultInjector",
+        "InjectedFault", "NullInjector", "NULL_INJECTOR", "INJECTABLE_RULES",
+    ),
+    "repro.faults.recovery": (
+        "RecoveryPolicy", "make_policy", "POLICY_NAMES", "RECOVERY_TOKEN",
+    ),
+    "repro.faults.nemesis": ("NemesisScheduler", "ReplayScheduler"),
+    "repro.faults.conformance": (
+        "ChaosFailure", "ChaosResult", "SuiteReport", "conformance_failures",
+        "run_chaos", "run_suite", "chaos_setup", "shrink_plan",
+    ),
+})

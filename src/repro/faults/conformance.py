@@ -25,27 +25,31 @@ the opaque fragment) promises even under injected hostility:
 Any failing ``(seed, plan)`` reproduces deterministically (rebuild the
 nemesis from the seed, or byte-replay the recorded choices), and
 :func:`shrink_plan` delta-debugs the plan down to a minimal witness.
+
+The gate (:func:`conformance_failures`) is what a serve shard imports
+this module for, so the chaos-run machinery — nemesis, harness,
+workloads, the scheduler factory, profiling and the strategy table — is
+imported inside the functions that run chaos.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.checking.tms2 import decide_history
 from repro.core.spec import SequentialSpec
-from repro.faults.nemesis import ReplayScheduler
 from repro.faults.plan import FaultInjector, FaultPlan
 from repro.faults.recovery import RecoveryPolicy, make_policy
 from repro.obs.flight import FlightRecorder, maybe_dump
-from repro.obs.profiling import Profile
 from repro.obs.tracer import NULL_TRACER, RecordingTracer, Tracer
-from repro.runtime.harness import run_experiment
-from repro.runtime.scheduler import Scheduler, make_scheduler
-from repro.runtime.workload import WorkloadConfig, make_workload
-from repro.tm import ALL_ALGORITHMS, TMAlgorithm
-from repro.tm.base import Runtime
+
+if TYPE_CHECKING:
+    from repro.obs.profiling import Profile
+    from repro.runtime.scheduler import Scheduler
+    from repro.runtime.workload import WorkloadConfig
+    from repro.tm.base import Runtime, TMAlgorithm
 
 
 @dataclass(frozen=True)
@@ -209,6 +213,10 @@ def run_chaos(
     whose tail is auto-dumped there when the gate fails.  Both only
     apply when the caller didn't pass an explicit ``tracer``.
     """
+    from repro.faults.nemesis import ReplayScheduler
+    from repro.runtime.harness import run_experiment
+    from repro.runtime.scheduler import make_scheduler
+
     seed = plan.seed if seed is None else seed
     injector = FaultInjector(plan)
     sched: Scheduler
@@ -305,8 +313,10 @@ def chaos_setup(
     requested workload; everything else runs the requested workload.
     """
     from repro.core.language import call, tx
+    from repro.runtime.workload import make_workload
     from repro.specs import CounterSpec, KVMapSpec, get_spec
     from repro.specs.product import ProductSpec
+    from repro.tm import ALL_ALGORITHMS
 
     if strategy == "hybrid":
         import random as _random

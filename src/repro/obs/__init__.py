@@ -14,76 +14,46 @@ same run into a structured event stream that can be exported as
   (:func:`~repro.obs.exporters.write_chrome_trace`),
 * a human-readable summary table (:func:`~repro.obs.exporters.summary_table`).
 
-See ``docs/OBSERVABILITY.md`` for the event taxonomy.
+See ``docs/OBSERVABILITY.md`` for the event taxonomy.  Names resolve on
+first access (:mod:`repro.lazy`): a daemon that only counts and records
+never imports the profiler or the exporters.
 """
 
-from repro.obs.tracer import (
-    CAT_CRITERION,
-    CAT_FAULT,
-    CAT_MC,
-    CAT_MOVER,
-    CAT_RULE,
-    CAT_RUNTIME,
-    CAT_SCHED,
-    CAT_TX,
-    NULL_TRACER,
-    NullTracer,
-    RecordingTracer,
-    TraceEvent,
-    Tracer,
-)
-from repro.obs.metrics import (
-    CounterMetric,
-    GaugeMetric,
-    HistogramMetric,
-    MetricsRegistry,
-    percentile_nearest_rank,
-)
-from repro.obs.flight import (
-    DEFAULT_CAPACITY,
-    FlightRecorder,
-    maybe_dump,
-    tail_signature,
-)
-from repro.obs.profiling import Profile, logical_profile
-from repro.obs.exporters import (
-    events_from_jsonl,
-    read_jsonl,
-    summary_table,
-    to_chrome_trace,
-    write_chrome_trace,
-    write_jsonl,
-)
+from repro.lazy import lazy_exports
 
-__all__ = [
-    "Tracer",
-    "NullTracer",
-    "RecordingTracer",
-    "TraceEvent",
-    "NULL_TRACER",
-    "CAT_RULE",
-    "CAT_CRITERION",
-    "CAT_FAULT",
-    "CAT_MOVER",
-    "CAT_TX",
-    "CAT_SCHED",
-    "CAT_RUNTIME",
-    "CAT_MC",
-    "CounterMetric",
-    "GaugeMetric",
-    "HistogramMetric",
-    "MetricsRegistry",
-    "percentile_nearest_rank",
-    "FlightRecorder",
-    "DEFAULT_CAPACITY",
-    "maybe_dump",
-    "tail_signature",
-    "Profile",
-    "logical_profile",
-    "write_jsonl",
-    "read_jsonl",
-    "events_from_jsonl",
-    "to_chrome_trace",
-    "write_chrome_trace",
-    "summary_table",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    "repro.obs.tracer": (
+        "Tracer",
+        "NullTracer",
+        "RecordingTracer",
+        "TraceEvent",
+        "NULL_TRACER",
+        "CAT_RULE",
+        "CAT_CRITERION",
+        "CAT_FAULT",
+        "CAT_MOVER",
+        "CAT_TX",
+        "CAT_SCHED",
+        "CAT_RUNTIME",
+        "CAT_MC",
+    ),
+    "repro.obs.metrics": (
+        "CounterMetric",
+        "GaugeMetric",
+        "HistogramMetric",
+        "MetricsRegistry",
+        "percentile_nearest_rank",
+    ),
+    "repro.obs.flight": (
+        "FlightRecorder", "DEFAULT_CAPACITY", "maybe_dump", "tail_signature",
+    ),
+    "repro.obs.profiling": ("Profile", "logical_profile"),
+    "repro.obs.exporters": (
+        "write_jsonl",
+        "read_jsonl",
+        "events_from_jsonl",
+        "to_chrome_trace",
+        "write_chrome_trace",
+        "summary_table",
+    ),
+})

@@ -27,19 +27,23 @@ the relative rows are what it ratchets.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import platform
 import re
+import statistics
 import subprocess
+import sys
 import tempfile
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-#: src/repro/obs/perf.py -> repo root
-REPO_ROOT = Path(__file__).resolve().parents[3]
+#: src/repro/obs/perf.py -> src/, the directory ``repro`` is imported from
+SRC_DIR = Path(__file__).resolve().parents[2]
+REPO_ROOT = SRC_DIR.parent
 #: the one directory holding every committed ``BENCH_<tier>.json``
 BENCH_DIR = REPO_ROOT / "benchmarks"
 
@@ -59,6 +63,12 @@ SOAK_WAVES = 2000
 FAULT_PLANS = 20
 #: wall-clock parallelism rows need this many usable cores
 MIN_PARALLEL_CORES = 4
+#: daemon launches behind the startup tier's ``serve.ready_s`` median
+STARTUP_LAUNCHES = 5
+SERVE_READY = "serve: listening on"
+#: the startup tier's import ceilings: the ``repro`` modules, and their
+#: source lines, each command imports (see DESIGN.md "Cold start")
+IMPORT_CEILINGS = {"serve": (45, 12423), "modelcheck": (27, 9043)}
 
 _MISSING = object()
 
@@ -543,6 +553,95 @@ def measure_opacity(tiny: bool, seed: int) -> Dict[str, Any]:
     }
 
 
+def repro_modules(importtime: str) -> List[str]:
+    """The ``repro`` modules an ``-X importtime`` log names."""
+    pattern = re.compile(r"^import time:.*\|\s*(repro(?:\.\w+)*)$", re.M)
+    return sorted(set(pattern.findall(importtime)))
+
+
+def _repro_imports(importtime: str) -> Dict[str, int]:
+    """How many ``repro`` modules an ``-X importtime`` log names, and
+    their source lines."""
+    names = repro_modules(importtime)
+    lines = 0
+    for name in names:
+        path = SRC_DIR.joinpath(*name.split("."))
+        source = path / "__init__.py" if path.is_dir() else path.with_suffix(".py")
+        lines += len(source.read_text(encoding="utf-8").splitlines())
+    return {"modules": len(names), "src_lines": lines}
+
+
+def child_env() -> Dict[str, str]:
+    """This process's environment, with ``repro`` imported from :data:`SRC_DIR`."""
+    path = filter(None, (str(SRC_DIR), os.environ.get("PYTHONPATH")))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+
+
+@dataclass
+class ServeLaunch:
+    """A ``repro serve`` process that has printed its listening line."""
+
+    #: seconds from launch to the listening line
+    ready_s: float
+    #: everything it wrote before that line, stderr included, in order
+    before: str
+    line: str
+    proc: subprocess.Popen
+
+    @property
+    def port(self) -> int:
+        return int(re.search(r"listening on [^\s:]+:(\d+)", self.line).group(1))
+
+
+@contextlib.contextmanager
+def serve_launch(directory: str, python_flags: Sequence[str] = ()):
+    """Launch ``repro serve --port 0 --durable directory`` in a fresh
+    interpreter (started with ``python_flags``) and yield its
+    :class:`ServeLaunch` once it listens; the process is killed on exit.
+    Nothing reads its output meanwhile: ``proc.stdout`` holds the rest."""
+    argv = [sys.executable, *python_flags, "-m", "repro", "serve", "--port", "0",
+            "--durable", directory]
+    started = time.perf_counter()
+    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
+                            env=child_env(), text=True)
+    try:
+        before: List[str] = []
+        for line in proc.stdout:
+            if line.startswith(SERVE_READY):
+                seconds = time.perf_counter() - started
+                yield ServeLaunch(seconds, "".join(before), line, proc)
+                return
+            before.append(line)
+        raise RuntimeError(f"repro serve exited before listening: {''.join(before)[-500:]}")
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stdout.close()
+
+
+def measure_startup(tiny: bool, seed: int) -> Dict[str, Any]:
+    """What a fresh interpreter imports before it can work: the ``repro``
+    modules a ``--durable`` daemon imports before its listening line, the
+    ones a whole ``repro modelcheck`` run imports (both read from ``-X
+    importtime``), and the daemon's launch-to-listening seconds."""
+    ready: List[float] = []
+    with tempfile.TemporaryDirectory(prefix="repro-perf-startup-") as tmp:
+        with serve_launch(os.path.join(tmp, "imports"), ("-X", "importtime")) as traced:
+            imports = _repro_imports(traced.before)
+        for launch in range(STARTUP_LAUNCHES):
+            with serve_launch(os.path.join(tmp, f"ready-{launch}")) as daemon:
+                ready.append(daemon.ready_s)
+    modelcheck = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "repro", "modelcheck"],
+        capture_output=True, text=True, timeout=300, check=True,
+        env=child_env(),
+    )
+    return {
+        "serve": {**imports, "ready_s": round(statistics.median(ready), 4)},
+        "modelcheck": _repro_imports(modelcheck.stderr),
+    }
+
+
 # -- the tier table -----------------------------------------------------------
 
 
@@ -680,6 +779,24 @@ TIERS: Dict[str, Tier] = {tier.name: tier for tier in (
                  bound=True),
             Gate("scopes.*.violations", "ceiling", bound=0),
             Gate("scopes.*.ok", "identity", bound=True),
+        ),
+    ),
+    Tier(
+        "startup", "Cold start", measure_startup,
+        (
+            # counts, not clocks: an import that creeps back onto a path
+            # fails on any box
+            *(
+                gate
+                for command, (modules, lines) in IMPORT_CEILINGS.items()
+                for gate in (
+                    Gate(f"{command}.modules", "ceiling", bound=modules,
+                         unit="modules"),
+                    Gate(f"{command}.src_lines", "ceiling", bound=lines,
+                         unit="lines"),
+                )
+            ),
+            Gate("serve.ready_s", "ceiling", TOLERANCE, unit="s"),
         ),
     ),
 )}

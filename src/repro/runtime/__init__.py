@@ -7,40 +7,24 @@ reproducible); :mod:`.workload` synthesises transaction programs
 (read/write mixes over zipfian keys, bank transfers, set churn);
 :mod:`.harness` wires a TM algorithm, a workload and a scheduler together,
 runs the fleet to completion, verifies serializability of the committed
-history and reports metrics.
+history and reports metrics.  Names resolve on first access
+(:mod:`repro.lazy`): a serve shard needs the scheduler, not the harness.
 """
 
-from repro.runtime.scheduler import (
-    RandomScheduler,
-    RoundRobinScheduler,
-    Scheduler,
-    make_scheduler,
-)
-from repro.runtime.workload import (
-    WorkloadConfig,
-    bank_transfer_workload,
-    counter_workload,
-    make_workload,
-    readwrite_workload,
-    set_churn_workload,
-)
-from repro.runtime.harness import ExperimentResult, run_experiment
-from repro.runtime.metrics import Distribution, RunMetrics, summarize
+from repro.lazy import lazy_exports
 
-__all__ = [
-    "Scheduler",
-    "RoundRobinScheduler",
-    "RandomScheduler",
-    "make_scheduler",
-    "WorkloadConfig",
-    "make_workload",
-    "readwrite_workload",
-    "bank_transfer_workload",
-    "set_churn_workload",
-    "counter_workload",
-    "ExperimentResult",
-    "run_experiment",
-    "Distribution",
-    "RunMetrics",
-    "summarize",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    "repro.runtime.scheduler": (
+        "Scheduler", "RoundRobinScheduler", "RandomScheduler", "make_scheduler",
+    ),
+    "repro.runtime.workload": (
+        "WorkloadConfig",
+        "make_workload",
+        "readwrite_workload",
+        "bank_transfer_workload",
+        "set_churn_workload",
+        "counter_workload",
+    ),
+    "repro.runtime.harness": ("ExperimentResult", "run_experiment"),
+    "repro.runtime.metrics": ("Distribution", "RunMetrics", "summarize"),
+})

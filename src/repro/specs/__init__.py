@@ -16,29 +16,22 @@ for the operation pair — see each module's docstring).
 :mod:`.bank`              bank accounts (deposit/withdraw/balance)
 :mod:`.registry`          name-based lookup used by the harness
 ========================  ==================================================
+
+Names resolve on first access (:mod:`repro.lazy`), so a process imports
+only the specifications it instantiates.
 """
 
-from repro.specs.memory import MemorySpec
-from repro.specs.counter import CounterSpec
-from repro.specs.setspec import SetSpec
-from repro.specs.kvmap import KVMapSpec
-from repro.specs.queuespec import QueueSpec
-from repro.specs.stackspec import StackSpec
-from repro.specs.bank import BankSpec
-from repro.specs.orderedset import OrderedSetSpec
-from repro.specs.product import ProductSpec
-from repro.specs.registry import get_spec, spec_names
+from repro.lazy import lazy_exports
 
-__all__ = [
-    "MemorySpec",
-    "CounterSpec",
-    "SetSpec",
-    "KVMapSpec",
-    "QueueSpec",
-    "StackSpec",
-    "BankSpec",
-    "OrderedSetSpec",
-    "ProductSpec",
-    "get_spec",
-    "spec_names",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    "repro.specs.memory": ("MemorySpec",),
+    "repro.specs.counter": ("CounterSpec",),
+    "repro.specs.setspec": ("SetSpec",),
+    "repro.specs.kvmap": ("KVMapSpec",),
+    "repro.specs.queuespec": ("QueueSpec",),
+    "repro.specs.stackspec": ("StackSpec",),
+    "repro.specs.bank": ("BankSpec",),
+    "repro.specs.orderedset": ("OrderedSetSpec",),
+    "repro.specs.product": ("ProductSpec",),
+    "repro.specs.registry": ("get_spec", "spec_names"),
+})

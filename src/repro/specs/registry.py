@@ -2,7 +2,8 @@
 
 The runtime harness and the benchmark drivers select data types by name
 (workload configurations are plain data), so the registry maps short names
-to zero-argument spec factories.
+to zero-argument spec factories; each built-in factory imports its
+specification's module on its first call.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 from typing import Callable, Dict, Tuple
 
 from repro.core.spec import SequentialSpec
+from repro.lazy import resolve
 
 _REGISTRY: Dict[str, Callable[[], SequentialSpec]] = {}
 
@@ -33,24 +35,27 @@ def spec_names() -> Tuple[str, ...]:
     return tuple(sorted(_REGISTRY))
 
 
-def _register_defaults() -> None:
-    from repro.specs.bank import BankSpec
-    from repro.specs.counter import CounterSpec
-    from repro.specs.kvmap import KVMapSpec
-    from repro.specs.memory import MemorySpec
-    from repro.specs.queuespec import QueueSpec
-    from repro.specs.setspec import SetSpec
-    from repro.specs.stackspec import StackSpec
-    from repro.specs.orderedset import OrderedSetSpec
+def _deferred(module: str, cls: str) -> Callable[[], SequentialSpec]:
+    """A factory that imports ``module`` on its first call."""
 
-    register("memory", MemorySpec)
-    register("counter", CounterSpec)
-    register("set", SetSpec)
-    register("kvmap", KVMapSpec)
-    register("queue", QueueSpec)
-    register("stack", StackSpec)
-    register("bank", BankSpec)
-    register("orderedset", OrderedSetSpec)
+    def factory() -> SequentialSpec:
+        return resolve(module, cls)()
+
+    return factory
+
+
+def _register_defaults() -> None:
+    for name, module, cls in (
+        ("memory", "memory", "MemorySpec"),
+        ("counter", "counter", "CounterSpec"),
+        ("set", "setspec", "SetSpec"),
+        ("kvmap", "kvmap", "KVMapSpec"),
+        ("queue", "queuespec", "QueueSpec"),
+        ("stack", "stackspec", "StackSpec"),
+        ("bank", "bank", "BankSpec"),
+        ("orderedset", "orderedset", "OrderedSetSpec"),
+    ):
+        register(name, _deferred(f"repro.specs.{module}", cls))
 
 
 _register_defaults()

@@ -30,54 +30,37 @@ paper's evaluation attributes to each system:
 :mod:`.elastic`       §8 future work [9] — elastic transactions: cut into
                       serializable pieces instead of aborting
 ====================  =====================================================
+
+Names resolve on first access (:mod:`repro.lazy`).  :data:`ALL_ALGORITHMS`
+maps every strategy name to its class, and looking a name up imports only
+that strategy's module, so a daemon running one discipline never compiles
+the other eleven.
 """
 
-from repro.tm.base import Runtime, TMAlgorithm, TxStepper, StepStatus, LockTable
-from repro.tm.globallock import GlobalLockTM
-from repro.tm.tl2 import TL2TM
-from repro.tm.encounter import EncounterTM
-from repro.tm.boosting import BoostingTM
-from repro.tm.pessimistic import PessimisticTM
-from repro.tm.irrevocable import IrrevocableTM
-from repro.tm.dependent import DependentTM
-from repro.tm.htm import HTM
-from repro.tm.hybrid import HybridTM
-from repro.tm.checkpoint import CheckpointTM
-from repro.tm.earlyrelease import EarlyReleaseTM
-from repro.tm.elastic import ElasticTM
+from repro.lazy import LazyTable, lazy_exports
 
-ALL_ALGORITHMS = {
-    "globallock": GlobalLockTM,
-    "tl2": TL2TM,
-    "encounter": EncounterTM,
-    "boosting": BoostingTM,
-    "pessimistic": PessimisticTM,
-    "irrevocable": IrrevocableTM,
-    "dependent": DependentTM,
-    "htm": HTM,
-    "hybrid": HybridTM,
-    "checkpoint": CheckpointTM,
-    "earlyrelease": EarlyReleaseTM,
-    "elastic": ElasticTM,
+#: strategy name -> (module, class)
+_STRATEGIES = {
+    "globallock": ("repro.tm.globallock", "GlobalLockTM"),
+    "tl2": ("repro.tm.tl2", "TL2TM"),
+    "encounter": ("repro.tm.encounter", "EncounterTM"),
+    "boosting": ("repro.tm.boosting", "BoostingTM"),
+    "pessimistic": ("repro.tm.pessimistic", "PessimisticTM"),
+    "irrevocable": ("repro.tm.irrevocable", "IrrevocableTM"),
+    "dependent": ("repro.tm.dependent", "DependentTM"),
+    "htm": ("repro.tm.htm", "HTM"),
+    "hybrid": ("repro.tm.hybrid", "HybridTM"),
+    "checkpoint": ("repro.tm.checkpoint", "CheckpointTM"),
+    "earlyrelease": ("repro.tm.earlyrelease", "EarlyReleaseTM"),
+    "elastic": ("repro.tm.elastic", "ElasticTM"),
 }
 
-__all__ = [
-    "Runtime",
-    "TMAlgorithm",
-    "TxStepper",
-    "StepStatus",
-    "LockTable",
-    "GlobalLockTM",
-    "TL2TM",
-    "EncounterTM",
-    "BoostingTM",
-    "PessimisticTM",
-    "IrrevocableTM",
-    "DependentTM",
-    "HTM",
-    "HybridTM",
-    "CheckpointTM",
-    "EarlyReleaseTM",
-    "ElasticTM",
-    "ALL_ALGORITHMS",
-]
+ALL_ALGORITHMS = LazyTable(_STRATEGIES)
+
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    "repro.tm.base": (
+        "Runtime", "TMAlgorithm", "TxStepper", "StepStatus", "LockTable",
+    ),
+    **{module: (cls,) for module, cls in _STRATEGIES.values()},
+})
+__all__.append("ALL_ALGORITHMS")

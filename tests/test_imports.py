@@ -1,4 +1,4 @@
-"""No module in ``src/repro`` imports a name it never uses.
+"""Imports: none unused, and every process imports only the layers it runs.
 
 An AST scan stands in for a linter: every name a module-level
 ``import``/``from ... import`` binds must be referenced somewhere in the
@@ -6,12 +6,26 @@ module — in code, in a decorator, in an annotation (a string annotation
 is parsed too), or in ``__all__``.  A line marked ``# noqa: F401`` is an
 intended re-export.  Package ``__init__`` modules are skipped: re-export
 is their job.
+
+The import diet (DESIGN.md "Cold start") is checked on fresh
+interpreters: a ``--durable`` daemon reaches its listening line without
+the model checker, the chaos machinery or any strategy but its own, and
+imports nothing after it; the explorer path imports no TM, runtime,
+fault, serve or durable module; and every lazily exported package name
+resolves once and is then cached.
 """
 
 import ast
+import importlib
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
+
+from repro.obs.perf import child_env, repro_modules, serve_launch
+from repro.serve.client import call_daemon
+from repro.serve.loadgen import LoadConfig, run_load_sync
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 MODULES = sorted(
@@ -105,3 +119,106 @@ def test_scan_sees_an_unused_import(tmp_path):
         "    return None\n"
     )
     assert unused_imports(module) == [(1, "Optional"), (3, "b")]
+
+
+# -- the import diet ------------------------------------------------------------
+
+IMPORTTIME = ("-X", "importtime")
+
+#: what a daemon never runs, so must never import
+SERVE_NEVER = {
+    "repro.checking.model_checker",
+    "repro.checking.reduction",
+    "repro.core.invariants",
+    "repro.core.rewind",
+    "repro.core.atomic",
+    "repro.runtime.harness",
+    "repro.runtime.workload",
+    "repro.obs.profiling",
+    "repro.obs.exporters",
+    "repro.obs.perf",
+    "repro.obs.report",
+    "repro.faults.nemesis",
+}
+
+LAZY_PACKAGES = ("checking", "faults", "obs", "runtime", "specs", "tm")
+
+
+@pytest.fixture(scope="module")
+def serve_run(tmp_path_factory):
+    """A ``--durable`` daemon under ``-X importtime`` through mixed
+    cross-shard load and the admin calls, SIGKILLed, then restarted on the
+    same directory: each launch's ``repro`` imports before and after its
+    listening line."""
+    durable = str(tmp_path_factory.mktemp("serve") / "wal")
+    launches = []
+    with serve_launch(durable, IMPORTTIME) as daemon:
+        report = run_load_sync(LoadConfig(
+            port=daemon.port, workload="mixed", cross_ratio=0.3, requests=120,
+            sessions=20, max_inflight=8, pool=2, seed=3,
+        ))
+        assert report.committed > 0
+        assert call_daemon("metrics", port=daemon.port)["ok"]
+        assert call_daemon("conformance", port=daemon.port)["ok"]
+        daemon.proc.kill()
+        daemon.proc.wait()
+        launches.append((daemon.before, daemon.proc.stdout.read()))
+    with serve_launch(durable, IMPORTTIME) as daemon:
+        assert call_daemon("conformance", port=daemon.port)["ok"]
+        assert call_daemon("txn", port=daemon.port, ops=[["counter", "get"]])["ok"]
+        daemon.proc.kill()
+        daemon.proc.wait()
+        launches.append((daemon.before, daemon.proc.stdout.read()))
+    return [(repro_modules(before), repro_modules(after)) for before, after in launches]
+
+
+def test_serve_reaches_listening_without_unused_layers(serve_run):
+    for before, _after in serve_run:
+        assert "repro.serve.shard" in before  # the log covers the shards' start
+        assert SERVE_NEVER.isdisjoint(before), SERVE_NEVER.intersection(before)
+        assert not [m for m in before if m.startswith("repro.fuzz")]
+        strategies = {m for m in before if m.startswith("repro.tm.")}
+        assert strategies == {"repro.tm.base", "repro.tm.encounter"}
+
+
+def test_serve_imports_nothing_after_listening(serve_run):
+    for _before, after in serve_run:
+        assert after == []
+
+
+def test_explorer_path_imports_no_runtime_layer():
+    probe = (
+        "import sys\n"
+        "from repro.cli import SCOPES\n"
+        "import repro.checking.model_checker\n"
+        "print(' '.join(m for m in sys.modules if m.startswith('repro')))\n"
+    )
+    loaded = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True,
+        env=child_env(), check=True, timeout=60,
+    ).stdout.split()
+    assert "repro.checking.model_checker" in loaded
+    layers = ("repro.tm.", "repro.runtime.", "repro.faults.", "repro.serve.",
+              "repro.durable.")
+    assert [m for m in loaded if (m + ".").startswith(layers)] == []
+
+
+@pytest.mark.parametrize("name", LAZY_PACKAGES)
+def test_lazy_exports_resolve_once(name, monkeypatch):
+    package = importlib.import_module(f"repro.{name}")
+    for export in package.__all__:
+        getattr(package, export)
+        assert export in dir(package)
+    namespace = {}
+    exec(f"from repro.{name} import *", namespace)
+    assert set(package.__all__) <= set(namespace)
+    with pytest.raises(AttributeError):
+        package.no_such_name
+
+    def refuse(attribute):
+        raise AssertionError(f"repro.{name}.{attribute} resolved twice")
+
+    monkeypatch.setattr(package, "__getattr__", refuse)
+    for export in package.__all__:
+        assert getattr(package, export) is namespace[export]
+

@@ -20,6 +20,7 @@ from repro.core.language import (
     fin,
     methods_of,
     seq,
+    sorted_choices,
     step,
     tx,
 )
@@ -184,3 +185,18 @@ class TestNodeMemo:
         del program, rest
         gc.collect()
         assert [ref() for ref in refs] == [None, None]
+
+    def test_a_stepped_call_is_freed_by_refcount(self):
+        """A ``Call``'s step result holds the node itself, so it is not
+        memoized: that memo would be a cycle only the collector frees."""
+        gc.disable()
+        try:
+            node = tx(call("a", 1), call("b", 2)).body.first
+            step(node)
+            sorted_choices(node)
+            fin(node)
+            ref = weakref.ref(node)
+            del node
+            assert ref() is None
+        finally:
+            gc.enable()

@@ -267,12 +267,15 @@ def _print_scope_report(
 
 def _por_baselines() -> dict:
     """POR-off state counts per scope from the committed ``BENCH_por.json``
-    (for the reduction-ratio column), or ``{}`` when absent."""
-    from repro.obs.perf import BaselineError, baseline_path, load_baseline
+    (for the reduction-ratio column), or ``{}`` when it is unreadable; read
+    with ``json`` alone, so a model-checker run imports no perf tier."""
+    import json
+    from pathlib import Path
 
+    path = Path(__file__).resolve().parents[2] / "benchmarks" / "BENCH_por.json"
     try:
-        scopes = load_baseline(baseline_path("por")).get("scopes", {})
-    except BaselineError:
+        scopes = json.loads(path.read_text(encoding="utf-8")).get("scopes", {})
+    except (OSError, ValueError):
         return {}
     return {
         name: row["off"]["states"] for name, row in scopes.items() if "off" in row

@@ -23,20 +23,42 @@ transactions are ignored — ``tx (… tx c …)`` is rejected.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Any, FrozenSet, Tuple
 
 from repro.core.errors import LanguageError
 
 
 class Code:
-    """Base class for program ASTs.  All nodes are frozen and hashable."""
+    """Base class for program ASTs.  All nodes are frozen and hashable.
+
+    ``tx(*calls)`` nests one ``Seq`` per call, so nothing may recurse per
+    operation: a node caches its hash (the dataclass's value) at
+    construction, ``Seq`` walks its ``second`` spine iteratively, and
+    unpickling reconstructs (a cached ``str`` hash is per-process)."""
+
+    def __post_init__(self) -> None:
+        # the fields are all the node's __dict__ holds yet
+        object.__setattr__(self, "_hash", hash(tuple(self.__dict__.values())))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return self.__class__, tuple(getattr(self, f.name) for f in fields(self))
 
     def __add__(self, other: "Code") -> "Choice":
         return Choice(self, other)
 
 
-@dataclass(frozen=True)
+def _node(cls):
+    """A frozen dataclass node that keeps :class:`Code`'s cached hash."""
+    cls = dataclass(frozen=True)(cls)
+    cls.__hash__ = Code.__hash__
+    return cls
+
+
+@_node
 class Skip(Code):
     """The terminated program ``skip``."""
 
@@ -44,7 +66,7 @@ class Skip(Code):
         return "skip"
 
 
-@dataclass(frozen=True)
+@_node
 class Call(Code):
     """A method occurrence ``m`` with its literal arguments."""
 
@@ -56,18 +78,37 @@ class Call(Code):
         return f"{self.method}({arg_text})"
 
 
-@dataclass(frozen=True)
+@_node
 class Seq(Code):
     """Sequential composition ``c1 ; c2``."""
 
     first: Code
     second: Code
 
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Seq:
+            return NotImplemented
+        a, b = self, other
+        while a is not b:
+            if a._hash != b._hash:
+                return False
+            first = a.first
+            if first is not b.first and not first == b.first:
+                return False
+            a, b = a.second, b.second
+            if a.__class__ is not Seq or b.__class__ is not Seq:
+                return a is b or a == b
+        return True
+
     def __repr__(self) -> str:
-        return f"({self.first!r} ; {self.second!r})"
+        opened, node = [], self
+        while isinstance(node, Seq):
+            opened.append(f"({node.first!r} ; ")
+            node = node.second
+        return "".join(opened) + repr(node) + ")" * len(opened)
 
 
-@dataclass(frozen=True)
+@_node
 class Choice(Code):
     """Nondeterministic choice ``c1 + c2``."""
 
@@ -78,7 +119,7 @@ class Choice(Code):
         return f"({self.left!r} + {self.right!r})"
 
 
-@dataclass(frozen=True)
+@_node
 class Star(Code):
     """Nondeterministic looping ``(c)*``."""
 
@@ -88,7 +129,7 @@ class Star(Code):
         return f"({self.body!r})*"
 
 
-@dataclass(frozen=True)
+@_node
 class Tx(Code):
     """A transaction block ``tx c``."""
 
@@ -142,11 +183,10 @@ def step(code: Code) -> FrozenSet[Tuple[Call, Code]]:
     liftings ``S ; c`` and ``B ; S``.  Memoized on the (immutable) code
     node itself, so the memo lives exactly as long as the program: the
     machine re-queries ``step`` of the same residual programs on every APP
-    probe, and a global table would keep every program ever stepped.  The
-    result is structural, so a pickled node may carry it.  A :class:`Call`
-    is the exception: its result holds the node itself, so memoizing it
-    would make a cycle that only the cyclic collector frees, and it is
-    trivial to rebuild.
+    probe, and a global table would keep every program ever stepped.  A
+    :class:`Call` is the exception: its result holds the node itself, so
+    memoizing it would make a cycle that only the cyclic collector frees,
+    and it is trivial to rebuild.
     """
     if isinstance(code, Call):
         return frozenset({(code, SKIP)})
@@ -185,19 +225,20 @@ def seq_cont(cont: Code, rest: Code) -> Code:
 
 def sorted_choices(code: Code) -> Tuple[Tuple[Call, Code], ...]:
     """``step(code)`` in a deterministic order, cached on the (immutable)
-    code node like :func:`step` itself: the model checker resolves every
-    APP instance through this on every visit of every state, and ``repr``
-    of program ASTs is recursive.  Not memoized on a :class:`Call`, for the
-    reason :func:`step` gives."""
+    code node like :func:`step` itself: the model checker and every TM
+    driver resolve each APP through this, and ``repr`` of program ASTs
+    walks the whole program.  A single choice needs no sort.  Not memoized
+    on a :class:`Call`, for the reason :func:`step` gives."""
     if isinstance(code, Call):
         return ((code, SKIP),)
     try:
         return code._schoices  # type: ignore[attr-defined]
     except AttributeError:
         pass
-    choices = tuple(sorted(step(code), key=repr))
-    object.__setattr__(code, "_schoices", choices)
-    return choices
+    choices = step(code)
+    ordered = tuple(choices) if len(choices) == 1 else tuple(sorted(choices, key=repr))
+    object.__setattr__(code, "_schoices", ordered)
+    return ordered
 
 
 def fin(code: Code) -> bool:
@@ -262,17 +303,23 @@ def _check(code: Code, in_tx: bool) -> None:
 
 def methods_of(code: Code) -> FrozenSet[Call]:
     """All method occurrences syntactically reachable in ``code`` (used by
-    the opacity §6.1 "reachable operations" analysis)."""
+    the opacity §6.1 "reachable operations" analysis).  The ``Seq`` spine
+    is walked iteratively, its unions taken right to left as the recursive
+    definition takes them."""
+    firsts = []
+    while isinstance(code, Seq):
+        firsts.append(code.first)
+        code = code.second
     if isinstance(code, Skip):
-        return frozenset()
-    if isinstance(code, Call):
-        return frozenset({code})
-    if isinstance(code, Seq):
-        return methods_of(code.first) | methods_of(code.second)
-    if isinstance(code, Choice):
-        return methods_of(code.left) | methods_of(code.right)
-    if isinstance(code, Star):
-        return methods_of(code.body)
-    if isinstance(code, Tx):
-        return methods_of(code.body)
-    raise LanguageError(f"unknown code node {code!r}")
+        found: FrozenSet[Call] = frozenset()
+    elif isinstance(code, Call):
+        found = frozenset({code})
+    elif isinstance(code, Choice):
+        found = methods_of(code.left) | methods_of(code.right)
+    elif isinstance(code, (Star, Tx)):
+        found = methods_of(code.body)
+    else:
+        raise LanguageError(f"unknown code node {code!r}")
+    for first in reversed(firsts):
+        found = methods_of(first) | found
+    return found

@@ -105,8 +105,6 @@ def open_durable_shard(
     serve.  Raises :class:`~repro.durable.records.SegmentCorruption` on
     refusal-grade damage and :class:`RecoveryError` when replay cannot
     be verified."""
-    from repro.core.machine import Machine
-    from repro.core.spec import RebasedStateSpec
     from repro.serve.shard import ShardConfig, ShardState  # noqa: F401
 
     directory = config.durable_dir
@@ -130,7 +128,7 @@ def open_durable_shard(
         )
         if store.snapshot_doc is not None:
             report.snapshot_watermark = int(store.snapshot_doc.get("watermark", 0))
-            _install_snapshot(state, store.snapshot_doc, Machine, RebasedStateSpec)
+            _install_snapshot(state, store.snapshot_doc)
         _replay(state, store, report)
         # From here on the shard writes through the store: in-doubt
         # resolutions below are live commits/aborts and must be logged.
@@ -156,23 +154,14 @@ def open_durable_shard(
         raise
 
 
-def _install_snapshot(state, snapshot_doc, machine_cls, rebased_cls) -> None:
-    """Rebase the fresh shard onto the checkpointed spec state — the
-    persistent twin of ``ShardState._rollover``."""
-    rt = state.runtime
+def _install_snapshot(state, snapshot_doc) -> None:
+    """Rebase the fresh shard onto the checkpointed spec state through
+    ``Runtime.rebase`` — the persistent twin of ``ShardState._rollover``."""
     try:
         snap_state = decode_state(snapshot_doc["state"])
     except (KeyError, DurableError) as exc:
         raise RecoveryError(f"snapshot state does not decode: {exc}")
-    rebased = rebased_cls(rt.spec, snap_state)
-    rt.spec = rebased
-    rt.machine = machine_cls(
-        rebased,
-        threads=rt.machine.threads,
-        ids=rt.machine.ids,
-        check_gray_criteria=rt.machine.check_gray_criteria,
-        tracer=state.tracer,
-    )
+    state.runtime.rebase(snap_state)
 
 
 def _replay(state, store: SegmentStore, report: RecoveryReport) -> None:

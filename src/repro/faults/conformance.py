@@ -20,7 +20,8 @@ the opaque fragment) promises even under injected hostility:
    :class:`~repro.core.errors.AbortKind`, never a missing one);
 5. the machine and runtime end quiescent: no uncommitted global-log
    entries, no stranded local-log entries, no leaked locks, tokens,
-   dependency dooms or active tids.
+   dependency dooms or active tids — :meth:`~repro.tm.base.Runtime.leaks`,
+   the same rule that decides when a runtime may roll over.
 
 Any failing ``(seed, plan)`` reproduces deterministically (rebuild the
 nemesis from the seed, or byte-replay the recorded choices), and
@@ -115,7 +116,6 @@ def conformance_failures(
     """Gate checks 2–5 over a finished run's runtime."""
     failures: List[ChaosFailure] = []
     history = runtime.history
-    machine = runtime.machine
 
     # 2–3. one walk: serializability of the committed history (real-time
     # order respected, covering the committed log) and, for the opaque
@@ -125,7 +125,7 @@ def conformance_failures(
     verdict = decide_history(
         spec,
         history,
-        machine.global_log.committed_ops(),
+        runtime.machine.global_log.committed_ops(),
         opacity=algorithm.opaque,
     )
     if not verdict.serializable:
@@ -151,37 +151,7 @@ def conformance_failures(
             )
 
     # 5. quiescent end state: nothing leaked, nothing stranded
-    for entry in machine.global_log:
-        if not entry.is_committed:
-            failures.append(
-                ChaosFailure("state", f"uncommitted global-log entry: {entry.op}")
-            )
-    for thread in machine.threads:
-        if len(thread.local) != 0:
-            failures.append(
-                ChaosFailure(
-                    "state",
-                    f"thread {thread.tid} stranded {len(thread.local)} "
-                    "local-log entries",
-                )
-            )
-    held = runtime.locks.all_held()
-    if held:
-        failures.append(ChaosFailure("state", f"leaked abstract locks: {held}"))
-    leaked_tokens = {
-        name: holder for name, holder in runtime.tokens.items() if holder is not None
-    }
-    if leaked_tokens:
-        failures.append(ChaosFailure("state", f"leaked tokens: {leaked_tokens}"))
-    doomed = runtime.dependencies.doomed_tids()
-    if doomed:
-        failures.append(
-            ChaosFailure("state", f"undrained doomed consumers: {sorted(doomed)}")
-        )
-    if runtime.active_tids:
-        failures.append(
-            ChaosFailure("state", f"active tids after run: {sorted(runtime.active_tids)}")
-        )
+    failures.extend(ChaosFailure("state", leak) for leak in runtime.leaks())
     return failures
 
 

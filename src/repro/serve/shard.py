@@ -20,10 +20,12 @@ entry points:
   make the second phase safe.  A parked prepared transaction's
   pushed-uncommitted entries block conflicting PUSHes on the shard via
   the ordinary push criterion — 2PC "locks" are just uncommitted
-  global-log entries.  The commit and abort records are appended
-  without an fsync and ride the shard's next one: the coordinator's
-  fsynced ``decide commit``, or recovery's presumed abort, already
-  fixes the outcome;
+  global-log entries.  Every step is the runtime's lifecycle: prepare
+  is ``Runtime.begin``, commit is ``Runtime.commit`` + ``end``, an abort
+  is ``Runtime.abort`` + ``drop``.  The commit and abort records are
+  appended without an fsync and ride the shard's next one: the
+  coordinator's fsynced ``decide commit``, or recovery's presumed
+  abort, already fixes the outcome;
 * :meth:`ShardState.maybe_checkpoint` / :meth:`ShardState.run_conformance`
   — the existing chaos conformance gate (serializability / opacity /
   clean-aborts / quiescence) over the shard's committed history.  The
@@ -31,10 +33,10 @@ entry points:
   each wave's replies are written and before the next wave: at every
   quiescent wave boundary the gate runs over the commits since the last
   one and, when clean, the history rolls over into a
-  :class:`~repro.core.spec.RebasedStateSpec` (the same compaction move as
-  ``Runtime.maybe_compact``, but gated on a verified window rather than
-  blind), so the global log a transaction PULLs from holds about one
-  wave.  The gate never changes an outcome, so no reply waits for it.
+  :class:`~repro.core.spec.RebasedStateSpec` (``Runtime.rollover``, as
+  in ``Runtime.maybe_compact``, but gated on a verified window rather
+  than blind), so the global log a transaction PULLs from holds about
+  one wave.  The gate never changes an outcome, so no reply waits for it.
   A durable shard checkpoints a rollover state once every
   ``conformance_window`` commits, so snapshots only ever hold verified
   states.  On failure the verdict goes sticky and the armed per-shard
@@ -59,9 +61,7 @@ from repro.checking.tms2 import tms2_stats_snapshot
 from repro.core.errors import TMAbort
 from repro.core.history import TxRecord
 from repro.core.language import call, tx
-from repro.core.machine import Machine
 from repro.core.ops import intern_stats
-from repro.core.spec import RebasedStateSpec, StateSpec
 from repro.faults.conformance import conformance_failures
 from repro.faults.recovery import make_policy
 from repro.obs.flight import FlightRecorder, maybe_dump
@@ -72,7 +72,7 @@ from repro.serve.sharding import make_shard_scheduler, shard_seed, validate_op
 from repro.specs import BankSpec, CounterSpec, KVMapSpec, QueueSpec
 from repro.specs.product import ProductSpec
 from repro.tm import ALL_ALGORITHMS
-from repro.tm.base import Runtime, StepStatus, TxStepper, record_commit_view
+from repro.tm.base import Runtime, StepStatus, TxStepper
 
 
 def make_serve_spec() -> ProductSpec:
@@ -207,18 +207,6 @@ class ShardState:
         self._job_counter += 1
         return self._job_counter
 
-    def _views(self, tid: int):
-        thread = self.runtime.machine.thread(tid)
-        own = thread.local.own_ops()
-        observed = thread.local.all_ops()
-        pulled_uncommitted = tuple(
-            op
-            for op in thread.local.pulled_ops()
-            if (entry := self.runtime.machine.global_log.entry_for(op)) is not None
-            and not entry.is_committed
-        )
-        return own, observed, pulled_uncommitted
-
     def _count(self, name: str, delta: int = 1) -> None:
         self.registry.counter(name).inc(delta)
 
@@ -273,8 +261,7 @@ class ShardState:
         for item, stepper in pairs:
             attempts = item["attempts"]
             if stepper.status is StepStatus.COMMITTED:
-                own = getattr(stepper.record, "_commit_own", ())
-                results = tuple(op.ret for op in own)
+                results = tuple(op.ret for op in stepper.record.ops)
                 outcomes.append(
                     WaveOutcome(
                         item["id"], True, results=results, attempts=attempts,
@@ -291,10 +278,8 @@ class ShardState:
             else:
                 # Permanently aborted within the wave: the stepper left the
                 # rolled-back thread parked in the machine — drop it.
-                tid = stepper.tid
-                if tid is not None:
-                    rt.machine = rt.machine.drop_thread(tid)
-                    rt.tid_to_job.pop(tid, None)
+                if stepper.tid is not None:
+                    rt.drop(stepper.tid)
                 self._count("serve.txn.wave_aborts", stepper.stats.aborts)
                 if attempts < self.config.max_attempts:
                     outcomes.append(
@@ -350,30 +335,16 @@ class ShardState:
             self._count("serve.txn.rejected")
             return {"ok": False, "error": str(exc), "kind": "protocol"}
         rt.machine, tid = rt.machine.spawn(program)
-        record = rt.history.begin(tid)
-        rt.active_tids.add(tid)
-        rt.tid_to_job[tid] = self._next_job()
+        record = rt.begin(tid, self._next_job())
         try:
-            remaining = len(self.algorithm.resolve_steps(program))
-            for _ in range(remaining):
-                choices = sorted(rt.machine.app_choices(tid), key=repr)
-                if not choices:
-                    break
-                call_node = choices[0][0]
+            for call_node in self.algorithm.resolve_steps(program):
                 keys = rt.spec.footprint(call_node.method, call_node.args)
                 rt.pull_relevant(tid, keys)
                 op = self.algorithm.app_call(rt, tid, 0)
                 self.algorithm.push_op(rt, tid, op)
         except TMAbort as abort:
-            own, observed, pulled_uncommitted = self._views(tid)
-            rt.rollback(tid)
-            rt.history.abort(
-                record, abort.reason, observed, pulled_uncommitted,
-                kind=abort.kind,
-            )
-            rt.active_tids.discard(tid)
-            rt.machine = rt.machine.drop_thread(tid)
-            rt.tid_to_job.pop(tid, None)
+            rt.abort(tid, record, abort.reason, abort.kind)
+            rt.drop(tid)
             self._count("serve.2pc.prepare_conflict")
             return {"ok": False, "error": abort.reason, "kind": abort.kind.value}
         results = [op.ret for op in rt.machine.thread(tid).local.own_ops()]
@@ -399,18 +370,8 @@ class ShardState:
             return {"ok": False, "error": f"txn {txn_id!r} not prepared",
                     "kind": "protocol"}
         tid, record, wire_ops = entry
-        record_commit_view(rt, tid, record)
-        rt.apply("cmt", tid)
-        rt.history.commit(
-            record,
-            record._commit_own,
-            record._commit_observed,
-            record._commit_pulled_uncommitted,
-        )
-        rt.active_tids.discard(tid)
-        rt.dependencies.on_commit(tid)
-        rt.machine = rt.machine.end_thread(tid)
-        rt.tid_to_job.pop(tid, None)
+        rt.commit(tid, record)
+        rt.end(tid)
         if self.durable is not None:
             # No sync: the prepare and the coordinator's ``decide commit``
             # are already fsynced, so a crash that loses this record
@@ -419,7 +380,7 @@ class ShardState:
             # which every later durable record of the shard waits for.
             self.durable.append(
                 {"t": "commit", "txn": txn_id, "ops": wire_ops,
-                 "results": [op.ret for op in record._commit_own],
+                 "results": [op.ret for op in record.ops],
                  "via": "2pc"}
             )
         self.registry.gauge("serve.prepared").set(len(self.prepared))
@@ -435,14 +396,8 @@ class ShardState:
             return {"ok": False, "error": f"txn {txn_id!r} not prepared",
                     "kind": "protocol"}
         tid, record, _wire_ops = entry
-        own, observed, pulled_uncommitted = self._views(tid)
-        rt.dependencies.on_abort(tid)
-        rt.dependencies.clear(tid)
-        rt.rollback(tid)
-        rt.history.abort(record, reason, observed, pulled_uncommitted)
-        rt.active_tids.discard(tid)
-        rt.machine = rt.machine.drop_thread(tid)
-        rt.tid_to_job.pop(tid, None)
+        rt.abort(tid, record, reason)
+        rt.drop(tid)
         if self.durable is not None:
             # No sync: aborts are advisory (recovery presumes abort for
             # any undecided prepare), so they ride the next batch.
@@ -521,35 +476,15 @@ class ShardState:
         return verdict
 
     def _rollover(self, snapshot: bool = False) -> None:
-        """Replay the verified committed log into a rebased spec and
-        restart with an empty history — ``Runtime.maybe_compact``'s move,
-        but only ever after a clean gate.  A durable shard also
-        checkpoints the rebased state once ``conformance_window`` commits
-        have accumulated since its last snapshot (or when ``snapshot``
-        asks): one snapshot fsync per window of commits, however many
-        waves it took."""
+        """:meth:`Runtime.rollover` onto the verified committed state, then
+        restart with an empty history — only ever after a clean gate.  A
+        durable shard also checkpoints the rebased state once
+        ``conformance_window`` commits have accumulated since its last
+        snapshot (or when ``snapshot`` asks): one snapshot fsync per window
+        of commits, however many waves it took."""
         rt = self.runtime
-        if rt.active_tids or self.prepared:
+        if not rt.rollover():
             return
-        if any(t.local.entries for t in rt.machine.threads):
-            return
-        if any(not e.is_committed for e in rt.machine.global_log):
-            return
-        base = rt.spec
-        if not isinstance(base, StateSpec):
-            return
-        state = base.replay(rt.machine.global_log.all_ops())
-        if state is None:  # pragma: no cover - gate just verified the log
-            raise RuntimeError("verified committed log is not allowed")
-        rebased = RebasedStateSpec(base, state)
-        rt.spec = rebased
-        rt.machine = Machine(
-            rebased,
-            threads=rt.machine.threads,
-            ids=rt.machine.ids,
-            check_gray_criteria=rt.machine.check_gray_criteria,
-            tracer=self.tracer,
-        )
         rt.history = type(rt.history)()
         self._commits_since_snapshot += self._commits_since_check
         self._commits_since_check = 0
@@ -565,7 +500,7 @@ class ShardState:
 
             self._commits_since_snapshot = 0
             self.durable.write_snapshot(
-                encode_state(state),
+                encode_state(rt.spec.initial_state()),
                 meta={
                     "shard": self.config.index,
                     "strategy": self.config.strategy,

@@ -22,6 +22,7 @@ workload)`` plus the per-shard arrival orders:
 from __future__ import annotations
 
 import hashlib
+import math
 import zlib
 from typing import Any, List, Optional, Sequence, Tuple
 
@@ -31,15 +32,18 @@ from typing import Any, List, Optional, Sequence, Tuple
 #: on the one shard :func:`shard_of` pins it to.
 SPACES: Tuple[str, ...] = ("kvmap", "counter", "bank", "queue")
 
-#: space → method → (is_keyed, arity incl. key).  The daemon validates
-#: requests against this table before anything touches a machine, so a
-#: malformed request is a protocol error, never a mid-transaction
-#: SpecError.
+#: space → method → the kinds of its arguments, key first (the arity is
+#: their count; ``_KINDS`` says what each kind admits).  The daemon
+#: validates requests against this table before anything touches a
+#: machine, so a malformed request is a protocol error, never a
+#: mid-transaction SpecError or TypeError.
 METHODS = {
-    "kvmap": {"put": 2, "get": 1, "remove": 1, "contains_key": 1},
-    "counter": {"inc": 0, "dec": 0, "add": 1, "get": 0},
-    "bank": {"deposit": 2, "withdraw": 2, "balance": 1},
-    "queue": {"enq": 1, "deq": 0, "peek": 0, "size": 0},
+    "kvmap": {"put": ("key", "scalar"), "get": ("key",), "remove": ("key",),
+              "contains_key": ("key",)},
+    "counter": {"inc": (), "dec": (), "add": ("int",), "get": ()},
+    "bank": {"deposit": ("key", "amount"), "withdraw": ("key", "amount"),
+             "balance": ("key",)},
+    "queue": {"enq": ("scalar",), "deq": (), "peek": (), "size": ()},
 }
 
 #: keyed spaces route by the first argument; unkeyed ones by space name
@@ -48,7 +52,24 @@ KEYED_SPACES = frozenset({"kvmap", "bank"})
 
 class ProtocolError(ValueError):
     """A request violates the wire contract (unknown space/method, wrong
-    arity, non-scalar key) — rejected before execution."""
+    arity, an argument of the wrong kind) — rejected before execution."""
+
+
+def _int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+#: argument kind → (test, what a value of that kind must be)
+_KINDS = {
+    "key": (lambda v: _int(v) or isinstance(v, str), "a JSON string or integer"),
+    "scalar": (
+        lambda v: v is None or isinstance(v, (str, int))
+        or (isinstance(v, float) and math.isfinite(v)),
+        "a JSON scalar (string, integer, finite number, boolean or null)",
+    ),
+    "int": (_int, "an integer"),
+    "amount": (lambda v: _int(v) and v > 0, "a positive integer"),
+}
 
 
 def validate_op(op: Sequence) -> Tuple[str, str, Tuple]:
@@ -56,22 +77,25 @@ def validate_op(op: Sequence) -> Tuple[str, str, Tuple]:
     if not isinstance(op, (list, tuple)) or len(op) < 2:
         raise ProtocolError(f"op must be [space, method, args...]; got {op!r}")
     space, method, args = op[0], op[1], tuple(op[2:])
-    table = METHODS.get(space)
+    table = METHODS.get(space) if isinstance(space, str) else None
     if table is None:
         raise ProtocolError(f"unknown space {space!r} (known: {sorted(METHODS)})")
-    if method not in table:
+    if not isinstance(method, str) or method not in table:
         raise ProtocolError(
             f"unknown method {space}.{method} (known: {sorted(table)})"
         )
-    if len(args) != table[method]:
+    kinds = table[method]
+    if len(args) != len(kinds):
         raise ProtocolError(
-            f"{space}.{method} takes {table[method]} argument(s), got {len(args)}"
+            f"{space}.{method} takes {len(kinds)} argument(s), got {len(args)}"
         )
-    if space in KEYED_SPACES and not isinstance(args[0], (str, int)):
-        raise ProtocolError(
-            f"{space}.{method} key must be a JSON string or integer, "
-            f"got {type(args[0]).__name__}"
-        )
+    for position, (kind, value) in enumerate(zip(kinds, args)):
+        accepts, expected = _KINDS[kind]
+        if not accepts(value):
+            raise ProtocolError(
+                f"{space}.{method} argument {position} must be {expected}, "
+                f"got {type(value).__name__} {value!r:.40}"
+            )
     return space, method, args
 
 

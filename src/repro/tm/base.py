@@ -5,6 +5,13 @@ and the driver-level coordination structures (abstract lock table, tokens,
 dependency registry).  Drivers mutate the runtime by *replacing* its
 machine with the successor state a rule returns.
 
+The runtime alone runs the transaction lifecycle, for the stepper and
+the serve shard's 2PC participant alike: ``begin`` opens an attempt's
+record, ``commit`` fires CMT and records the committed view, ``end``
+releases the thread's locks and tokens and applies MS_END, ``abort`` rolls
+back and records the aborted view, and ``rollover`` rebases onto the
+committed state when ``leaks`` finds nothing held.
+
 :class:`TxStepper` wraps one transaction attempt as a resumable generator:
 the scheduler calls :meth:`TxStepper.step` repeatedly; each call advances
 the attempt by one scheduling quantum (the code between two ``yield``\\ s of
@@ -25,7 +32,7 @@ import collections
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Dict, Iterator, List, Optional, Set, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.core.errors import (
     AbortKind,
@@ -34,8 +41,8 @@ from repro.core.errors import (
     TMAbort,
 )
 from repro.core.history import History, TxRecord
-from repro.core.language import Call, Code, Tx, step as lang_step
-from repro.core.logs import Pulled, Pushed
+from repro.core.language import Call, Code, Tx, sorted_choices, step as lang_step
+from repro.core.logs import LocalLog, Pulled, Pushed
 from repro.core.machine import Machine
 from repro.core.ops import Op
 from repro.core.spec import RebasedStateSpec, SequentialSpec, StateSpec
@@ -265,7 +272,7 @@ class Runtime:
         else:
             self.trace.append(TraceEvent(rule.upper(), tid))
 
-    # -- tokens (single-holder flags: write token, irrevocability, ...) --------
+    # -- tokens (single-holder flags; end and abort release them) ----------------
 
     def try_token(self, name: str, tid: int) -> bool:
         holder = self.tokens.get(name)
@@ -274,12 +281,71 @@ class Runtime:
             return True
         return False
 
-    def release_token(self, name: str, tid: int) -> None:
-        if self.tokens.get(name) == tid:
-            self.tokens[name] = None
-
     def token_holder(self, name: str) -> Optional[int]:
         return self.tokens.get(name)
+
+    # -- the transaction lifecycle -----------------------------------------------
+
+    def begin(
+        self, tid: int, job_id: Optional[int] = None, retries_of: Optional[int] = None
+    ) -> TxRecord:
+        """Open the history record of one attempt on machine thread ``tid``."""
+        self.active_tids.add(tid)
+        self.tid_to_job[tid] = job_id
+        return self.history.begin(tid, retries_of=retries_of)
+
+    def _view(self, tid: int) -> Tuple[LocalLog, Tuple[Op, ...]]:
+        """The thread's local log, and its pulls still uncommitted."""
+        local, global_log = self.machine.thread(tid).local, self.machine.global_log
+        return local, tuple(
+            op for op in local.pulled_ops()
+            if (entry := global_log.entry_for(op)) is not None and not entry.is_committed
+        )
+
+    def commit(
+        self, tid: int, record: TxRecord, pulled_uncommitted: Optional[Sequence[Op]] = None
+    ) -> None:
+        """CMT ``tid`` and record the view it committed (read first: CMT
+        clears the local log).  A §6.5 consumer passes the uncommitted pulls
+        it made, since by now its producers have committed."""
+        local, dirty = self._view(tid)
+        self.apply("cmt", tid)
+        if pulled_uncommitted is not None:
+            dirty = pulled_uncommitted
+        self.history.commit(record, local.own_ops(), local.all_ops(), dirty)
+
+    def _release(self, tid: int) -> None:
+        self.locks.release_all(tid)
+        for token, holder in self.tokens.items():
+            if holder == tid:
+                self.tokens[token] = None
+
+    def end(self, tid: int) -> None:
+        """After a commit: release the thread's locks and tokens, settle its
+        consumers, MS_END (refusing an attempt that returned without CMT)."""
+        self._release(tid)
+        self.active_tids.discard(tid)
+        self.dependencies.on_commit(tid)
+        self.machine = self.machine.end_thread(tid)
+        self.tid_to_job.pop(tid, None)
+
+    def abort(
+        self, tid: int, record: TxRecord, reason: str, kind: AbortKind = AbortKind.EXPLICIT
+    ) -> None:
+        """Doom the attempt's consumers, release what it held, roll it back
+        and record the view it had reached."""
+        local, dirty = self._view(tid)
+        self.dependencies.on_abort(tid)
+        self.dependencies.clear(tid)
+        self._release(tid)
+        self.rollback(tid)
+        self.history.abort(record, reason, local.all_ops(), dirty, kind=kind)
+        self.active_tids.discard(tid)
+
+    def drop(self, tid: int) -> None:
+        """Discard a rolled-back thread that will not retry."""
+        self.machine = self.machine.drop_thread(tid)
+        self.tid_to_job.pop(tid, None)
 
     # -- generic rollback -------------------------------------------------------
 
@@ -350,46 +416,63 @@ class Runtime:
             pulled.append(op)
         return pulled
 
-    # -- log compaction -------------------------------------------------------------
+    # -- quiescence and log compaction ----------------------------------------------
+
+    def leaks(self) -> List[str]:
+        """One message per thing a quiescent runtime must not hold (empty
+        means quiescent): the conformance gate's check 5, and what
+        :meth:`rollover` waits for."""
+        found = [
+            f"uncommitted global-log entry: {entry.op}"
+            for entry in self.machine.global_log if not entry.is_committed
+        ] + [
+            f"thread {thread.tid} stranded {len(thread.local)} local-log entries"
+            for thread in self.machine.threads if len(thread.local) != 0
+        ]
+        tokens = {name: tid for name, tid in self.tokens.items() if tid is not None}
+        for what, leaked in (
+            ("leaked abstract locks", self.locks.all_held()),
+            ("leaked tokens", tokens),
+            ("undrained doomed consumers", sorted(self.dependencies.doomed_tids())),
+            ("active tids after run", sorted(self.active_tids)),
+        ):
+            if leaked:
+                found.append(f"{what}: {leaked}")
+        return found
+
+    def rebase(self, state: Any) -> None:
+        """Restart from spec state ``state`` with an empty global log."""
+        self.spec = RebasedStateSpec(self.spec, state)
+        self.machine = Machine(
+            self.spec, threads=self.machine.threads, ids=self.machine.ids,
+            check_gray_criteria=self.machine.check_gray_criteria, tracer=self.tracer,
+        )
+
+    def rollover(self) -> bool:
+        """When quiescent (an active tid, the usual leak, is tested first),
+        :meth:`rebase` onto the replayed committed log, keeping ``allowed``
+        checks O(transaction), not O(run).  :class:`StateSpec` only."""
+        if self.active_tids or self.leaks() or not isinstance(self.spec, StateSpec):
+            return False
+        state = self.spec.replay(self.machine.global_log.all_ops())
+        if state is None:  # pragma: no cover - would be a machine bug
+            raise MachineError("committed global log is not allowed")
+        self.rebase(state)
+        return True
 
     def maybe_compact(self) -> bool:
-        """When quiescent (no active transactions, every global entry
-        committed), replay the global log into a rebased spec and restart
-        with an empty log.  Keeps ``allowed`` checks O(transaction), not
-        O(run).  Only available for :class:`StateSpec`."""
+        """:meth:`rollover` once ``compact_every`` commits have accumulated."""
         if self.compact_every is None:
             return False
         self._commits_since_compaction += 1
         if self._commits_since_compaction < self.compact_every:
             return False
-        if self.active_tids:
-            return False
-        if any(t.local.entries for t in self.machine.threads):
-            return False
-        if any(not e.is_committed for e in self.machine.global_log):
-            return False
-        base = self.spec
-        if not isinstance(base, StateSpec):
-            return False
-        state = base.replay(self.machine.global_log.all_ops())
-        if state is None:  # pragma: no cover - would be a machine bug
-            raise MachineError("committed global log is not allowed")
-        rebased = RebasedStateSpec(base, state)
-        self.spec = rebased
-        live_threads = self.machine.threads
         compacted = len(self.machine.global_log)
-        self.machine = Machine(
-            rebased,
-            threads=live_threads,
-            ids=self.machine.ids,
-            check_gray_criteria=self.machine.check_gray_criteria,
-            tracer=self.tracer,
-        )
+        if not self.rollover():
+            return False
         self._commits_since_compaction = 0
         if self.tracer.enabled:
-            self.tracer.instant(
-                "compact", CAT_RUNTIME, args={"entries": compacted}
-            )
+            self.tracer.instant("compact", CAT_RUNTIME, args={"entries": compacted})
         return True
 
 
@@ -472,8 +555,7 @@ class TMAlgorithm(ABC):
         """APP the ``index``-th remaining step choice of ``tid`` (0 =
         deterministic next).  Returns the new operation.  Criterion
         failures become :class:`TMAbort`."""
-        machine = rt.machine
-        choices = sorted(machine.app_choices(tid), key=repr)
+        choices = sorted_choices(rt.machine.thread(tid).code)
         if not choices:
             raise MachineError(f"thread {tid} has no next step")
         choice = choices[min(index, len(choices) - 1)]
@@ -512,11 +594,19 @@ class TMAlgorithm(ABC):
                 raise TMAbort(f"commit validation failed: {exc}", AbortKind.VALIDATION)
         self.push_all_unpushed(rt, tid)
 
-    def commit(self, rt: Runtime, tid: int) -> None:
+    def commit(
+        self, rt: Runtime, tid: int, record: TxRecord, pulled_uncommitted=None
+    ) -> None:
+        """:meth:`Runtime.commit`, with a refused CMT as a clean abort."""
         try:
-            rt.apply("cmt", tid)
+            rt.commit(tid, record, pulled_uncommitted)
         except CriterionViolation as exc:
             raise TMAbort(f"commit refused: {exc}", AbortKind.VALIDATION)
+
+
+#: ceiling, in quanta, of the built-in exponential backoff that a stepper
+#: without a recovery policy sits out after an abort
+BACKOFF_CAP = 64
 
 
 class TxStepper:
@@ -529,8 +619,6 @@ class TxStepper:
         program: Code,
         max_retries: int = 50,
         job_id: Optional[int] = None,
-        backoff: bool = True,
-        backoff_cap: int = 64,
         recovery: Optional[RecoveryPolicy] = None,
     ):
         self.algorithm = algorithm
@@ -538,8 +626,6 @@ class TxStepper:
         self.program = program
         self.max_retries = max_retries
         self.job_id = job_id
-        self.backoff = backoff
-        self.backoff_cap = backoff_cap
         #: optional repro.faults recovery policy; replaces the built-in
         #: backoff formula and may escalate to the serialised fallback
         self.recovery = recovery
@@ -562,10 +648,8 @@ class TxStepper:
             rt.machine, self._tid = rt.machine.spawn(
                 self.algorithm.prepare_program(self.program)
             )
-        rt.tid_to_job[self._tid] = self.job_id
-        self.record = rt.history.begin(self._tid, retries_of=self._previous_record_id)
+        self.record = rt.begin(self._tid, self.job_id, self._previous_record_id)
         self._previous_record_id = self.record.tx_id
-        rt.active_tids.add(self._tid)
         self.stats.attempts += 1
         if rt.tracer.enabled:
             rt.tracer.instant(
@@ -579,19 +663,6 @@ class TxStepper:
                 },
             )
         self._generator = self.algorithm.attempt(rt, self._tid, self.record, self.program)
-
-    def _observed_view(self) -> Tuple[Tuple[Op, ...], Tuple[Op, ...], Tuple[Op, ...]]:
-        """(own ops, full observed view, pulled-uncommitted) of the thread."""
-        thread = self.runtime.machine.thread(self._tid)
-        own = thread.local.own_ops()
-        observed = thread.local.all_ops()
-        pulled_uncommitted = tuple(
-            op
-            for op in thread.local.pulled_ops()
-            if (entry := self.runtime.machine.global_log.entry_for(op)) is not None
-            and not entry.is_committed
-        )
-        return own, observed, pulled_uncommitted
 
     def step(self) -> StepStatus:
         """Advance one scheduling quantum."""
@@ -634,9 +705,8 @@ class TxStepper:
             next(self._generator)
             return self.status
         except StopIteration:
-            # Attempt generator finished: it must have committed.
-            own, observed, pulled_uncommitted = (), (), ()
-            rt.history.commit(self.record, *self._finished_ops())
+            # Attempt generator finished: it committed through
+            # TMAlgorithm.commit, or MS_END refuses the thread in end().
             if rt.tracer.enabled:
                 rt.tracer.instant(
                     "tx.commit",
@@ -648,12 +718,7 @@ class TxStepper:
                         "attempts": self.stats.attempts,
                     },
                 )
-            rt.active_tids.discard(self._tid)
-            rt.dependencies.on_commit(self._tid)
-            if self._escalated:
-                rt.release_token(RECOVERY_TOKEN, self._tid)
-            rt.machine = rt.machine.end_thread(self._tid)
-            rt.tid_to_job.pop(self._tid, None)
+            rt.end(self._tid)
             self._tid = None
             self._generator = None
             self.status = StepStatus.COMMITTED
@@ -661,19 +726,7 @@ class TxStepper:
             return self.status
         except TMAbort as abort:
             self.stats.aborts += 1
-            own, observed, pulled_uncommitted = self._observed_view()
-            rt.dependencies.on_abort(self._tid)
-            rt.dependencies.clear(self._tid)
-            rt.locks.release_all(self._tid)
-            for token, holder in list(rt.tokens.items()):
-                if holder == self._tid:
-                    rt.tokens[token] = None
-            rt.rollback(self._tid)
-            rt.history.abort(
-                self.record, abort.reason, observed, pulled_uncommitted,
-                kind=abort.kind,
-            )
-            rt.active_tids.discard(self._tid)
+            rt.abort(self._tid, self.record, abort.reason, abort.kind)
             self._generator = None
             if self.stats.aborts > self.max_retries:
                 self.status = StepStatus.ABORTED
@@ -693,9 +746,9 @@ class TxStepper:
                 if rt.tracer.enabled:
                     rt.tracer.count("recovery.retry")
                     rt.tracer.count("recovery.backoff_quanta", quanta)
-            elif self.backoff:
+            else:
                 self._backoff_remaining = min(
-                    self.backoff_cap, 2 ** min(self.stats.aborts, 16)
+                    BACKOFF_CAP, 2 ** min(self.stats.aborts, 16)
                 ) * (1 + (self.job_id or 0) % 3) // 2
             if rt.tracer.enabled:
                 rt.tracer.instant(
@@ -712,29 +765,3 @@ class TxStepper:
                     },
                 )
             return self.status
-
-    def _finished_ops(self):
-        """Operation views recorded at commit: the attempt generator stashes
-        them on the record before CMT clears the local log (see
-        ``TMAlgorithm.attempt`` implementations, which call
-        ``record_commit_view``); fall back to empty views."""
-        record = self.record
-        own = getattr(record, "_commit_own", ())
-        observed = getattr(record, "_commit_observed", own)
-        pulled_uncommitted = getattr(record, "_commit_pulled_uncommitted", ())
-        return own, observed, pulled_uncommitted
-
-
-def record_commit_view(rt: Runtime, tid: int, record: TxRecord) -> None:
-    """Stash the thread's local view on the history record.  Must be called
-    by every algorithm immediately *before* CMT (which clears the local
-    log)."""
-    thread = rt.machine.thread(tid)
-    record._commit_own = thread.local.own_ops()
-    record._commit_observed = thread.local.all_ops()
-    record._commit_pulled_uncommitted = tuple(
-        op
-        for op in thread.local.pulled_ops()
-        if (entry := rt.machine.global_log.entry_for(op)) is not None
-        and not entry.is_committed
-    )

@@ -29,7 +29,7 @@ from typing import Iterator
 from repro.core.errors import AbortKind, TMAbort
 from repro.core.history import TxRecord
 from repro.core.language import Code
-from repro.tm.base import Runtime, TMAlgorithm, record_commit_view
+from repro.tm.base import Runtime, TMAlgorithm
 
 
 class BoostingTM(TMAlgorithm):
@@ -48,26 +48,22 @@ class BoostingTM(TMAlgorithm):
     def attempt(
         self, rt: Runtime, tid: int, record: TxRecord, program: Code
     ) -> Iterator[None]:
-        try:
-            for call_node in self.resolve_steps(program):
-                keys = rt.spec.footprint(call_node.method, call_node.args)
-                shared = self.shared_read_locks and not rt.spec.is_mutator(
-                    call_node.method
-                )
-                waits = 0
-                while not rt.locks.try_acquire(tid, keys, shared=shared):
-                    waits += 1
-                    if waits > self.max_waits:
-                        # Deadlock-avoidance timeout (boosting aborts and
-                        # retries; the lock holder makes progress).
-                        raise TMAbort("abstract-lock timeout", AbortKind.STARVATION)
-                    yield
-                rt.pull_relevant(tid, keys)
-                op = self.app_call(rt, tid, 0)
-                self.push_op(rt, tid, op)  # linearization point
+        for call_node in self.resolve_steps(program):
+            keys = rt.spec.footprint(call_node.method, call_node.args)
+            shared = self.shared_read_locks and not rt.spec.is_mutator(
+                call_node.method
+            )
+            waits = 0
+            while not rt.locks.try_acquire(tid, keys, shared=shared):
+                waits += 1
+                if waits > self.max_waits:
+                    # Deadlock-avoidance timeout (boosting aborts and
+                    # retries; the lock holder makes progress).
+                    raise TMAbort("abstract-lock timeout", AbortKind.STARVATION)
                 yield
-            record_commit_view(rt, tid, record)
-            self.commit(rt, tid)
-        finally:
-            # Released on commit here; on abort the stepper also releases.
-            rt.locks.release_all(tid)
+            rt.pull_relevant(tid, keys)
+            op = self.app_call(rt, tid, 0)
+            self.push_op(rt, tid, op)  # linearization point
+            yield
+        # The runtime releases the abstract locks at commit and at abort.
+        self.commit(rt, tid, record)

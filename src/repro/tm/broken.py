@@ -47,7 +47,7 @@ from repro.core.errors import AbortKind, CriterionViolation, TMAbort
 from repro.core.history import TxRecord
 from repro.core.language import Code
 from repro.faults.plan import InjectedFault
-from repro.tm.base import Runtime, record_commit_view
+from repro.tm.base import Runtime
 from repro.tm.elastic import elastic_program
 from repro.tm.encounter import EncounterTM
 from repro.tm.tl2 import TL2TM
@@ -112,8 +112,7 @@ class BrokenPushNoCheckTM(TL2TM):
                 rt.apply("push", tid, op)
             except CriterionViolation:
                 pass  # the bug: drop the refused effect and carry on
-        record_commit_view(rt, tid, record)
-        rt.apply("cmt", tid)  # raw: no validation, no clean-abort wrapping
+        rt.commit(tid, record)  # raw: no validation, no clean-abort wrapping
 
 
 class BrokenStalePullTM(TL2TM):
@@ -177,8 +176,7 @@ class BrokenStalePullTM(TL2TM):
                     rt.apply("unpull", tid, last.op)
                 else:
                     rt.apply("unapp", tid)
-        record_commit_view(rt, tid, record)
-        self.commit(rt, tid)
+        self.commit(rt, tid, record)
 
 
 class BrokenLostUnappTM(EncounterTM):
@@ -260,8 +258,7 @@ class BrokenDirtyReadTM(EncounterTM):
             op = self.app_call(rt, tid, 0)
             self.push_op(rt, tid, op)
             yield
-        record_commit_view(rt, tid, record)
-        self.commit(rt, tid)
+        self.commit(rt, tid, record)
 
     def _pull_dirty(self, rt: Runtime, tid: int, keys: frozenset) -> None:
         """PULL other threads' uncommitted published mutators touching

@@ -32,7 +32,7 @@ from typing import Iterator, List
 from repro.core.errors import CriterionViolation, TMAbort
 from repro.core.history import TxRecord
 from repro.core.language import Code
-from repro.tm.base import Runtime, TMAlgorithm, record_commit_view
+from repro.tm.base import Runtime, TMAlgorithm
 
 
 class CheckpointTM(TMAlgorithm):
@@ -120,8 +120,7 @@ class CheckpointTM(TMAlgorithm):
             # prefix revalidates and resume execution on the next step().
             self.full_aborts += 1
             raise
-        record_commit_view(rt, tid, record)
-        self.commit(rt, tid)
+        self.commit(rt, tid, record)
 
     @staticmethod
     def _index_for_marker(rt: Runtime, tid: int) -> int:

@@ -39,7 +39,7 @@ from repro.core.errors import AbortKind, CriterionViolation, TMAbort
 from repro.core.history import TxRecord
 from repro.core.language import Code
 from repro.core.ops import Op
-from repro.tm.base import Runtime, TMAlgorithm, record_commit_view
+from repro.tm.base import Runtime, TMAlgorithm
 
 
 class DependentTM(TMAlgorithm):
@@ -133,8 +133,6 @@ class DependentTM(TMAlgorithm):
             rt.dependencies.clear(tid)
             raise TMAbort("producer aborted (cascading detangle)", AbortKind.CASCADE)
         self.push_all_unpushed(rt, tid)
-        record_commit_view(rt, tid, record)
-        record._commit_pulled_uncommitted = tuple(
-            self._uncommitted_pulls.pop(record.tx_id, ())
+        self.commit(
+            rt, tid, record, tuple(self._uncommitted_pulls.pop(record.tx_id, ()))
         )
-        self.commit(rt, tid)

@@ -29,7 +29,7 @@ from typing import Iterator, Set
 from repro.core.errors import CriterionViolation, TMAbort
 from repro.core.history import TxRecord
 from repro.core.language import Code
-from repro.tm.base import Runtime, TMAlgorithm, record_commit_view
+from repro.tm.base import Runtime, TMAlgorithm
 
 
 class EarlyReleaseTM(TMAlgorithm):
@@ -105,5 +105,4 @@ class EarlyReleaseTM(TMAlgorithm):
         except TMAbort:
             self._aborted_once.add(tid)
             raise
-        record_commit_view(rt, tid, record)
-        self.commit(rt, tid)
+        self.commit(rt, tid, record)

@@ -34,7 +34,7 @@ from typing import Iterator, Set
 from repro.core.errors import CriterionViolation, TMAbort
 from repro.core.history import TxRecord
 from repro.core.language import Choice, Code, SKIP, Seq
-from repro.tm.base import Runtime, TMAlgorithm, record_commit_view
+from repro.tm.base import Runtime, TMAlgorithm
 
 
 def elastic_program(calls) -> Code:
@@ -46,13 +46,14 @@ def elastic_program(calls) -> Code:
     ``fin`` holds at each boundary, so CMT criterion (i) admits committing
     any prefix as a piece.  This is not an encoding trick: it *is* the
     semantic content of elasticity — the programmer consents to the
-    transaction taking effect as a sequence of atomic pieces."""
+    transaction taking effect as a sequence of atomic pieces.  Built from
+    the last call back, so a long program costs no stack."""
     if not calls:
         return SKIP
-    rest = elastic_program(calls[1:])
-    if isinstance(rest, type(SKIP)):
-        return calls[0]
-    return Seq(calls[0], Choice(SKIP, rest))
+    program = calls[-1]
+    for call_node in reversed(calls[:-1]):
+        program = Seq(call_node, Choice(SKIP, program))
+    return program
 
 
 class ElasticTM(TMAlgorithm):
@@ -119,24 +120,8 @@ class ElasticTM(TMAlgorithm):
                     or not self._cut_safe(rt, tid, written)
                 ):
                     raise  # plain abort (rollback handled by the stepper)
-                self.push_all_unpushed(rt, tid)
-                piece = rt.history.begin(tid, retries_of=record.tx_id)
-                record_commit_view(rt, tid, piece)
-                self.commit(rt, tid)
-                rt.history.commit(
-                    piece,
-                    piece._commit_own,
-                    piece._commit_observed,
-                    piece._commit_pulled_uncommitted,
-                )
-                rt.machine = rt.machine.end_thread(tid)
-                # fresh machine thread (same tid) for the remainder; the
-                # stepper's own `record` stays attached to the final piece.
-                remainder = elastic_program(calls[index:])
-                rt.machine, _ = rt.machine.spawn(remainder, tid=tid)
-                self._resume_index[tid] = index
+                self._cut(rt, tid, record, calls, index)
                 cuts_done += 1
-                self.cuts += 1
                 yield
                 continue
             if rt.spec.is_mutator(call_node.method):
@@ -155,22 +140,8 @@ class ElasticTM(TMAlgorithm):
             if survivors == 0:
                 raise
             self._rewind_own_suffix(rt, tid, survivors)
-            self.push_all_unpushed(rt, tid)
-            piece = rt.history.begin(tid, retries_of=record.tx_id)
-            record_commit_view(rt, tid, piece)
-            self.commit(rt, tid)
-            rt.history.commit(
-                piece,
-                piece._commit_own,
-                piece._commit_observed,
-                piece._commit_pulled_uncommitted,
-            )
-            rt.machine = rt.machine.end_thread(tid)
             resume_from = self._resume_index.get(tid, 0) + survivors
-            remainder = elastic_program(calls[resume_from:])
-            rt.machine, _ = rt.machine.spawn(remainder, tid=tid)
-            self._resume_index[tid] = resume_from
-            self.cuts += 1
+            self._cut(rt, tid, record, calls, resume_from)
             yield
             # re-run the remainder as a (non-cutting) tail attempt.
             for call_node in calls[resume_from:]:
@@ -179,9 +150,19 @@ class ElasticTM(TMAlgorithm):
                 self.app_call(rt, tid, 0)
                 yield
             self.validate_then_push_all(rt, tid)
-        record_commit_view(rt, tid, record)
-        self.commit(rt, tid)
+        self.commit(rt, tid, record)
         self._resume_index.pop(tid, None)
+
+    def _cut(self, rt: Runtime, tid: int, record: TxRecord, calls, resume_from: int) -> None:
+        """Publish and commit the applied prefix as its own piece, then run
+        ``calls[resume_from:]`` in a fresh machine thread with the same tid
+        (the stepper's own ``record`` stays attached to the final piece)."""
+        self.push_all_unpushed(rt, tid)
+        self.commit(rt, tid, rt.history.begin(tid, retries_of=record.tx_id))
+        rt.machine = rt.machine.end_thread(tid)
+        rt.machine, _ = rt.machine.spawn(elastic_program(calls[resume_from:]), tid=tid)
+        self._resume_index[tid] = resume_from
+        self.cuts += 1
 
     def _longest_valid_prefix(self, rt: Runtime, tid: int) -> int:
         """The largest k such that the first k own operations validate as

@@ -29,7 +29,7 @@ from typing import Iterator
 
 from repro.core.history import TxRecord
 from repro.core.language import Code
-from repro.tm.base import Runtime, TMAlgorithm, record_commit_view
+from repro.tm.base import Runtime, TMAlgorithm
 
 
 class EncounterTM(TMAlgorithm):
@@ -47,5 +47,4 @@ class EncounterTM(TMAlgorithm):
             op = self.app_call(rt, tid, 0)
             self.push_op(rt, tid, op)  # encounter-time publication
             yield
-        record_commit_view(rt, tid, record)
-        self.commit(rt, tid)
+        self.commit(rt, tid, record)

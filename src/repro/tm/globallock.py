@@ -17,7 +17,7 @@ from typing import Iterator
 
 from repro.core.history import TxRecord
 from repro.core.language import Code
-from repro.tm.base import Runtime, TMAlgorithm, record_commit_view
+from repro.tm.base import Runtime, TMAlgorithm
 
 GLOBAL_TOKEN = "global-lock"
 
@@ -33,15 +33,11 @@ class GlobalLockTM(TMAlgorithm):
     ) -> Iterator[None]:
         while not rt.try_token(GLOBAL_TOKEN, tid):
             yield  # spin: the holder will release at commit
-        try:
-            for call_node in self.resolve_steps(program):
-                keys = rt.spec.footprint(call_node.method, call_node.args)
-                rt.pull_relevant(tid, keys)
-                op = self.app_call(rt, tid, 0)
-                self.push_op(rt, tid, op)
-                yield  # each operation costs a quantum; the lock is held
-                # throughout, so the yield only lets others spin on it.
-            record_commit_view(rt, tid, record)
-            self.commit(rt, tid)
-        finally:
-            rt.release_token(GLOBAL_TOKEN, tid)
+        for call_node in self.resolve_steps(program):
+            keys = rt.spec.footprint(call_node.method, call_node.args)
+            rt.pull_relevant(tid, keys)
+            op = self.app_call(rt, tid, 0)
+            self.push_op(rt, tid, op)
+            yield  # each operation costs a quantum; the lock is held
+            # throughout, so the yield only lets others spin on it.
+        self.commit(rt, tid, record)  # the runtime releases the token

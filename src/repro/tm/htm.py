@@ -27,7 +27,7 @@ from typing import Dict, Iterator, Set
 from repro.core.errors import AbortKind, TMAbort
 from repro.core.history import TxRecord
 from repro.core.language import Code
-from repro.tm.base import Runtime, TMAlgorithm, record_commit_view
+from repro.tm.base import Runtime, TMAlgorithm
 
 FALLBACK_TOKEN = "htm-fallback-lock"
 
@@ -105,8 +105,7 @@ class HTM(TMAlgorithm):
         # XEND: publish the buffered effects atomically (validated dry
         # first: a hardware abort discards the buffer, it never UNPUSHes).
         self.validate_then_push_all(rt, tid)
-        record_commit_view(rt, tid, record)
-        self.commit(rt, tid)
+        self.commit(rt, tid, record)
 
     def _fallback_attempt(
         self, rt: Runtime, tid: int, record: TxRecord, program: Code
@@ -117,13 +116,9 @@ class HTM(TMAlgorithm):
         committed effects via the machine criteria."""
         while not rt.try_token(FALLBACK_TOKEN, tid):
             yield
-        try:
-            for call_node in self.resolve_steps(program):
-                keys = rt.spec.footprint(call_node.method, call_node.args)
-                rt.pull_relevant(tid, keys)
-                op = self.app_call(rt, tid, 0)
-                self.push_op(rt, tid, op)
-            record_commit_view(rt, tid, record)
-            self.commit(rt, tid)
-        finally:
-            rt.release_token(FALLBACK_TOKEN, tid)
+        for call_node in self.resolve_steps(program):
+            keys = rt.spec.footprint(call_node.method, call_node.args)
+            rt.pull_relevant(tid, keys)
+            op = self.app_call(rt, tid, 0)
+            self.push_op(rt, tid, op)
+        self.commit(rt, tid, record)  # the runtime releases the lock

@@ -42,10 +42,10 @@ from typing import Dict, Iterator, Set
 
 from repro.core.errors import AbortKind, TMAbort
 from repro.core.history import TxRecord
-from repro.core.language import Code
+from repro.core.language import Code, sorted_choices
 from repro.core.logs import Pushed
 from repro.specs.product import split_method
-from repro.tm.base import Runtime, TMAlgorithm, record_commit_view
+from repro.tm.base import Runtime, TMAlgorithm
 
 
 class HybridTM(TMAlgorithm):
@@ -151,14 +151,11 @@ class HybridTM(TMAlgorithm):
                         raise TMAbort("htm publication conflict (full abort)", AbortKind.CONFLICT)
                     yield
                     continue
-                record_commit_view(rt, tid, record)
-                self.commit(rt, tid)
+                self.commit(rt, tid, record)  # the runtime releases the locks
                 return
         finally:
             self._htm_sets.pop(tid, None)
-            rt.locks.release_all(tid)
 
     @staticmethod
     def _next_call(rt: Runtime, tid: int):
-        choices = sorted(rt.machine.app_choices(tid), key=repr)
-        return choices[0][0]
+        return sorted_choices(rt.machine.thread(tid).code)[0][0]

@@ -28,7 +28,7 @@ from typing import Iterator
 from repro.core.errors import AbortKind, TMAbort
 from repro.core.history import TxRecord
 from repro.core.language import Code
-from repro.tm.base import Runtime, TMAlgorithm, record_commit_view
+from repro.tm.base import Runtime, TMAlgorithm
 
 IRREVOCABLE_TOKEN = "irrevocable"
 
@@ -51,10 +51,8 @@ class IrrevocableTM(TMAlgorithm):
             self._abort_counts[tid] >= self.irrevocable_after
             and rt.try_token(IRREVOCABLE_TOKEN, tid)
         ):
-            try:
-                yield from self._irrevocable_attempt(rt, tid, record, program)
-            finally:
-                rt.release_token(IRREVOCABLE_TOKEN, tid)
+            # the runtime releases the token at commit (and at abort)
+            yield from self._irrevocable_attempt(rt, tid, record, program)
         else:
             try:
                 yield from self._optimistic_attempt(rt, tid, record, program)
@@ -73,8 +71,7 @@ class IrrevocableTM(TMAlgorithm):
             self.app_call(rt, tid, 0)
             yield
         self.validate_then_push_all(rt, tid)
-        record_commit_view(rt, tid, record)
-        self.commit(rt, tid)
+        self.commit(rt, tid, record)
 
     def _irrevocable_attempt(
         self, rt: Runtime, tid: int, record: TxRecord, program: Code
@@ -106,5 +103,4 @@ class IrrevocableTM(TMAlgorithm):
                         raise TMAbort("irrevocable transaction starved", AbortKind.STARVATION)
                     yield
             yield
-        record_commit_view(rt, tid, record)
-        self.commit(rt, tid)
+        self.commit(rt, tid, record)

@@ -32,7 +32,7 @@ from typing import Iterator
 from repro.core.errors import AbortKind, TMAbort
 from repro.core.history import TxRecord
 from repro.core.language import Code
-from repro.tm.base import Runtime, TMAlgorithm, record_commit_view
+from repro.tm.base import Runtime, TMAlgorithm
 
 WRITE_TOKEN = "pessimistic-write"
 
@@ -70,37 +70,32 @@ class PessimisticTM(TMAlgorithm):
             op = self.app_call(rt, tid, 0)
             self.push_op(rt, tid, op)
             yield
-        record_commit_view(rt, tid, record)
-        self.commit(rt, tid)
+        self.commit(rt, tid, record)
 
     def _write_attempt(
         self, rt: Runtime, tid: int, record: TxRecord, program: Code
     ) -> Iterator[None]:
         while not rt.try_token(WRITE_TOKEN, tid):
             yield  # writers serialise; wait, don't abort
-        try:
-            for call_node in self.resolve_steps(program):
-                keys = rt.spec.footprint(call_node.method, call_node.args)
-                rt.pull_relevant(tid, keys)
-                self.app_call(rt, tid, 0)  # delayed publication
+        for call_node in self.resolve_steps(program):
+            keys = rt.spec.footprint(call_node.method, call_node.args)
+            rt.pull_relevant(tid, keys)
+            self.app_call(rt, tid, 0)  # delayed publication
+            yield
+        # Publication loop: try to push everything at once; if a
+        # reader's uncommitted read blocks us, retract and wait.
+        waits = 0
+        while True:
+            try:
+                self.push_all_unpushed(rt, tid)
+                break
+            except TMAbort:
+                # retract partial publication, then wait for readers
+                thread = rt.machine.thread(tid)
+                for op in reversed(thread.local.pushed_ops()):
+                    rt.apply("unpush", tid, op)
+                waits += 1
+                if waits > self.max_publication_waits:  # pragma: no cover
+                    raise TMAbort("pessimistic publication starved", AbortKind.STARVATION)
                 yield
-            # Publication loop: try to push everything at once; if a
-            # reader's uncommitted read blocks us, retract and wait.
-            waits = 0
-            while True:
-                try:
-                    self.push_all_unpushed(rt, tid)
-                    break
-                except TMAbort:
-                    # retract partial publication, then wait for readers
-                    thread = rt.machine.thread(tid)
-                    for op in reversed(thread.local.pushed_ops()):
-                        rt.apply("unpush", tid, op)
-                    waits += 1
-                    if waits > self.max_publication_waits:  # pragma: no cover
-                        raise TMAbort("pessimistic publication starved", AbortKind.STARVATION)
-                    yield
-            record_commit_view(rt, tid, record)
-            self.commit(rt, tid)
-        finally:
-            rt.release_token(WRITE_TOKEN, tid)
+        self.commit(rt, tid, record)  # the runtime releases the token

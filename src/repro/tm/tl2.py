@@ -34,7 +34,7 @@ from typing import Iterator
 
 from repro.core.history import TxRecord
 from repro.core.language import Code
-from repro.tm.base import Runtime, TMAlgorithm, record_commit_view
+from repro.tm.base import Runtime, TMAlgorithm
 
 
 class TL2TM(TMAlgorithm):
@@ -63,5 +63,4 @@ class TL2TM(TMAlgorithm):
         # read/write-set check), then publish everything and CMT — so an
         # aborting TL2 transaction never needs UNPUSH (§6.2).
         self.validate_then_push_all(rt, tid)
-        record_commit_view(rt, tid, record)
-        self.commit(rt, tid)
+        self.commit(rt, tid, record)

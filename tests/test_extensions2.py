@@ -168,6 +168,24 @@ class TestElastic:
         _, continuation = next(iter(first_steps))
         assert fin(continuation)
 
+    def test_a_long_program_takes_the_elastic_shape_and_commits(self):
+        from repro.core.language import SKIP, Choice, Seq, tx
+        from repro.tm.base import Runtime, StepStatus, TxStepper
+
+        calls = [call("write", f"x{i}", i) for i in range(3000)]
+        node, spine = elastic_program(calls), []
+        while isinstance(node, Seq):
+            assert isinstance(node.second, Choice) and node.second.left is SKIP
+            spine.append(node.first)
+            node = node.second.right
+        assert spine + [node] == calls
+        rt = Runtime(MemorySpec())
+        stepper = TxStepper(ElasticTM(), rt, tx(*calls))
+        while stepper.step() is StepStatus.RUNNING:
+            pass
+        assert stepper.status is StepStatus.COMMITTED
+        assert [op.ret for op in stepper.record.ops] == [None] * 3000
+
     def test_commits_with_cuts_under_contention(self):
         config = WorkloadConfig(transactions=30, ops_per_tx=6, keys=3,
                                 read_ratio=0.7, seed=8)

@@ -121,6 +121,82 @@ def test_scan_sees_an_unused_import(tmp_path):
     assert unused_imports(module) == [(1, "Optional"), (3, "b")]
 
 
+# -- one owner of the transaction lifecycle -------------------------------------
+
+#: (module, step) pairs allowed outside the runtime: the model checker's
+#: synthetic terminal history, built from the commit orders an exploration
+#: recorded rather than from a running transaction
+LIFECYCLE_ALLOWED = {("checking/model_checker.py", "history.commit")}
+
+
+def _dotted(node: ast.AST) -> str:
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if isinstance(node, ast.Name):
+        parts.append(node.id)
+    return ".".join(reversed(parts))
+
+
+def lifecycle_steps(path: Path):
+    """``(line, what)`` for each hand-rolled transaction-lifecycle step in
+    a module: a ``history.commit``/``history.abort`` call, a
+    ``RebasedStateSpec`` construction, or a runtime's ``apply("cmt", …)``
+    — all :class:`~repro.tm.base.Runtime`'s to make."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if not isinstance(node, ast.Call):
+            continue
+        name = _dotted(node.func)
+        last_two = ".".join(name.split(".")[-2:])
+        if last_two in ("history.commit", "history.abort"):
+            found.append((node.lineno, last_two))
+        elif name.split(".")[-1] == "RebasedStateSpec":
+            found.append((node.lineno, "RebasedStateSpec"))
+        elif (
+            name.endswith(".apply")
+            and node.args
+            and isinstance(node.args[0], ast.Constant)
+            and node.args[0].value == "cmt"
+        ):
+            found.append((node.lineno, 'apply("cmt")'))
+    return sorted(found)
+
+
+@pytest.mark.parametrize(
+    "path", MODULES, ids=[str(p.relative_to(SRC)) for p in MODULES]
+)
+def test_only_the_runtime_runs_the_transaction_lifecycle(path):
+    module = str(path.relative_to(SRC))
+    if module == "tm/base.py":
+        return
+    assert [
+        (line, what)
+        for line, what in lifecycle_steps(path)
+        if (module, what) not in LIFECYCLE_ALLOWED
+    ] == []
+
+
+def test_scan_sees_a_hand_rolled_lifecycle_step(tmp_path):
+    module = tmp_path / "mod.py"
+    module.write_text(
+        "def f(rt, record, spec, state):\n"
+        "    rt.apply('cmt', 1)\n"
+        "    rt.apply('push', 1, None)\n"
+        "    rt.history.commit(record, ())\n"
+        "    rt.commit(1, record)\n"
+        "    history.abort(record, 'x')\n"
+        "    return core.spec.RebasedStateSpec(spec, state)\n"
+    )
+    assert lifecycle_steps(module) == [
+        (2, 'apply("cmt")'),
+        (4, "history.commit"),
+        (6, "history.abort"),
+        (7, "RebasedStateSpec"),
+    ]
+
+
 # -- the import diet ------------------------------------------------------------
 
 IMPORTTIME = ("-X", "importtime")

@@ -200,3 +200,56 @@ class TestNodeMemo:
             assert ref() is None
         finally:
             gc.enable()
+
+
+class TestLongPrograms:
+    """``tx(*calls)`` nests one ``Seq`` per call; nothing may recurse per
+    operation, or a program longer than the interpreter's stack fails."""
+
+    N = 5000
+
+    def build(self, last=N - 1):
+        return tx(*[call("get", i) for i in range(self.N - 1)], call("get", last))
+
+    def test_hash_eq_and_repr(self):
+        one, two = self.build(), self.build()
+        assert one is not two
+        assert hash(one) == hash(two) and one == two
+        assert one != self.build(last=-1) and self.build(last=-1) != one
+        assert len({one, two}) == 1
+        text = repr(one)
+        assert text.startswith("tx (get(0) ; (get(1) ; ") and text.endswith(
+            f"get({self.N - 1})" + ")" * (self.N - 1)
+        )
+
+    def test_step_fin_and_sorted_choices_walk_the_whole_program(self):
+        code, calls = self.build().body, []
+        while not isinstance(code, Skip):
+            assert not fin(code)
+            ((node, rest),) = step(code)
+            assert sorted_choices(code) == ((node, rest),)
+            calls.append(node)
+            code = rest
+        assert calls == [call("get", i) for i in range(self.N)]
+
+    def test_methods_of(self):
+        assert methods_of(self.build()) == frozenset(
+            call("get", i) for i in range(self.N)
+        )
+
+    def test_hash_is_the_dataclass_value(self):
+        a, b = call("a", 1), call("b")
+        assert hash(a) == hash(("a", (1,)))
+        assert hash(SKIP) == hash(())
+        assert hash(Seq(a, b)) == hash((a, b))
+        assert hash(Choice(a, Star(b))) == hash((a, Star(b)))
+        assert hash(Tx(b)) == hash((b,))
+
+    def test_a_pickled_node_rebuilds_its_hash(self):
+        import pickle
+
+        program = tx(call("put", "k", 1), choice(call("get", "k"), SKIP))
+        step(program)  # a memo on the node must not travel
+        copy = pickle.loads(pickle.dumps(program))
+        assert copy == program and hash(copy) == hash(program)
+        assert "_step" not in copy.__dict__

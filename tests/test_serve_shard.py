@@ -58,6 +58,101 @@ def test_wave_rejects_malformed_ops_as_protocol_errors():
     assert not outcomes[0].retry and not outcomes[1].retry
 
 
+#: one op per wire rule it breaks; validation rejects each before any
+#: machine sees it
+BAD_ARGUMENTS = {
+    "object-value": ["kvmap", "put", "k1", {"a": 1}],
+    "array-value": ["kvmap", "put", "k1", [1, 2]],
+    "nan-value": ["kvmap", "put", "k1", float("nan")],
+    "infinite-value": ["kvmap", "put", "k1", float("inf")],
+    "bool-key": ["kvmap", "get", True],
+    "object-element": ["queue", "enq", {"a": 1}],
+    "string-counter-add": ["counter", "add", "5"],
+    "float-counter-add": ["counter", "add", 1.5],
+    "string-amount": ["bank", "deposit", "acct", "5"],
+    "negative-amount": ["bank", "deposit", "acct", -5],
+    "zero-amount": ["bank", "withdraw", "acct", 0],
+    "bool-amount": ["bank", "deposit", "acct", True],
+}
+
+
+@pytest.mark.parametrize("bad", list(BAD_ARGUMENTS.values()), ids=list(BAD_ARGUMENTS))
+def test_bad_argument_values_are_protocol_errors_before_execution(bad):
+    """A wave is answered per transaction: the bad one gets a ``protocol``
+    reply, its valid sibling commits, no thread is stranded, and the next
+    checkpoint gates."""
+    state = _state()
+    reply = handle_shard_request(state, {
+        "id": 1, "method": "wave",
+        "txns": [{"id": "good", "ops": [["kvmap", "put", "k9", 1]], "attempts": 0},
+                 {"id": "bad", "ops": [["kvmap", "get", "k9"], bad], "attempts": 0}],
+    })
+    assert reply["ok"], reply
+    outcomes = {o["id"]: o for o in reply["outcomes"]}
+    assert outcomes["good"]["ok"]
+    assert outcomes["bad"]["kind"] == "protocol" and not outcomes["bad"]["retry"]
+    assert state.runtime.active_tids == set()
+    checkpoint = state.maybe_checkpoint()
+    assert checkpoint is not None and checkpoint["ok"], checkpoint
+    assert state.prepare("x1", [bad])["kind"] == "protocol"
+    assert not state.prepared and state.runtime.active_tids == set()
+
+
+def test_valid_scalars_pass_the_wire_rules():
+    state = _state()
+    outcomes = _wave(
+        state,
+        [["kvmap", "put", 7, None], ["kvmap", "put", "s", 2.5],
+         ["kvmap", "put", "b", False], ["kvmap", "put", "t", "text"]],
+        [["queue", "enq", 1.25], ["counter", "add", -3], ["bank", "deposit", 4, 1]],
+    )
+    assert all(o.ok for o in outcomes), [o.error for o in outcomes]
+
+
+def test_rejected_sibling_leaves_a_durable_shard_recoverable(tmp_path):
+    """The lost-sibling sequence: a valid put shares a wave with a
+    transaction whose last op carries an object value.  The put must be
+    acked and logged with the wave, so the next wave's read of it is
+    durable together with its source, and a crash recovers."""
+    config = ShardConfig(root_seed=3, durable_dir=str(tmp_path / "shard"))
+    state = open_durable_shard(config)
+    first = _wave(
+        state,
+        [["kvmap", "put", "k9", 1]],
+        [["kvmap", "get", "k9"], ["kvmap", "put", "k1", {"a": 1}]],
+    )
+    assert sorted((o.txn_id, o.ok, o.kind) for o in first) == [
+        ("t0", True, None), ("t1", False, "protocol"),
+    ]
+    assert state.maybe_checkpoint()["ok"]
+    (read,) = _wave(state, [["kvmap", "get", "k9"]])
+    assert read.ok and read.results == (1,)
+    state.durable.crash()
+    recovered = open_durable_shard(config)
+    assert recovered.last_recovery.replayed_commits == 2
+    assert recovered.last_recovery.conformance_ok
+    recovered.durable.close()
+
+
+def test_a_long_transaction_commits_beside_a_short_one():
+    """``tx(*calls)`` nests one ``Seq`` per op; a 600-op transaction must
+    step, commit and be gated like any other."""
+    state = _state()
+    long_ops = [["kvmap", "put", f"k{i}", i] for i in range(300)]
+    long_ops += [["kvmap", "get", f"k{i}"] for i in range(300)]
+    reply = handle_shard_request(state, {
+        "id": 1, "method": "wave",
+        "txns": [{"id": "long", "ops": long_ops, "attempts": 0},
+                 {"id": "short", "ops": [["counter", "inc"]], "attempts": 0}],
+    })
+    assert reply["ok"], reply
+    outcomes = {o["id"]: o for o in reply["outcomes"]}
+    assert outcomes["long"]["ok"] and outcomes["short"]["ok"]
+    assert outcomes["long"]["results"][300:] == list(range(300))
+    assert state.maybe_checkpoint()["ok"]
+    assert state.runtime.active_tids == set()
+
+
 def test_2pc_prepare_commit_makes_effects_visible():
     state = _state()
     reply = state.prepare("x1", [["kvmap", "put", "k", 7]])

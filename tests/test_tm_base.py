@@ -3,8 +3,9 @@
 import pytest
 
 from repro.core import Machine, call, tx
-from repro.core.errors import TMAbort
+from repro.core.errors import AbortKind, MachineError, TMAbort
 from repro.core.language import Tx
+from repro.faults.recovery import make_policy
 from repro.specs import CounterSpec, KVMapSpec, MemorySpec
 from repro.tm.base import (
     DependencyRegistry,
@@ -166,9 +167,9 @@ class TestTxStepper:
         # forces one to abort and retry.
         rt = Runtime(MemorySpec())
         s1 = TxStepper(TL2TM(), rt, tx(call("read", "x"), call("write", "x", 1)),
-                       backoff=False)
+                       recovery=make_policy("none"))
         s2 = TxStepper(TL2TM(), rt, tx(call("read", "x"), call("write", "x", 2)),
-                       backoff=False)
+                       recovery=make_policy("none"))
         # interleave until both finish
         import itertools
 
@@ -188,7 +189,7 @@ class TestTxStepper:
 
         rt = Runtime(MemorySpec())
         stepper = TxStepper(AlwaysAbort(), rt, tx(call("write", "x", 1)),
-                            max_retries=3, backoff=False)
+                            max_retries=3, recovery=make_policy("none"))
         while stepper.step() is StepStatus.RUNNING:
             pass
         assert stepper.status is StepStatus.ABORTED
@@ -205,8 +206,7 @@ class TestTxStepper:
                 yield from super().attempt(rt, tid, record, program)
 
         rt = Runtime(MemorySpec())
-        stepper = TxStepper(AbortOnce(), rt, tx(call("write", "x", 1)),
-                            backoff=True)
+        stepper = TxStepper(AbortOnce(), rt, tx(call("write", "x", 1)))
         while stepper.step() is StepStatus.RUNNING:
             pass
         assert stepper.status is StepStatus.COMMITTED
@@ -231,3 +231,69 @@ class TestCompaction:
             while stepper.step() is StepStatus.RUNNING:
                 pass
         assert len(rt.machine.global_log) == 3
+
+    def test_rollover_waits_until_nothing_leaks(self):
+        """One quiescence rule: the rollover rebases only when ``leaks()``
+        — the conformance gate's check 5 — reports nothing."""
+        rt = Runtime(CounterSpec(), compact_every=None)
+        stepper = TxStepper(TL2TM(), rt, tx(call("inc")))
+        while stepper.step() is StepStatus.RUNNING:
+            pass
+        rt.try_token("probe", 99)
+        rt.locks.try_acquire(98, frozenset({"k"}))
+        assert rt.leaks() == [
+            "leaked abstract locks: {98: frozenset({'k'})}",
+            "leaked tokens: {'probe': 99}",
+        ]
+        assert not rt.rollover() and len(rt.machine.global_log) == 1
+        rt.tokens["probe"] = None
+        rt.locks.release_all(98)
+        assert rt.leaks() == []
+        assert rt.rollover() and len(rt.machine.global_log) == 0
+        assert rt.spec.result((), "get", ()) == 1
+
+
+class TestLifecycle:
+    def test_commit_records_the_view_and_end_releases_what_was_held(self):
+        rt = Runtime(CounterSpec())
+        rt.machine, tid = rt.machine.spawn(tx(call("inc"), call("get")))
+        record = rt.begin(tid, job_id=7)
+        assert rt.active_tids == {tid} and rt.tid_to_job == {tid: 7}
+        rt.try_token("mine", tid)
+        assert rt.locks.try_acquire(tid, frozenset({"k"}))
+        algorithm = TL2TM()
+        for _ in range(2):
+            algorithm.app_call(rt, tid, 0)
+        algorithm.push_all_unpushed(rt, tid)
+        rt.commit(tid, record)
+        assert [op.method for op in record.ops] == ["inc", "get"]
+        assert record.observed == record.ops and record.committed
+        rt.end(tid)
+        assert rt.leaks() == [] and rt.tid_to_job == {}
+        assert len(rt.machine.threads) == 0
+
+    def test_an_attempt_that_returns_without_cmt_fails_at_ms_end(self):
+        class NoCommit(TL2TM):
+            def attempt(self, rt, tid, record, program):
+                self.app_call(rt, tid, 0)
+                yield
+
+        rt = Runtime(CounterSpec())
+        stepper = TxStepper(NoCommit(), rt, tx(call("inc")))
+        stepper.step()
+        with pytest.raises(MachineError, match="MS_END"):
+            stepper.step()
+
+    def test_abort_rolls_back_and_records_the_view(self):
+        rt = Runtime(CounterSpec())
+        rt.machine, tid = rt.machine.spawn(tx(call("inc")))
+        record = rt.begin(tid)
+        rt.try_token("mine", tid)
+        TL2TM().app_call(rt, tid, 0)
+        rt.abort(tid, record, "probe", AbortKind.CONFLICT)
+        assert record.abort_kind is AbortKind.CONFLICT
+        assert [op.method for op in record.observed] == ["inc"]
+        assert len(rt.machine.thread(tid).local) == 0
+        assert rt.leaks() == []
+        rt.drop(tid)
+        assert len(rt.machine.threads) == 0 and rt.tid_to_job == {}

@@ -6,6 +6,7 @@ import pytest
 from repro.core import Machine, call, tx
 from repro.core.errors import TMAbort
 from repro.core.logs import NotPushed, Pushed
+from repro.faults.recovery import make_policy
 from repro.runtime import RoundRobinScheduler
 from repro.specs import CounterSpec, KVMapSpec, MemorySpec, ProductSpec, SetSpec
 from repro.tm import HTM, HybridTM, IrrevocableTM, PessimisticTM
@@ -28,8 +29,12 @@ class TestPessimisticInternals:
         through.  No aborts anywhere."""
         rt = Runtime(MemorySpec())
         algo = PessimisticTM()
-        reader = TxStepper(algo, rt, tx(call("read", "x")), backoff=False)
-        writer = TxStepper(algo, rt, tx(call("write", "x", 5)), backoff=False)
+        reader = TxStepper(
+            algo, rt, tx(call("read", "x")), recovery=make_policy("none")
+        )
+        writer = TxStepper(
+            algo, rt, tx(call("write", "x", 5)), recovery=make_policy("none")
+        )
         # reader performs its read (pull+app+push in one quantum):
         reader.step()
         assert any(
@@ -53,8 +58,12 @@ class TestPessimisticInternals:
     def test_write_token_released_on_commit(self):
         rt = Runtime(MemorySpec())
         algo = PessimisticTM()
-        w1 = TxStepper(algo, rt, tx(call("write", "x", 1)), backoff=False)
-        w2 = TxStepper(algo, rt, tx(call("write", "x", 2)), backoff=False)
+        w1 = TxStepper(
+            algo, rt, tx(call("write", "x", 1)), recovery=make_policy("none")
+        )
+        w2 = TxStepper(
+            algo, rt, tx(call("write", "x", 2)), recovery=make_policy("none")
+        )
         drive(rt, [w1, w2])
         assert w1.status is StepStatus.COMMITTED
         assert w2.status is StepStatus.COMMITTED
@@ -149,8 +158,12 @@ class TestIrrevocableInternals:
     def test_token_exclusive(self):
         rt = Runtime(MemorySpec())
         algo = IrrevocableTM(irrevocable_after=0)
-        s1 = TxStepper(algo, rt, tx(call("write", "x", 1)), backoff=False)
-        s2 = TxStepper(algo, rt, tx(call("write", "x", 2)), backoff=False)
+        s1 = TxStepper(
+            algo, rt, tx(call("write", "x", 1)), recovery=make_policy("none")
+        )
+        s2 = TxStepper(
+            algo, rt, tx(call("write", "x", 2)), recovery=make_policy("none")
+        )
         s1.step()  # s1 takes the token (or goes optimistic)
         holders = [rt.token_holder(IRREVOCABLE_TOKEN)]
         s2.step()

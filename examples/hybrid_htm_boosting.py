@@ -21,11 +21,13 @@ are PUSHed late, then UNPUSHed when the HTM signals a conflict — while the
 expensive boosted effects *stay in the shared view* — the code partially
 rewinds (UNAPP of ``x++`` only), takes the other branch (``y++``), pushes
 the HTM operations again and commits.  This script replays Figure 7's rule
-sequence literally on the machine, then runs the generalised
+sequence literally on a traced machine and prints it as Figure 7's table
+from the tracer's rule spans, then runs the generalised
 :class:`~repro.tm.hybrid.HybridTM` driver on a workload.
 """
 
 from repro.core import Machine, call, choice, tx
+from repro.obs import RecordingTracer, format_figure7
 from repro.runtime import run_experiment
 from repro.specs import CounterSpec, KVMapSpec, SetSpec
 from repro.specs.product import ProductSpec
@@ -51,7 +53,8 @@ def part1_figure7_rule_sequence() -> None:
     print("Part 1: Figure 7's exact rule sequence")
     print("=" * 64)
     spec = figure7_spec()
-    machine = Machine(spec)
+    tracer = RecordingTracer()
+    machine = Machine(spec, tracer=tracer)
     program = tx(
         call("skiplist.add", "foo"),
         call("size.inc"),
@@ -63,12 +66,9 @@ def part1_figure7_rule_sequence() -> None:
     def last_op(m):
         return m.thread(t).local[-1].op
 
-    trace = []
-
     def do(rule, *args):
         nonlocal machine
         machine = getattr(machine, rule)(t, *args)
-        trace.append(rule.upper())
 
     # Transaction begins — boosted ops APP+PUSH at their linearization
     # point, HTM ops APP only (buffered):
@@ -113,9 +113,10 @@ def part1_figure7_rule_sequence() -> None:
     do("push", op_y)               # PUSH(y++)
     do("cmt")                      # CMT
 
-    print("rule trace  :", " ".join(trace))
-    print("final state :", dict(spec.replay(machine.global_log.all_ops())))
+    print("Figure 7, from the tracer's rule spans:")
+    print(format_figure7(tracer))
     final = dict(spec.replay(machine.global_log.all_ops()))
+    print("final state :", final)
     assert final["x"] == 0 and final["y"] == 1 and final["size"] == 1
 
 

@@ -181,14 +181,3 @@ def _atomic_thread_steps(
     if isinstance(code, Skip):
         return
     raise SpecError(f"atomic machine cannot step code {code!r}")
-
-
-def serial_outcomes_of_transactions(
-    spec: SequentialSpec,
-    transactions: Sequence[Code],
-    fuel: int = 16,
-) -> FrozenSet[Tuple[Payload, ...]]:
-    """All payload logs obtainable by running ``transactions`` serially in
-    every order (a convenience wrapper: each program is one transaction).
-    """
-    return atomic_final_logs(spec, transactions, fuel=fuel)

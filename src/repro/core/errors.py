@@ -24,7 +24,7 @@ class AbortKind(enum.Enum):
     #: a rule criterion failed against concurrent work (the generic
     #: optimistic-conflict abort: APP/PUSH/PULL refused)
     CONFLICT = "conflict"
-    #: commit-time validation failed (TL2-style dry-run PUSH, CMT refusal)
+    #: commit-time validation failed (TL2-style PUSH check, CMT refusal)
     VALIDATION = "validation"
     #: a producer this transaction pulled uncommitted work from aborted
     #: (§6.5 cascading detangle)

@@ -838,12 +838,6 @@ class GlobalLog:
                 child._proj = inherited
         return child
 
-    def committed_only(self) -> "GlobalLog":
-        """``filter (λ(op,g). g = gCmt) G`` — used by the CMT simulation case."""
-        return GlobalLog._make(
-            tuple(e for e in self._entries if e.is_committed)
-        )
-
 
 EMPTY_GLOBAL = GlobalLog()
 

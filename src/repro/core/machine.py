@@ -110,11 +110,36 @@ CheckResult = Optional[Callable[[], Exception]]
 _UNSET = object()
 
 
-def _traced_rule(rule_name: str):
+def _criterion_instant(
+    tracer: Tracer, rule_name: str, tid: int, exc: Optional[CriterionViolation] = None
+) -> None:
+    """The ``{RULE}.check`` instant: whether the rule's side-conditions
+    held and, when they did not, which criterion failed."""
+    args = {"ok": True} if exc is None else {
+        "ok": False, "criterion": exc.criterion, "detail": exc.detail,
+    }
+    tracer.instant(f"{rule_name}.check", CAT_CRITERION, tid=tid, args=args)
+
+
+def _new_entry(before: "Machine", after: "Machine", tid: int, args) -> Op:
+    return after.thread(tid).local[-1].op
+
+
+def _last_entry(before: "Machine", after: "Machine", tid: int, args) -> Op:
+    return before.thread(tid).local[-1].op
+
+
+def _argument(before: "Machine", after: "Machine", tid: int, args) -> Op:
+    return args[0]
+
+
+def _traced_rule(rule_name: str, moved: Optional[Callable[..., Op]] = None):
     """Instrument a Figure 5 rule method: a ``rule`` span per application
-    (successful or not) and a ``criterion`` check event recording whether
-    the rule's side-conditions held.  With the default disabled tracer the
-    wrapper is one attribute load and one branch."""
+    (``ok`` false when a criterion refused it) and a ``criterion`` check
+    instant.  A passing span carries the operation the rule moved as
+    ``op = (method, args, ret)``, found by ``moved(before, after, tid,
+    args)``; CMT moves none.  With the default disabled tracer the wrapper
+    is one attribute load and one branch."""
 
     def decorate(fn):
         @functools.wraps(fn)
@@ -127,15 +152,14 @@ def _traced_rule(rule_name: str):
                 successor = fn(self, tid, *args)
             except CriterionViolation as exc:
                 tracer.span(rule_name, CAT_RULE, start, tid=tid, args={"ok": False})
-                tracer.instant(
-                    f"{rule_name}.check",
-                    CAT_CRITERION,
-                    tid=tid,
-                    args={"ok": False, "criterion": exc.criterion, "detail": exc.detail},
-                )
+                _criterion_instant(tracer, rule_name, tid, exc)
                 raise
-            tracer.span(rule_name, CAT_RULE, start, tid=tid, args={"ok": True})
-            tracer.instant(f"{rule_name}.check", CAT_CRITERION, tid=tid, args={"ok": True})
+            span_args = {"ok": True}
+            if moved is not None:
+                op = moved(self, successor, tid, args)
+                span_args["op"] = (op.method, op.args, op.ret)
+            tracer.span(rule_name, CAT_RULE, start, tid=tid, args=span_args)
+            _criterion_instant(tracer, rule_name, tid)
             return successor
 
         return wrapper
@@ -347,7 +371,7 @@ class Machine:
         """The ``step(c)`` choices available to APP for thread ``tid``."""
         return step(self.thread(tid).code)
 
-    @_traced_rule("APP")
+    @_traced_rule("APP", _new_entry)
     def app(self, tid: int, choice: Optional[Tuple[Call, Code]] = None) -> "Machine":
         """APP: apply a next reachable method locally.
 
@@ -408,7 +432,7 @@ class Machine:
 
     # ----------------------------------------------------------------- UNAPP
 
-    @_traced_rule("UNAPP")
+    @_traced_rule("UNAPP", _last_entry)
     def unapp(self, tid: int) -> "Machine":
         """UNAPP: rewind the last local-log entry, which must be ``npshd``;
         restores the code and stack saved at APP time."""
@@ -513,7 +537,7 @@ class Machine:
             )
         return None
 
-    @_traced_rule("PUSH")
+    @_traced_rule("PUSH", _argument)
     def push(self, tid: int, op: Op) -> "Machine":
         """PUSH: publish a local ``npshd`` operation to the global log.
 
@@ -542,6 +566,27 @@ class Machine:
         )
         machine._skey = skey
         return machine
+
+    def first_unpushable(self, tid: int) -> Optional[Tuple[Op, CriterionViolation]]:
+        """§6.2's commit validation: the first ``npshd`` operation of
+        ``tid`` that could not be PUSHed once those before it were, with
+        its violation, or ``None`` when every one could.  The PUSH criteria
+        are checked on successors this method discards, so no rule is
+        applied and no ``rule`` span is emitted, only each check's
+        ``PUSH.check`` instant."""
+        tracer = self.tracer
+        machine = self
+        for op in self.thread(tid).local.not_pushed_ops():
+            fail = machine._check_push(machine.thread(tid), op)
+            if fail is not None:
+                exc = fail()
+                if tracer.enabled:
+                    _criterion_instant(tracer, "PUSH", tid, exc)
+                return op, exc
+            if tracer.enabled:
+                _criterion_instant(tracer, "PUSH", tid)
+            machine = machine.push_state(tid, op, None)
+        return None
 
     # ---------------------------------------------------------------- UNPUSH
 
@@ -616,7 +661,7 @@ class Machine:
             )
         return None
 
-    @_traced_rule("UNPUSH")
+    @_traced_rule("UNPUSH", _argument)
     def unpush(self, tid: int, op: Op) -> "Machine":
         """UNPUSH: withdraw a pushed, still-uncommitted operation.
 
@@ -680,7 +725,7 @@ class Machine:
                     )
         return None
 
-    @_traced_rule("PULL")
+    @_traced_rule("PULL", _argument)
     def pull(self, tid: int, op: Op) -> "Machine":
         """PULL: import a published operation into the local view.
 
@@ -715,7 +760,7 @@ class Machine:
             )
         return None
 
-    @_traced_rule("UNPULL")
+    @_traced_rule("UNPULL", _argument)
     def unpull(self, tid: int, op: Op) -> "Machine":
         """UNPULL: discard a pulled operation.
 

@@ -53,23 +53,6 @@ class Op:
     def __hash__(self) -> int:
         return hash(self.op_id)
 
-    def same_payload(self, other: "Op") -> bool:
-        """Structural comparison ignoring the id (used by tests and by the
-        atomic-machine simulation, which re-executes methods afresh)."""
-        return (
-            self.method == other.method
-            and self.args == other.args
-            and self.ret == other.ret
-        )
-
-    def with_ret(self, ret: Any) -> "Op":
-        """A copy of this record with post-stack ``ret`` (same id).
-
-        Used when a method's return value is only learned after the record
-        was speculatively created.
-        """
-        return Op(self.method, self.args, ret, self.op_id)
-
     def pretty(self) -> str:
         """Human-readable rendering, e.g. ``put('a', 5) -> None #12``."""
         arg_text = ", ".join(repr(a) for a in self.args)
@@ -87,7 +70,6 @@ class IdGenerator:
     """
 
     def __init__(self, start: int = 0):
-        self._start = start
         self._next = start
         self._lock = threading.Lock()
 
@@ -97,13 +79,6 @@ class IdGenerator:
             new_id = self._next
             self._next += 1
             return new_id
-
-    def is_issued(self, op_id: int) -> bool:
-        """Whether ``op_id`` came from this generator (for diagnostics).
-        Ids are minted consecutively, so the issued set is a range and a
-        long-running generator stores none of them."""
-        with self._lock:
-            return self._start <= op_id < self._next
 
 
 def make_op(
@@ -170,10 +145,9 @@ def payload_class_id(op: Op) -> int:
     """The canonical small-int id of ``op``'s payload class.
 
     The id is cached on the operation record itself (a private memo slot;
-    :meth:`Op.with_ret` returns a *new* record, so a changed payload can
-    never see a stale id).  Payload-class ids are process-local: they are
-    stable within a run but must not be persisted or compared across
-    processes.
+    records are frozen, so a payload never changes under its id).
+    Payload-class ids are process-local: they are stable within a run but
+    must not be persisted or compared across processes.
     """
     try:
         return op._payload_class  # type: ignore[attr-defined]

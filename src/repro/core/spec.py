@@ -418,19 +418,6 @@ class MemoizedMovers:
         m2, a2, r2 = payload_of(pid2)
         return self.left_mover(Op(m1, a1, r1, -1), Op(m2, a2, r2, -2))
 
-    def commutes_pid(self, pid1: int, pid2: int) -> bool:
-        """``commutes`` keyed directly on interned payload-class ids (see
-        :meth:`left_mover_pid`)."""
-        key = (pid1, pid2) if pid1 <= pid2 else (pid2, pid1)
-        got = self._comm.get(key)
-        if got is not None:
-            if self.tracer.enabled:
-                self.tracer.count("mover.commutes.hit")
-            return got
-        m1, a1, r1 = payload_of(pid1)
-        m2, a2, r2 = payload_of(pid2)
-        return self.commutes(Op(m1, a1, r1, -1), Op(m2, a2, r2, -2))
-
     def commutes(self, op1: Op, op2: Op) -> bool:
         pid1, pid2 = payload_class_id(op1), payload_class_id(op2)
         key = (pid1, pid2) if pid1 <= pid2 else (pid2, pid1)

@@ -12,7 +12,8 @@ same run into a structured event stream that can be exported as
 * a JSONL event log (:func:`~repro.obs.exporters.write_jsonl`),
 * a Chrome ``trace_event`` file loadable in Perfetto / ``chrome://tracing``
   (:func:`~repro.obs.exporters.write_chrome_trace`),
-* a human-readable summary table (:func:`~repro.obs.exporters.summary_table`).
+* a human-readable summary table (:func:`~repro.obs.exporters.summary_table`),
+* the Figure 7 rule table (:func:`~repro.obs.exporters.format_figure7`).
 
 See ``docs/OBSERVABILITY.md`` for the event taxonomy.  Names resolve on
 first access (:mod:`repro.lazy`): a daemon that only counts and records
@@ -55,5 +56,6 @@ __getattr__, __dir__, __all__ = lazy_exports(globals(), {
         "to_chrome_trace",
         "write_chrome_trace",
         "summary_table",
+        "format_figure7",
     ),
 })

@@ -10,7 +10,9 @@
   events get a scope (``"s": "t"``) and counter events' args must be flat
   numeric dicts (enforced here).
 * **summary table** — per-category / per-name counts and span-time
-  totals, the "where did the time go" one-pager.
+  totals, the "where did the time go" one-pager;
+* **Figure 7 table** — one line per rule applied, with the operation it
+  moved, as the paper's Figure 7 prints a rule sequence.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import json
 from typing import Dict, Iterable, List, Sequence, Union
 
 from repro.obs.tracer import (
+    CAT_RULE,
     PH_COMPLETE,
     PH_COUNTER,
     PH_INSTANT,
@@ -140,4 +143,33 @@ def summary_table(source: Union[Tracer, Sequence[TraceEvent]]) -> str:
         lines.append(
             f"{cat:<10} {name:<28} {int(row['count']):>8} {total:>12} {mean:>10}"
         )
+    return "\n".join(lines)
+
+
+# ---------------------------------------------------------------------------
+# Figure 7 table
+# ---------------------------------------------------------------------------
+
+
+def _tupled(value):
+    # JSON stores tuples as lists; a read-back dump prints as the run did.
+    return tuple(_tupled(v) for v in value) if isinstance(value, list) else value
+
+
+def format_figure7(source: Union[Tracer, Sequence[TraceEvent]]) -> str:
+    """The rule sequence as Figure 7 prints it: one line per passing
+    ``rule`` span, ``t<tid>: RULE(method(args))`` (``t<tid>: CMT`` for a
+    commit).  ``source`` is a tracer or an event list, such as
+    :func:`read_jsonl` of a flight dump."""
+    lines = []
+    for event in _events_of(source):
+        if event.cat != CAT_RULE or not event.args.get("ok"):
+            continue
+        op = event.args.get("op")
+        if op is None:
+            lines.append(f"t{event.tid}: {event.name}")
+            continue
+        method, args = op[0], _tupled(op[1])
+        arg_text = ", ".join(repr(a) for a in args)
+        lines.append(f"t{event.tid}: {event.name}({method}({arg_text}))")
     return "\n".join(lines)

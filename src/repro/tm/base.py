@@ -205,7 +205,6 @@ class Runtime:
         spec: SequentialSpec,
         check_gray_criteria: bool = True,
         compact_every: Optional[int] = 64,
-        record_trace: bool = False,
         tracer: Tracer = NULL_TRACER,
         injector: NullInjector = NULL_INJECTOR,
     ):
@@ -215,10 +214,6 @@ class Runtime:
             spec, check_gray_criteria=check_gray_criteria, tracer=tracer
         )
         self.history = History()
-        #: optional rule trace (repro.checking.trace.TraceEvent per applied
-        #: rule) — lets a driver run be rendered in Figure-7 style.
-        self.record_trace = record_trace
-        self.trace: list = []
         #: fault-injection hooks (repro.faults); NULL_INJECTOR is disarmed
         self.injector = injector
         injector.bind(self)
@@ -246,31 +241,10 @@ class Runtime:
         injected fault cannot itself be faulted."""
         if self.injector.armed:
             self.injector.on_apply(self, rule, args)
-        previous = self.machine
         successor = getattr(self.machine, rule)(*args)
         self.machine = successor
         self.rule_counts[rule.upper()] += 1
-        if self.record_trace:
-            self._record(rule, previous, successor, args)
         return successor
-
-    def _record(self, rule: str, previous: Machine, successor: Machine, args) -> None:
-        from repro.checking.trace import TraceEvent
-
-        tid = args[0] if args else -1
-        op = None
-        if rule in ("push", "unpush", "pull", "unpull") and len(args) > 1:
-            op = args[1]
-        elif rule == "app":
-            op = successor.thread(tid).local[-1].op
-        elif rule == "unapp":
-            op = previous.thread(tid).local[-1].op
-        if op is not None:
-            self.trace.append(
-                TraceEvent(rule.upper(), tid, op.method, op.args, op.ret)
-            )
-        else:
-            self.trace.append(TraceEvent(rule.upper(), tid))
 
     # -- tokens (single-holder flags; end and abort release them) ----------------
 
@@ -580,18 +554,14 @@ class TMAlgorithm(ABC):
 
     def validate_then_push_all(self, rt: Runtime, tid: int) -> None:
         """§6.2's commit sequence: *check* the PUSH conditions on all
-        effects first, then publish.  The dry run exploits machine
-        immutability (pushes applied to a scratch successor that is
-        discarded); a validation failure raises :class:`TMAbort` with
-        nothing published, so the subsequent rollback is pure UNAPPs —
-        TL2 "needn't UNPUSH".  On success the same pushes are replayed on
-        the runtime within the same quantum, so they cannot fail."""
-        scratch = rt.machine
-        for op in scratch.thread(tid).local.not_pushed_ops():
-            try:
-                scratch = scratch.push(tid, op)
-            except CriterionViolation as exc:
-                raise TMAbort(f"commit validation failed: {exc}", AbortKind.VALIDATION)
+        effects first (:meth:`~repro.core.machine.Machine.first_unpushable`,
+        which applies no rule), then publish.  A validation failure raises
+        :class:`TMAbort` with nothing published, so the subsequent rollback
+        is pure UNAPPs — TL2 "needn't UNPUSH".  On success the pushes run
+        on the runtime within the same quantum, so they cannot fail."""
+        refused = rt.machine.first_unpushable(tid)
+        if refused is not None:
+            raise TMAbort(f"commit validation failed: {refused[1]}", AbortKind.VALIDATION)
         self.push_all_unpushed(rt, tid)
 
     def commit(

@@ -84,7 +84,7 @@ class BrokenCrashTM(TL2TM):
 class BrokenPushNoCheckTM(TL2TM):
     """Publishes without the §6.2 validate-then-push commit sequence.
 
-    A correct TL2 driver dry-runs every PUSH before publishing anything;
+    A correct TL2 driver checks every PUSH before publishing anything;
     this one pushes optimistically and *swallows* any refusal, silently
     dropping the refused effect from publication — then asks the machine
     to commit anyway.  CMT criterion (ii) (``L ⊆ G``: every own operation

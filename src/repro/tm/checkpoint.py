@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from typing import Iterator, List
 
-from repro.core.errors import CriterionViolation, TMAbort
+from repro.core.errors import TMAbort
 from repro.core.history import TxRecord
 from repro.core.language import Code
 from repro.tm.base import Runtime, TMAlgorithm
@@ -67,17 +67,6 @@ class CheckpointTM(TMAlgorithm):
                 rt.apply("unapp", tid)
             thread = rt.machine.thread(tid)
 
-    def _revalidate_prefix(self, rt: Runtime, tid: int) -> bool:
-        """Would the current local prefix still pass commit validation
-        (dry-run pushes on a scratch machine)?"""
-        scratch = rt.machine
-        try:
-            for op in scratch.thread(tid).local.not_pushed_ops():
-                scratch = scratch.push(tid, op)
-        except CriterionViolation:
-            return False
-        return True
-
     def attempt(
         self, rt: Runtime, tid: int, record: TxRecord, program: Code
     ) -> Iterator[None]:
@@ -101,7 +90,7 @@ class CheckpointTM(TMAlgorithm):
                 while checkpoints:
                     marker = checkpoints[-1]
                     self._rewind_to(rt, tid, marker)
-                    if marker == 0 or self._revalidate_prefix(rt, tid):
+                    if marker == 0 or rt.machine.first_unpushable(tid) is None:
                         break
                     checkpoints.pop()
                 self.partial_rewinds += 1

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from typing import Iterator, Set
 
-from repro.core.errors import CriterionViolation, TMAbort
+from repro.core.errors import TMAbort
 from repro.core.history import TxRecord
 from repro.core.language import Choice, Code, SKIP, Seq
 from repro.tm.base import Runtime, TMAlgorithm
@@ -89,14 +89,8 @@ class ElasticTM(TMAlgorithm):
         remainder may rely on non-atomically: conservatively, when the
         prefix has no unpublished mutators entangled with the remainder —
         we allow the cut iff the prefix validates as a transaction on its
-        own (dry-run) — the machine does the fine-grained reasoning."""
-        scratch = rt.machine
-        try:
-            for op in scratch.thread(tid).local.not_pushed_ops():
-                scratch = scratch.push(tid, op)
-        except CriterionViolation:
-            return False
-        return True
+        own — the machine does the fine-grained reasoning."""
+        return rt.machine.first_unpushable(tid) is None
 
     def attempt(
         self, rt: Runtime, tid: int, record: TxRecord, program: Code
@@ -166,21 +160,11 @@ class ElasticTM(TMAlgorithm):
 
     def _longest_valid_prefix(self, rt: Runtime, tid: int) -> int:
         """The largest k such that the first k own operations validate as
-        a transaction on their own (dry-run pushes)."""
+        a transaction on their own: those before the first that cannot be
+        PUSHed."""
         own = rt.machine.thread(tid).local.own_ops()
-        best = 0
-        scratch = rt.machine
-        for k, op in enumerate(own, start=1):
-            entry = rt.machine.thread(tid).local.entry_for(op)
-            if entry.is_pushed:
-                best = k
-                continue
-            try:
-                scratch = scratch.push(tid, op)
-            except CriterionViolation:
-                break
-            best = k
-        return best
+        refused = rt.machine.first_unpushable(tid)
+        return len(own) if refused is None else own.index(refused[0])
 
     def _rewind_own_suffix(self, rt: Runtime, tid: int, keep: int) -> None:
         """UNAPP/UNPULL local entries until only ``keep`` own ops remain."""

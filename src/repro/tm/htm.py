@@ -102,7 +102,7 @@ class HTM(TMAlgorithm):
             rt.pull_relevant(tid, accessed)  # coherence: whole-footprint view
             self.app_call(rt, tid, 0)
             yield
-        # XEND: publish the buffered effects atomically (validated dry
+        # XEND: publish the buffered effects atomically (validated
         # first: a hardware abort discards the buffer, it never UNPUSHes).
         self.validate_then_push_all(rt, tid)
         self.commit(rt, tid, record)

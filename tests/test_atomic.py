@@ -7,7 +7,6 @@ from repro.core.atomic import (
     bigstep,
     payloads,
     run_transaction_atomically,
-    serial_outcomes_of_transactions,
 )
 from repro.core.language import Star, call, choice, seq, tx
 from repro.core.ops import IdGenerator
@@ -111,11 +110,6 @@ class TestAtomicFinalLogs:
             (("inc", (), None),),
             (("dec", (), None),),
         }
-
-    def test_serial_outcomes_alias(self):
-        spec = CounterSpec()
-        outcome = serial_outcomes_of_transactions(spec, [tx(call("inc"))])
-        assert outcome == {(("inc", (), None),)}
 
     def test_interleaving_is_per_transaction_not_per_op(self):
         # The atomic machine runs whole transactions: inc;get in one tx

@@ -71,6 +71,17 @@ class TestCLIRuns:
             doc = json.load(handle)
         assert "traceEvents" in doc
 
+    def test_trace_table_counts_the_rules_the_run_applied(self, capsys):
+        """TL2's commit validation checks PUSH without applying it, so the
+        summary table's PUSH spans match the run's rule mix."""
+        import re
+
+        assert cli_main(["trace", "readwrite", "--strategy", "tl2"]) == 0
+        out = capsys.readouterr().out
+        (mix,) = re.findall(r"^rule mix\s*:.*\bPUSH=(\d+)", out, re.M)
+        (spans,) = re.findall(r"^rule\s+PUSH\s+(\d+)\s", out, re.M)
+        assert int(spans) == int(mix) > 0
+
     @pytest.mark.slow
     def test_modelcheck_with_the_tms2_opacity_checker(self, capsys):
         from repro.cli import SCOPES

@@ -40,6 +40,27 @@ class TestExamples:
     def test_hybrid_htm_boosting(self):
         out = run_example("hybrid_htm_boosting.py")
         assert "shared view during HTM recovery" in out
+        lines = out.splitlines()
+        start = lines.index("Figure 7, from the tracer's rule spans:") + 1
+        assert lines[start:start + 16] == [
+            "t0: APP(skiplist.add('foo'))",
+            "t0: PUSH(skiplist.add('foo'))",
+            "t0: APP(size.inc())",
+            "t0: APP(hashT.put('foo', 'bar'))",
+            "t0: PUSH(hashT.put('foo', 'bar'))",
+            "t0: APP(x.inc())",
+            "t0: PUSH(size.inc())",
+            "t0: PUSH(x.inc())",
+            "t0: UNPUSH(x.inc())",
+            "t0: UNPUSH(size.inc())",
+            "t0: UNAPP(x.inc())",
+            "t0: APP(y.inc())",
+            "t0: PUSH(size.inc())",
+            "t0: PUSH(y.inc())",
+            "t0: CMT",
+            "final state : {'hashT': (('foo', 'bar'),), 'size': 1, "
+            "'skiplist': frozenset({'foo'}), 'x': 0, 'y': 1}",
+        ]
         assert "skiplist.add" in out and "hashT.put" in out
         assert "serializable=yes" in out
 

@@ -1,13 +1,11 @@
-"""Extensions beyond the core reproduction: checkpoints (§6.2), the trace
-recorder/replayer, and the CLI."""
+"""Extensions beyond the core reproduction: checkpoints (§6.2), the rule
+trace the tracer records, and the CLI."""
 
-import pytest
-
-from repro.checking.trace import TraceRecorder, format_figure7, replay
 from repro.cli import main as cli_main
-from repro.core import Machine, call, choice, tx
+from repro.core import Machine, call, tx
+from repro.obs import CAT_RULE, RecordingTracer, format_figure7
 from repro.runtime import WorkloadConfig, make_workload, run_experiment
-from repro.specs import CounterSpec, KVMapSpec, MemorySpec
+from repro.specs import KVMapSpec, MemorySpec
 from repro.tm import CheckpointTM, TL2TM
 
 
@@ -62,92 +60,68 @@ class TestCheckpointTM:
 
 
 class TestTraceRecorder:
+    """A recording tracer on a machine: its passing ``rule`` spans are the
+    rule trace, and :func:`~repro.obs.format_figure7` prints them."""
+
     def run_traced(self):
-        spec = KVMapSpec()
-        rec = TraceRecorder(Machine(spec))
-        rec, t0 = rec.spawn(tx(call("put", "a", 1), call("get", "a")))
-        rec = rec.app(t0)
-        rec = rec.push(t0, rec.thread(t0).local[0].op)
-        rec = rec.app(t0)
-        rec = rec.push(t0, rec.thread(t0).local[1].op)
-        rec = rec.cmt(t0)
-        return spec, rec
+        tracer = RecordingTracer()
+        m, t0 = Machine(KVMapSpec(), tracer=tracer).spawn(
+            tx(call("put", "a", 1), call("get", "a"))
+        )
+        m = m.app(t0)
+        m = m.push(t0, m.thread(t0).local[0].op)
+        m = m.app(t0)
+        m = m.push(t0, m.thread(t0).local[1].op)
+        m = m.cmt(t0)
+        return tracer
 
     def test_records_rules_in_order(self):
-        _, rec = self.run_traced()
-        rules = [e.rule for e in rec.trace]
-        assert rules == ["SPAWN", "APP", "PUSH", "APP", "PUSH", "CMT"]
+        tracer = self.run_traced()
+        rules = [e.name for e in tracer.events_in(CAT_RULE)]
+        assert rules == ["APP", "PUSH", "APP", "PUSH", "CMT"]
 
     def test_histogram(self):
-        _, rec = self.run_traced()
-        assert rec.histogram()["PUSH"] == 2
+        assert self.run_traced().names()["PUSH"] == 2
 
     def test_format_figure7(self):
-        _, rec = self.run_traced()
-        text = format_figure7(rec.trace)
-        assert "APP(put('a', 1))" in text
-        assert "CMT" in text
-        assert "SPAWN" not in text
-
-    def test_replay_reproduces_state(self):
-        spec, rec = self.run_traced()
-        machine = replay(KVMapSpec(), rec.trace, [tx(call("put", "a", 1), call("get", "a"))])
-        assert [e.op.method for e in machine.global_log] == ["put", "get"]
-        assert all(e.is_committed for e in machine.global_log)
-
-    def test_replay_rejects_wrong_program(self):
-        spec, rec = self.run_traced()
-        with pytest.raises(ValueError):
-            replay(KVMapSpec(), rec.trace, [tx(call("put", "b", 1), call("get", "b"))])
-
-    def test_replay_with_nondeterminism(self):
-        spec = CounterSpec()
-        rec = TraceRecorder(Machine(spec))
-        rec, t = rec.spawn(tx(choice(call("inc"), call("dec"))))
-        dec_choice = next(
-            c for c in rec.app_choices(t) if c[0].method == "dec"
-        )
-        rec = rec.app(t, dec_choice)
-        rec = rec.push(t, rec.thread(t).local[0].op)
-        rec = rec.cmt(t)
-        machine = replay(
-            CounterSpec(), rec.trace, [tx(choice(call("inc"), call("dec")))]
-        )
-        assert machine.global_log[0].op.method == "dec"  # the chosen branch
+        assert format_figure7(self.run_traced()).splitlines() == [
+            "t0: APP(put('a', 1))",
+            "t0: PUSH(put('a', 1))",
+            "t0: APP(get('a'))",
+            "t0: PUSH(get('a'))",
+            "t0: CMT",
+        ]
 
 
 class TestRuntimeTrace:
     def test_driver_run_produces_replayable_style_trace(self):
-        from repro.checking.trace import format_figure7
-        from repro.core.language import call, tx
-        from repro.specs import MemorySpec
         from repro.tm.base import Runtime, StepStatus, TxStepper
 
-        rt = Runtime(MemorySpec(), record_trace=True)
+        tracer = RecordingTracer()
+        rt = Runtime(MemorySpec(), tracer=tracer)
         stepper = TxStepper(TL2TM(), rt, tx(call("write", "x", 1), call("read", "x")))
         while stepper.step() is StepStatus.RUNNING:
             pass
-        rules = [event.rule for event in rt.trace]
+        rules = [event.name for event in tracer.events_in(CAT_RULE)]
         assert rules == ["APP", "APP", "PUSH", "PUSH", "CMT"]
-        text = format_figure7(rt.trace)
-        assert "APP(write('x', 1))" in text
+        assert "t0: APP(write('x', 1))" in format_figure7(tracer)
 
     def test_trace_histogram_matches_rule_counts(self):
         import collections
 
-        from repro.core.language import call, tx
-        from repro.specs import MemorySpec
-        from repro.tm.base import Runtime, StepStatus, TxStepper
+        from repro.runtime import RoundRobinScheduler
+        from repro.tm.base import Runtime, TxStepper
 
-        rt = Runtime(MemorySpec(), record_trace=True)
+        tracer = RecordingTracer()
+        rt = Runtime(MemorySpec(), tracer=tracer)
         steppers = [
             TxStepper(TL2TM(), rt, tx(call("write", ("k", i % 2), i)))
             for i in range(6)
         ]
-        from repro.runtime import RoundRobinScheduler
-
         RoundRobinScheduler().run(steppers)
-        histogram = collections.Counter(event.rule for event in rt.trace)
+        histogram = collections.Counter(
+            event.name for event in tracer.events_in(CAT_RULE) if event.args["ok"]
+        )
         assert histogram == rt.rule_counts
 
 

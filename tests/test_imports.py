@@ -1,4 +1,5 @@
-"""Imports: none unused, and every process imports only the layers it runs.
+"""Imports: none unused, every module reachable, and every process imports
+only the layers it runs.
 
 An AST scan stands in for a linter: every name a module-level
 ``import``/``from ... import`` binds must be referenced somewhere in the
@@ -6,6 +7,10 @@ module — in code, in a decorator, in an annotation (a string annotation
 is parsed too), or in ``__all__``.  A line marked ``# noqa: F401`` is an
 intended re-export.  Package ``__init__`` modules are skipped: re-export
 is their job.
+
+A second scan keeps ``src/`` to what runs: every module must be in the
+static import closure of ``python -m repro``, the paper's benchmarks or
+the examples — what only tests import is not part of the program.
 
 The import diet (DESIGN.md "Cold start") is checked on fresh
 interpreters: a ``--durable`` daemon reaches its listening line without
@@ -27,7 +32,8 @@ from repro.obs.perf import child_env, repro_modules, serve_launch
 from repro.serve.client import call_daemon
 from repro.serve.loadgen import LoadConfig, run_load_sync
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
+REPO = Path(__file__).resolve().parents[1]
+SRC = REPO / "src" / "repro"
 MODULES = sorted(
     path for path in SRC.rglob("*.py") if path.name != "__init__.py"
 )
@@ -119,6 +125,100 @@ def test_scan_sees_an_unused_import(tmp_path):
         "    return None\n"
     )
     assert unused_imports(module) == [(1, "Optional"), (3, "b")]
+
+
+# -- every module reachable from what runs ---------------------------------------
+
+#: dotted module name -> source file, packages included
+MODULE_FILES = {
+    ".".join(path.relative_to(SRC.parent).with_suffix("").parts).removesuffix(
+        ".__init__"
+    ): path
+    for path in SRC.rglob("*.py")
+}
+
+#: what runs: the command line, the paper's benchmarks and the examples
+ROOTS = sorted(
+    [SRC / "__main__.py"]
+    + list((REPO / "benchmarks").glob("*.py"))
+    + list((REPO / "examples").glob("*.py"))
+)
+
+
+def imported_modules(path: Path):
+    """The module names a file may import: every ``import`` statement at
+    any depth (function-local ones too, which is how commands load their
+    layers), the modules of ``lazy_exports`` tables and the ``LazyTable``
+    entries a package resolves on first use."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    dicts = {
+        target.id: node.value
+        for node in tree.body if isinstance(node, ast.Assign)
+        for target in node.targets if isinstance(target, ast.Name)
+    }
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            found.add(node.module)
+            found.update(f"{node.module}.{alias.name}" for alias in node.names)
+        elif isinstance(node, ast.Call) and _dotted(node.func).split(".")[-1] in (
+            "lazy_exports", "LazyTable",
+        ):
+            for arg in node.args:
+                table = dicts.get(arg.id) if isinstance(arg, ast.Name) else arg
+                if isinstance(table, ast.Dict):
+                    found.update(
+                        inner.value for inner in ast.walk(table)
+                        if isinstance(inner, ast.Constant) and isinstance(inner.value, str)
+                    )
+    return found
+
+
+def reachable_modules(roots):
+    """The ``repro`` modules in the static import closure of ``roots``
+    (a root that is a module counts); reaching a module reaches the
+    packages above it."""
+    reached = {name for name, path in MODULE_FILES.items() if path in roots}
+    pending = list(roots)
+    while pending:
+        for name in imported_modules(pending.pop()):
+            parts = name.split(".")
+            for depth in range(1, len(parts) + 1):
+                module = ".".join(parts[:depth])
+                if module in MODULE_FILES and module not in reached:
+                    reached.add(module)
+                    pending.append(MODULE_FILES[module])
+    return reached
+
+
+def test_every_module_is_reachable_from_what_runs():
+    assert sorted(set(MODULE_FILES) - reachable_modules(ROOTS)) == []
+
+
+def test_scan_follows_local_lazy_and_table_imports(tmp_path):
+    module = tmp_path / "mod.py"
+    module.write_text(
+        "from repro.lazy import LazyTable, lazy_exports\n"
+        "_TABLE = {'tl2': ('repro.tm.tl2', 'TL2TM')}\n"
+        "STRATEGIES = LazyTable(_TABLE)\n"
+        "__getattr__, __dir__, __all__ = lazy_exports(globals(), {\n"
+        "    'repro.obs.flight': ('FlightRecorder',),\n"
+        "})\n"
+        "def f():\n"
+        "    import repro.core.rewind\n"
+        "    from repro.checking import tms2\n"
+        "    return 'repro.core.opacity'\n"
+    )
+    found = imported_modules(module)
+    assert found >= {
+        "repro.lazy", "repro.tm.tl2", "repro.obs.flight", "repro.core.rewind",
+        "repro.checking.tms2",
+    }
+    assert "repro.core.opacity" not in found  # a string, not an import
+    reached = reachable_modules([module])
+    assert {"repro", "repro.tm", "repro.tm.base", "repro.checking.tms2"} <= reached
 
 
 # -- one owner of the transaction lifecycle -------------------------------------

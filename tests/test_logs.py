@@ -137,10 +137,6 @@ class TestGlobalLog:
         with pytest.raises(LogError):
             EMPTY_GLOBAL.commit(local)
 
-    def test_committed_only(self, ops):
-        log = EMPTY_GLOBAL.append(ops[0]).append(ops[1], COMMITTED)
-        assert log.committed_only().all_ops() == (ops[1],)
-
     def test_remove(self, ops):
         log = EMPTY_GLOBAL.append(ops[0]).append(ops[1])
         assert log.remove(ops[0]).all_ops() == (ops[1],)

@@ -187,6 +187,42 @@ class TestPush:
             m.push(t0, stale_read)
         assert (exc.value.rule, exc.value.criterion) == ("PUSH", "iii")
 
+    def test_first_unpushable_checks_in_order_on_earlier_pushes(self):
+        # read x -> 1 is allowed only after the write it follows is in G:
+        # each op is checked as if the ones before it were pushed.
+        m, tid = fresh().spawn(tx(call("write", "x", 1), call("read", "x")))
+        m = m.app(tid)
+        m = m.app(tid)
+        read = m.thread(tid).local[1].op
+        assert m._check_push(m.thread(tid), read) is not None
+        assert m.first_unpushable(tid) is None
+        assert all(isinstance(e.flag, NotPushed) for e in m.thread(tid).local)
+        assert len(m.global_log) == 0
+
+    def test_first_unpushable_names_the_stale_read(self):
+        from repro.obs import CAT_CRITERION, CAT_RULE, RecordingTracer
+
+        tracer = RecordingTracer()
+        m = Machine(MemorySpec(), tracer=tracer)
+        m, t0 = m.spawn(tx(call("write", "y", 1), call("read", "x")))
+        m, t1 = m.spawn(tx(call("write", "x", 9)))
+        m = m.app(t0)
+        m = m.app(t0)
+        m = m.app(t1)
+        m = m.push(t1, m.thread(t1).local[0].op)
+        m = m.cmt(t1)
+        spans = len(tracer.events_in(CAT_RULE))
+        op, exc = m.first_unpushable(t0)
+        assert op == m.thread(t0).local[1].op
+        assert (exc.rule, exc.criterion) == ("PUSH", "iii")
+        assert len(tracer.events_in(CAT_RULE)) == spans  # no rule applied
+        checks = [e.args for e in tracer.events_in(CAT_CRITERION)
+                  if e.name == "PUSH.check" and e.tid == t0]
+        assert checks == [
+            {"ok": True},
+            {"ok": False, "criterion": "iii", "detail": exc.detail},
+        ]
+
     def test_push_foreign_op_rejected(self):
         m = fresh()
         m, t0 = m.spawn(tx(call("write", "x", 1)))

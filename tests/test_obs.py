@@ -9,6 +9,7 @@ Three contracts matter most:
 3. the Chrome export is schema-valid ``trace_event`` JSON.
 """
 
+import collections
 import json
 
 import pytest
@@ -40,7 +41,7 @@ from repro.checking import explore
 from repro.checking.model_checker import ExploreOptions
 from repro.runtime import WorkloadConfig, make_workload, run_experiment
 from repro.specs import CounterSpec, MemorySpec
-from repro.tm import TL2TM
+from repro.tm import ALL_ALGORITHMS, TL2TM
 
 
 def small_run(tracer):
@@ -119,7 +120,8 @@ class TestNullTracer:
         decomposition rather than direct A/B wall-clock — this
         container's scheduling noise (±13% between identical runs)
         cannot resolve a 5% delta, while both factors here are stable
-        and the margin is ~25×."""
+        and the margin is ~2.5× (a rule span's ``op`` lookup and triple
+        cost ~0.5 µs of its ~0.65 µs)."""
         import time as _time
 
         from repro.obs import CAT_RULE
@@ -143,12 +145,20 @@ class TestNullTracer:
         events = len(flight)
         assert events > 0
 
+        machine, tid = Machine(KVMapSpec()).spawn(tx(call("put", "k", 1)))
+        machine = machine.app(tid)
+
         def per_event(n=100_000):
+            # A span as the machine's rule wrapper records an APP: the ok
+            # flag, the new entry's lookup and its (method, args, ret).
             recorder = FlightRecorder(capacity=4096)
             span, now = recorder.span, recorder.now
             start = _time.perf_counter()
             for _ in range(n):
-                span("APP", CAT_RULE, now(), tid=1)
+                args = {"ok": True}
+                op = machine.thread(tid).local[-1].op
+                args["op"] = (op.method, op.args, op.ret)
+                span("APP", CAT_RULE, now(), tid=tid, args=args)
             return (_time.perf_counter() - start) / n
 
         cost = min(per_event() for _ in range(3))
@@ -202,30 +212,103 @@ class TestMachineInstrumentation:
         assert names["quantum"] >= 1
         assert tracer.counts.get("sched.quanta", 0) >= 1
 
-    def test_conflict_graph_drives_the_commutes_memo_counters(self):
-        """Exploration consults only the denotation and left-mover memos
-        (the kernel perf tier gates those); the ``mover.commutes`` memo's
-        consumer is the conflict-graph oracle."""
-        from repro.core.conflictgraph import conflict_serializable
-        from repro.specs import get_spec
-        from repro.tm import ALL_ALGORITHMS
 
+def passing_rule_spans(source):
+    """The ``rule`` spans of rules that were applied, counted by name."""
+    return collections.Counter(
+        event.name for event in source.events_in(CAT_RULE) if event.args["ok"]
+    )
+
+
+def strategy_run(name, seed, tracer):
+    """One seeded run of strategy ``name``: ``set`` churn, except hybrid,
+    which needs the ``multiobject`` workload's product spec."""
+    from repro.specs import KVMapSpec, ProductSpec, SetSpec
+    from repro.tm import HybridTM
+
+    config = WorkloadConfig(transactions=24, ops_per_tx=4, keys=4,
+                            read_ratio=0.5, seed=seed)
+    if name == "hybrid":
+        spec = ProductSpec({"table": KVMapSpec(), "tally": CounterSpec(),
+                            "cache": MemorySpec()})
+        algorithm = HybridTM(htm_components=frozenset({"tally", "cache"}))
+        programs = make_workload("multiobject", config)
+    else:
+        spec, algorithm = SetSpec(), ALL_ALGORITHMS[name]()
+        programs = make_workload("set", config)
+    return run_experiment(algorithm, spec, programs, concurrency=4,
+                          seed=seed, tracer=tracer)
+
+
+class TestRuleTrace:
+    """The tracer's ``rule`` spans are the rule trace: one passing span per
+    rule applied to a machine, carrying the operation it moved."""
+
+    def test_passing_spans_carry_the_operation_they_moved(self):
         tracer = RecordingTracer()
-        config = WorkloadConfig(transactions=12, ops_per_tx=3, keys=4,
-                                read_ratio=0.5, seed=7)
-        spec = get_spec("counter")
-        result = run_experiment(
-            ALL_ALGORITHMS["boosting"](), spec,
-            make_workload("counter", config),
-            concurrency=3, seed=7, tracer=tracer,
-        )
-        serializable, _, _ = conflict_serializable(
-            spec, result.runtime.history, result.runtime.machine
-        )
-        assert serializable
-        hits = tracer.counts.get("mover.commutes.hit", 0)
-        misses = tracer.counts.get("mover.commutes.miss", 0)
-        assert hits + misses > 0
+        m = Machine(MemorySpec(), tracer=tracer)
+        m, t0 = m.spawn(tx(call("write", "x", 1)))
+        m, t1 = m.spawn(tx(call("read", "x")))
+        m = m.app(t0)
+        write = m.thread(t0).local[0].op
+        m = m.push(t0, write)
+        m = m.pull(t1, write)
+        m = m.unpull(t1, write)
+        with pytest.raises(CriterionViolation):
+            m.cmt(t1)  # the read was never APPed: no method-free path
+        m = m.unpush(t0, write)
+        m = m.unapp(t0)
+        m = m.app(t0)
+        m = m.push(t0, m.thread(t0).local[0].op)
+        m = m.cmt(t0)
+        spans = [(e.name, e.tid, e.args) for e in tracer.events_in(CAT_RULE)]
+        moved = ("write", ("x", 1), None)
+        assert spans == [
+            ("APP", t0, {"ok": True, "op": moved}),
+            ("PUSH", t0, {"ok": True, "op": moved}),
+            ("PULL", t1, {"ok": True, "op": moved}),
+            ("UNPULL", t1, {"ok": True, "op": moved}),
+            ("CMT", t1, {"ok": False}),
+            ("UNPUSH", t0, {"ok": True, "op": moved}),
+            ("UNAPP", t0, {"ok": True, "op": moved}),
+            ("APP", t0, {"ok": True, "op": moved}),
+            ("PUSH", t0, {"ok": True, "op": moved}),
+            ("CMT", t0, {"ok": True}),
+        ]
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("name", sorted(ALL_ALGORITHMS))
+    def test_rule_spans_agree_with_rule_counts(self, name, seed):
+        """Commit validation checks PUSH criteria without applying PUSH,
+        so the trace holds exactly the rules the runtime counted."""
+        tracer = RecordingTracer()
+        result = strategy_run(name, seed, tracer)
+        assert passing_rule_spans(tracer) == result.rule_counts
+
+    def test_validation_checks_leave_criterion_instants(self):
+        """A validation failure still reaches fuzz coverage as a
+        ``PUSH.check`` instant, with no ``PUSH`` span beside it."""
+        tracer = RecordingTracer()
+        strategy_run("tl2", 1, tracer)
+        refused = [e for e in tracer.events_in(CAT_CRITERION)
+                   if e.name == "PUSH.check" and not e.args["ok"]]
+        assert refused and all(e.args["criterion"] for e in refused)
+        assert not [e for e in tracer.events_in(CAT_RULE)
+                    if e.name == "PUSH" and not e.args["ok"]]
+
+    def test_figure7_table_reads_a_flight_dump(self, tmp_path):
+        from repro.obs import format_figure7
+        from repro.obs.flight import FlightRecorder
+
+        flight = FlightRecorder(capacity=None)
+        small_run(flight)
+        path = str(tmp_path / "dump.jsonl")
+        flight.dump(path, reason="test")
+        table = format_figure7(flight)
+        assert format_figure7(read_jsonl(path)) == table
+        lines = table.splitlines()
+        assert len(lines) == sum(passing_rule_spans(flight).values())
+        assert any("(write(('k', " in line for line in lines)
 
 
 class TestModelCheckerInstrumentation:
@@ -246,6 +329,21 @@ class TestModelCheckerInstrumentation:
         assert done[0].args["dedup_hits"] == report.dedup_hits
         assert report.max_depth > 0
         assert report.peak_frontier > 0
+
+    def test_por_drives_the_commutes_memo_counters(self):
+        """Exploration's rule criteria consult the denotation and
+        left-mover memos (the kernel perf tier gates those); the
+        ``mover.commutes`` memo's consumer is the POR reducer's both-mover
+        check."""
+        tracer = RecordingTracer()
+        report = explore(
+            CounterSpec(),
+            [tx(call("inc"), call("get")), tx(call("inc"))],
+            ExploreOptions(max_states=50_000, tracer=tracer, trace_rules=True,
+                           por=True),
+        )
+        assert report.ok
+        assert tracer.counts.get("mover.commutes.miss", 0) > 0
 
 
 class TestJsonlExport:

@@ -23,20 +23,6 @@ class TestOp:
         assert hash(a) == hash(b)
         assert len({a, b}) == 1
 
-    def test_same_payload(self):
-        a = Op("put", ("k", 1), None, 1)
-        b = Op("put", ("k", 1), None, 2)
-        c = Op("put", ("k", 2), None, 3)
-        assert a.same_payload(b)
-        assert not a.same_payload(c)
-
-    def test_with_ret_keeps_id(self):
-        a = Op("get", ("k",), None, 5)
-        b = a.with_ret(42)
-        assert b.ret == 42
-        assert b.op_id == 5
-        assert b.method == "get"
-
     def test_pretty_mentions_everything(self):
         op = Op("put", ("k", 5), "old", 12)
         text = op.pretty()
@@ -52,12 +38,6 @@ class TestIdGenerator:
         gen = IdGenerator()
         ids = [gen.fresh() for _ in range(1000)]
         assert len(set(ids)) == 1000
-
-    def test_is_issued(self):
-        gen = IdGenerator()
-        issued = gen.fresh()
-        assert gen.is_issued(issued)
-        assert not gen.is_issued(issued + 1)
 
     def test_start_offset(self):
         gen = IdGenerator(start=100)

@@ -139,13 +139,6 @@ class TestGlobalLogProperties:
         assert positions == sorted(positions)
 
     @LOG_SETTINGS
-    @given(log=global_logs())
-    def test_committed_only_idempotent(self, log):
-        once = log.committed_only()
-        assert once.committed_only() == once
-        assert all(e.is_committed for e in once)
-
-    @LOG_SETTINGS
     @given(a=op_lists(), data=st.data())
     def test_ops_minus_complement(self, a, data):
         drop = data.draw(st.lists(st.sampled_from(a), unique=True)) if a else []

@@ -9,7 +9,7 @@ import weakref
 import pytest
 
 from repro.core.logs import EMPTY_GLOBAL, EMPTY_LOCAL
-from repro.core.ops import intern_stats
+from repro.core.ops import Op, intern_stats, payload_of
 from repro.core.spec import RebasedStateSpec, shared_movers
 from repro.durable.recovery import open_durable_shard
 from repro.serve.shard import (
@@ -274,7 +274,10 @@ def test_mover_pairs_evaluated_before_a_rollover_hit_after_it():
     oracle.commutes = lambda *ops: evaluated.append(ops)
     try:
         assert all(memo.left_mover_pid(*pair) == got for pair, got in left.items())
-        assert all(memo.commutes_pid(*pair) == got for pair, got in comm.items())
+        assert all(
+            memo.commutes(Op(*payload_of(p1), -1), Op(*payload_of(p2), -2)) == got
+            for (p1, p2), got in comm.items()
+        )
     finally:
         del oracle.left_mover, oracle.commutes
     assert evaluated == []
